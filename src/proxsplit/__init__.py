@@ -3,15 +3,18 @@
 Modules:
 
 * ``core``     -- vectors, function/operator wrappers, schedules, diagnostics
-* ``scalar``   -- 1-D root finding, Lambert W, golden-section prox oracle
-* ``catalog``  -- scalar prox kinds and prox calculus combinators
+* ``scalar``   -- elementwise 1-D root finding and Lambert W
+* ``catalog``  -- array-native scalar prox kinds and prox calculus combinators
 * ``sets``     -- closed convex sets with exact projections
 * ``solvers``  -- the splitting algorithms
 * ``problems`` -- builders for the worked desk-scale examples
-* ``cli``      -- the ``proxsplit`` command-line front end
+* ``cli``      -- the ``proxsplit`` command-line front end (``python -m proxsplit``);
+  imported on first use, so that ``python -m proxsplit.cli`` runs it cleanly
 """
 
-from . import catalog, cli, core, problems, scalar, sets, solvers
+import importlib
+
+from . import catalog, core, problems, scalar, sets, solvers
 from .core import (
     LinearMap,
     ProxFn,
@@ -48,3 +51,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``proxsplit.cli`` is loaded on first access instead of at import time:
+    # an eager import puts it in sys.modules before ``python -m proxsplit.cli``
+    # runs it, which makes runpy warn
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,23 +4,35 @@ Two layers:
 
 * scalar kinds -- one class per closed-form or root-solved scalar convex
   function, each exposing ``value(t)`` and ``prox(t, gamma)`` with the prox
-  taken at an arbitrary positive scale;
+  taken at an arbitrary positive scale.  Both are array-native: a scalar
+  ``t`` gives a float, an array gives an array of the same shape, one
+  independent scalar problem per element;
 * calculus combinators -- constructors that build new ``ProxFn`` values out
-  of existing ones (translation, argument scaling, reflection, quadratic
-  perturbation, conjugation, Moreau envelope/complement, squared distance,
-  orthonormal decomposition, semi-orthogonal composition, quadratic losses,
-  distance penalties, support functions and radial thresholding).
+  of existing ones (separable sums, translation, argument scaling,
+  reflection, quadratic perturbation, conjugation, Moreau
+  envelope/complement, squared distance, orthonormal decomposition,
+  semi-orthogonal composition, quadratic losses, distance penalties,
+  support functions and radial thresholding).
+
+Each kind is written once, as numpy expressions that broadcast over the
+input and over the kind's parameters.  ``separable`` and ``basis_separable``
+use this to apply the separable-sum rule (the prox of sum_k phi_k(x_k) is
+taken coordinatewise): at construction they group the coordinates by kind
+and stack each group's parameters into arrays, so that every prox or
+evaluation makes one call per group instead of one per coordinate.
 
 Implicit prox equations are solved on the optimality residual
 r(p) = p - t + gamma*phi'(p), which is strictly increasing with slope >= 1
 wherever phi is differentiable, so a bracketed root is located to the same
-absolute accuracy as the residual tolerance.
+absolute accuracy as the residual tolerance.  All coordinates of a group are
+solved in one call of the elementwise ``scalar.solve_monotone``, with Newton
+steps from r'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,26 +97,58 @@ _ROOT_TOL = 1e-14
 _DOMAIN_SLACK = 1e-9
 
 
-def _pow(base: float, expo: float) -> float:
-    """base**expo that saturates to +inf instead of raising OverflowError."""
-    try:
-        return base**expo
-    except OverflowError:
-        return math.inf
+def _quiet():
+    """Silence the warnings of values computed and then discarded: branches
+    that np.where drops (log of a negative, division by zero) and trial
+    points of a bracket search."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _solve_residual(r, lo: float, hi: float) -> float:
-    return solve_monotone(r, Bracket(lo, hi), tol=_ROOT_TOL)
+def _solve_residual(r, dr, lo, hi):
+    return solve_monotone(r, Bracket(lo, hi), tol=_ROOT_TOL, dg=dr)
 
 
-def _shrink_lo(r, hi: float) -> float:
+def _shrink_until(ok, start, factor: float, tries: int, where: str):
+    """Elementwise: multiply ``start`` by ``factor`` until ``ok`` holds."""
+    d = start
+    with _quiet():
+        for _ in range(tries):
+            good = ok(d)
+            if good.all():
+                return d
+            d = np.where(good, d, d * factor)
+    raise BracketingError(f"could not bracket the prox equation {where}")
+
+
+def _shrink_lo(r, hi):
     """Find lo in (0, hi) with r(lo) < 0 for residuals diverging to -inf at 0+."""
-    lo = min(1.0, 0.5 * hi)
-    for _ in range(80):
-        if r(lo) < 0.0:
-            return lo
-        lo *= 1e-6
-    raise BracketingError("could not bracket the prox equation near 0")
+    return _shrink_until(lambda p: r(p) < 0.0, np.minimum(1.0, 0.5 * hi), 1e-6, 80, "near 0")
+
+
+def _power_root(c, q, a):
+    """Root p >= 0 of p + c*p^(q-1) = a (0 where a = 0), bracketed in [0, a].
+
+    For q < 2 the slope is unbounded at 0, so Newton steps from near 0 are
+    refused and the solve bisects toward 0 where a/c is small.  There the
+    bracket is tightened instead: each term alone reaches a at most at
+    min(a, (a/c)^(1/(q-1))) and a/2 at least at min(a/2, (a/2c)^(1/(q-1))), so
+    the root lies between these two points (where they underflow, [0, a]
+    stays).
+    """
+    e = q - 1.0
+    lo, hi = np.zeros_like(a), np.where(a == 0.0, 1.0, a)  # r(0) = 0 at a = 0: the root is the left end
+    if np.any(e < 1.0):
+        with _quiet():
+            tight_hi = np.minimum(a, (a / c) ** (1.0 / e))
+            tight_lo = np.minimum(0.5 * a, (0.5 * a / c) ** (1.0 / e))
+        tighten = (e < 1.0) & (tight_lo < tight_hi)
+        lo, hi = np.where(tighten, tight_lo, lo), np.where(tighten, tight_hi, hi)
+    return _solve_residual(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), lo, hi)
+
+
+def _soft(t, a, b):
+    """t minus its clamp to [a, b]: the prox of the support of [a/gamma, b/gamma]."""
+    return t - np.minimum(np.maximum(t, a), b)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -113,16 +157,35 @@ def _require(cond: bool, msg: str) -> None:
 
 
 class ScalarKind:
-    """One scalar convex function phi with its proximity map.
+    """One scalar convex function phi with its proximity map, elementwise.
 
-    ``prox(t, gamma)`` returns the minimizer of gamma*phi(p) + 0.5*(t - p)^2.
+    ``value(t)`` is phi(t) and ``prox(t, gamma)`` the minimizer of
+    gamma*phi(p) + 0.5*(t - p)^2.  A scalar ``t`` gives a float; an array
+    gives an array of the same shape.  Subclasses implement ``_value`` and
+    ``_prox`` on arrays, in expressions that also broadcast over the
+    parameters, since ``separable`` calls them on kinds whose parameters are
+    stacked into arrays.
     """
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        return _like(t, self._value(np.asarray(t, dtype=float)))
+
+    def prox(self, t, gamma: float = 1.0):
+        return _like(t, self._prox(np.asarray(t, dtype=float), float(gamma)))
+
+    def _value(self, t: Array) -> Array:
         raise NotImplementedError
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
+    def _prox(self, t: Array, gamma: float) -> Array:
         raise NotImplementedError
+
+    def _group_key(self):
+        """Kinds with equal keys can be stacked into one kind."""
+        return type(self)
+
+
+def _like(t, out):
+    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -136,11 +199,11 @@ class Interval(ScalarKind):
         _require(not math.isnan(self.lo) and not math.isnan(self.hi), "bounds must not be NaN")
         _require(self.lo < self.hi, f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def value(self, t: float) -> float:
-        return 0.0 if self.lo - _DOMAIN_SLACK <= t <= self.hi + _DOMAIN_SLACK else math.inf
+    def _value(self, t):
+        return np.where((self.lo - _DOMAIN_SLACK <= t) & (t <= self.hi + _DOMAIN_SLACK), 0.0, math.inf)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        return min(max(t, self.lo), self.hi)
+    def _prox(self, t, gamma):
+        return np.minimum(np.maximum(t, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -155,16 +218,11 @@ class IntervalSupport(ScalarKind):
         _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
         _require(self.lo < self.hi, f"support interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def value(self, t: float) -> float:
-        return max(self.lo * t, self.hi * t)
+    def _value(self, t):
+        return np.maximum(self.lo * t, self.hi * t)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        a, b = gamma * self.lo, gamma * self.hi
-        if t < a:
-            return t - a
-        if t > b:
-            return t - b
-        return 0.0
+    def _prox(self, t, gamma):
+        return _soft(t, gamma * self.lo, gamma * self.hi)
 
 
 @dataclass(frozen=True)
@@ -181,13 +239,14 @@ class SmoothPlusSupport(ScalarKind):
         _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
         _require(self.lo < self.hi, f"support interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    def value(self, t: float) -> float:
-        return self.psi.value(t) + max(self.lo * t, self.hi * t)
+    def _value(self, t):
+        return self.psi._value(t) + np.maximum(self.lo * t, self.hi * t)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        a, b = gamma * self.lo, gamma * self.hi
-        softened = t - a if t < a else (t - b if t > b else 0.0)
-        return self.psi.prox(softened, gamma)
+    def _prox(self, t, gamma):
+        return self.psi._prox(_soft(t, gamma * self.lo, gamma * self.hi), gamma)
+
+    def _group_key(self):
+        return (type(self), self.psi._group_key())
 
 
 @dataclass(frozen=True)
@@ -199,18 +258,13 @@ class Deadzone(ScalarKind):
     def __post_init__(self):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
-    def value(self, t: float) -> float:
-        return max(abs(t) - self.omega, 0.0)
+    def _value(self, t):
+        return np.maximum(np.abs(t) - self.omega, 0.0)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        a = abs(t)
-        if a <= self.omega:
-            p = a
-        elif a <= self.omega + gamma:
-            p = self.omega
-        else:
-            p = a - gamma
-        return math.copysign(p, t) if t != 0.0 else 0.0
+    def _prox(self, t, gamma):
+        a = np.abs(t)
+        p = np.where(a <= self.omega, a, np.where(a <= self.omega + gamma, self.omega, a - gamma))
+        return np.where(t == 0.0, 0.0, np.copysign(p, t))
 
 
 @dataclass(frozen=True)
@@ -224,16 +278,13 @@ class PowerAbs(ScalarKind):
         _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
         _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
-    def value(self, t: float) -> float:
-        return self.kappa * abs(t) ** self.q
+    def _value(self, t):
+        return self.kappa * np.abs(t) ** self.q
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        a = abs(t)
-        if a == 0.0:
-            return 0.0
-        c = self.q * gamma * self.kappa
-        p = _solve_residual(lambda p: p + c * _pow(p, self.q - 1.0) - a, 0.0, a)
-        return math.copysign(p, t)
+    def _prox(self, t, gamma):
+        a = np.abs(t)
+        p = _power_root(self.q * gamma * self.kappa, self.q, a)
+        return np.where(a == 0.0, 0.0, np.copysign(p, t))
 
 
 @dataclass(frozen=True)
@@ -247,18 +298,16 @@ class Huber(ScalarKind):
         _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
-    def value(self, t: float) -> float:
-        knee = self.omega / math.sqrt(2.0 * self.kappa)
-        if abs(t) <= knee:
-            return self.kappa * t * t
-        return self.omega * math.sqrt(2.0 * self.kappa) * abs(t) - 0.5 * self.omega**2
+    def _value(self, t):
+        a, root = np.abs(t), np.sqrt(2.0 * self.kappa)
+        return np.where(a <= self.omega / root, self.kappa * t * t, self.omega * root * a - 0.5 * self.omega**2)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        slope = self.omega * math.sqrt(2.0 * self.kappa)
+    def _prox(self, t, gamma):
+        root = np.sqrt(2.0 * self.kappa)
         shrink = 2.0 * gamma * self.kappa + 1.0
-        if abs(t) <= self.omega * shrink / math.sqrt(2.0 * self.kappa):
-            return t / shrink
-        return t - gamma * slope * math.copysign(1.0, t)
+        return np.where(
+            np.abs(t) <= self.omega * shrink / root, t / shrink, t - gamma * (self.omega * root) * np.copysign(1.0, t)
+        )
 
 
 @dataclass(frozen=True)
@@ -277,18 +326,15 @@ class AbsQuadPower(ScalarKind):
         _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
         _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
-    def value(self, t: float) -> float:
-        a = abs(t)
+    def _value(self, t):
+        a = np.abs(t)
         return self.omega * a + self.tau * t * t + self.kappa * a**self.q
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
+    def _prox(self, t, gamma):
         shrink = 2.0 * gamma * self.tau + 1.0
-        w = max(abs(t) - gamma * self.omega, 0.0) / shrink
-        if w == 0.0:
-            return 0.0
-        c = self.q * (gamma * self.kappa / shrink)
-        p = _solve_residual(lambda p: p + c * _pow(p, self.q - 1.0) - w, 0.0, w)
-        return math.copysign(p, t)
+        w = np.maximum(np.abs(t) - gamma * self.omega, 0.0) / shrink
+        p = _power_root(self.q * (gamma * self.kappa / shrink), self.q, w)
+        return np.where(w == 0.0, 0.0, np.copysign(p, t))
 
 
 @dataclass(frozen=True)
@@ -300,15 +346,15 @@ class AbsMinusLog(ScalarKind):
     def __post_init__(self):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
-    def value(self, t: float) -> float:
-        a = self.omega * abs(t)
-        return a - math.log1p(a)
+    def _value(self, t):
+        a = self.omega * np.abs(t)
+        return a - np.log1p(a)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        a = self.omega * abs(t)
+    def _prox(self, t, gamma):
+        a = self.omega * np.abs(t)
         b = a - gamma * self.omega**2 - 1.0
-        p = (b + math.sqrt(b * b + 4.0 * a)) / (2.0 * self.omega)
-        return math.copysign(p, t) if t != 0.0 else 0.0
+        p = (b + np.sqrt(b * b + 4.0 * a)) / (2.0 * self.omega)
+        return np.where(t == 0.0, 0.0, np.copysign(p, t))
 
 
 @dataclass(frozen=True)
@@ -320,13 +366,11 @@ class LinearNonneg(ScalarKind):
     def __post_init__(self):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
-    def value(self, t: float) -> float:
-        if t < -_DOMAIN_SLACK:
-            return math.inf
-        return self.omega * max(t, 0.0)
+    def _value(self, t):
+        return np.where(t < -_DOMAIN_SLACK, math.inf, self.omega * np.maximum(t, 0.0))
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        return max(t - gamma * self.omega, 0.0)
+    def _prox(self, t, gamma):
+        return np.maximum(t - gamma * self.omega, 0.0)
 
 
 @dataclass(frozen=True)
@@ -340,20 +384,21 @@ class NegRoot(ScalarKind):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
         _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
-    def value(self, t: float) -> float:
-        if t < -_DOMAIN_SLACK:
-            return math.inf
-        return -self.omega * max(t, 0.0) ** (1.0 / self.q)
+    def _value(self, t):
+        return np.where(t < -_DOMAIN_SLACK, math.inf, -self.omega * np.maximum(t, 0.0) ** (1.0 / self.q))
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
+    def _prox(self, t, gamma):
         c = gamma * self.omega / self.q
         expo = 1.0 / self.q - 1.0
 
-        def r(p: float) -> float:
-            return p - t - c * _pow(p, expo)
+        def r(p):
+            return p - t - c * p**expo
 
-        hi = max(t, 1.0) + c + 1.0
-        return _solve_residual(r, _shrink_lo(r, hi), hi)
+        def dr(p):
+            return 1.0 - c * expo * p ** (expo - 1.0)
+
+        hi = np.maximum(t, 1.0) + c + 1.0
+        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
 
 
 @dataclass(frozen=True)
@@ -367,34 +412,35 @@ class InversePower(ScalarKind):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
         _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return math.inf
-        return self.omega * _pow(t, -self.q)
+    def _value(self, t):
+        with _quiet():
+            return np.where(t <= 0.0, math.inf, self.omega * t ** (-self.q))
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
+    def _prox(self, t, gamma):
         c = gamma * self.q * self.omega
 
-        def r(p: float) -> float:
-            return p - t - c * _pow(p, -self.q - 1.0)
+        def r(p):
+            return p - t - c * p ** (-self.q - 1.0)
 
-        hi = max(t, 1.0) + c + 1.0
-        return _solve_residual(r, _shrink_lo(r, hi), hi)
+        def dr(p):
+            return 1.0 + c * (self.q + 1.0) * p ** (-self.q - 2.0)
+
+        hi = np.maximum(t, 1.0) + c + 1.0
+        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
 
 
 @dataclass(frozen=True)
 class Entropy(ScalarKind):
     """t*ln(t) on t > 0 (0 at t = 0); prox is a scaled Lambert-W evaluation."""
 
-    def value(self, t: float) -> float:
-        if t < -_DOMAIN_SLACK:
-            return math.inf
-        if t <= 0.0:
-            return 0.0
-        return t * math.log(t)
+    def _value(self, t):
+        with _quiet():
+            return np.where(t < -_DOMAIN_SLACK, math.inf, np.where(t <= 0.0, 0.0, t * np.log(t)))
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        return gamma * lambert_w_exp(t / gamma - math.log(gamma))
+    def _prox(self, t, gamma):
+        with _quiet():  # t/gamma may overflow; lambert_w_exp names the error
+            shifted = t / gamma - math.log(gamma)
+        return gamma * lambert_w_exp(shifted)
 
 
 @dataclass(frozen=True)
@@ -409,19 +455,18 @@ class LogThreshold(ScalarKind):
         _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
         _require(self.lo < 0.0 < self.hi, f"needs lo < 0 < hi, got [{self.lo}, {self.hi}]")
 
-    def value(self, t: float) -> float:
-        if self.lo < t <= 0.0:
-            return -math.log(t - self.lo) + math.log(-self.lo)
-        if 0.0 < t < self.hi:
-            return -math.log(self.hi - t) + math.log(self.hi)
-        return math.inf
+    def _value(self, t):
+        with _quiet():
+            return np.where(
+                (self.lo < t) & (t <= 0.0),
+                -np.log(t - self.lo) + np.log(-self.lo),
+                np.where((0.0 < t) & (t < self.hi), -np.log(self.hi - t) + np.log(self.hi), math.inf),
+            )
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        if t < gamma / self.lo:
-            return 0.5 * (t + self.lo + math.sqrt((t - self.lo) ** 2 + 4.0 * gamma))
-        if t > gamma / self.hi:
-            return 0.5 * (t + self.hi - math.sqrt((t - self.hi) ** 2 + 4.0 * gamma))
-        return 0.0
+    def _prox(self, t, gamma):
+        below = 0.5 * (t + self.lo + np.sqrt((t - self.lo) ** 2 + 4.0 * gamma))
+        above = 0.5 * (t + self.hi - np.sqrt((t - self.hi) ** 2 + 4.0 * gamma))
+        return np.where(t < gamma / self.lo, below, np.where(t > gamma / self.hi, above, 0.0))
 
 
 @dataclass(frozen=True)
@@ -437,15 +482,14 @@ class LogQuadratic(ScalarKind):
         _require(math.isfinite(self.tau) and self.tau >= 0, "tau must be >= 0")
         _require(math.isfinite(self.alpha), "alpha must be finite")
 
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return math.inf
-        return -self.kappa * math.log(t) + 0.5 * self.tau * t * t + self.alpha * t
+    def _value(self, t):
+        with _quiet():
+            return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + 0.5 * self.tau * t * t + self.alpha * t)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
+    def _prox(self, t, gamma):
         shift = t - gamma * self.alpha
         denom = 2.0 * (1.0 + gamma * self.tau)
-        return (shift + math.sqrt(shift * shift + 2.0 * denom * gamma * self.kappa)) / denom
+        return (shift + np.sqrt(shift * shift + 2.0 * denom * gamma * self.kappa)) / denom
 
 
 @dataclass(frozen=True)
@@ -461,17 +505,19 @@ class LogInverse(ScalarKind):
         _require(math.isfinite(self.alpha), "alpha must be finite")
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return math.inf
-        return -self.kappa * math.log(t) + self.alpha * t + self.omega / t
+    def _value(self, t):
+        with _quiet():
+            return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + self.alpha * t + self.omega / t)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        def r(p: float) -> float:
-            return p - t + gamma * (self.alpha - self.kappa * _pow(p, -1.0) - self.omega * _pow(p, -2.0))
+    def _prox(self, t, gamma):
+        def r(p):
+            return p - t + gamma * (self.alpha - self.kappa * p**-1.0 - self.omega * p**-2.0)
 
-        hi = max(t - gamma * self.alpha, 1.0) + gamma * self.kappa + gamma * self.omega + 1.0
-        return _solve_residual(r, _shrink_lo(r, hi), hi)
+        def dr(p):
+            return 1.0 + gamma * (self.kappa * p**-2.0 + 2.0 * self.omega * p**-3.0)
+
+        hi = np.maximum(t - gamma * self.alpha, 1.0) + gamma * self.kappa + gamma * self.omega + 1.0
+        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
 
 
 @dataclass(frozen=True)
@@ -487,17 +533,19 @@ class LogPower(ScalarKind):
         _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
         _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
-    def value(self, t: float) -> float:
-        if t <= 0.0:
-            return math.inf
-        return -self.kappa * math.log(t) + self.omega * t**self.q
+    def _value(self, t):
+        with _quiet():
+            return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + self.omega * t**self.q)
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        def r(p: float) -> float:
-            return p - t + gamma * (self.q * self.omega * _pow(p, self.q - 1.0) - self.kappa * _pow(p, -1.0))
+    def _prox(self, t, gamma):
+        def r(p):
+            return p - t + gamma * (self.q * self.omega * p ** (self.q - 1.0) - self.kappa * p**-1.0)
 
-        hi = max(t, 1.0) + gamma * self.kappa + 1.0
-        return _solve_residual(r, _shrink_lo(r, hi), hi)
+        def dr(p):
+            return 1.0 + gamma * (self.q * (self.q - 1.0) * self.omega * p ** (self.q - 2.0) + self.kappa * p**-2.0)
+
+        hi = np.maximum(t, 1.0) + gamma * self.kappa + 1.0
+        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
 
 
 @dataclass(frozen=True)
@@ -515,30 +563,25 @@ class IntervalLogBarrier(ScalarKind):
         _require(math.isfinite(self.k_lo) and self.k_lo > 0, "k_lo must be > 0")
         _require(math.isfinite(self.k_hi) and self.k_hi > 0, "k_hi must be > 0")
 
-    def value(self, t: float) -> float:
-        if not self.lo < t < self.hi:
-            return math.inf
-        return -self.k_lo * math.log(t - self.lo) - self.k_hi * math.log(self.hi - t)
+    def _value(self, t):
+        with _quiet():
+            return np.where(
+                (self.lo < t) & (t < self.hi), -self.k_lo * np.log(t - self.lo) - self.k_hi * np.log(self.hi - t), math.inf
+            )
 
-    def prox(self, t: float, gamma: float = 1.0) -> float:
-        def r(p: float) -> float:
-            return p - t - gamma * self.k_lo / (p - self.lo) + gamma * self.k_hi / (self.hi - p)
+    def _prox(self, t, gamma):
+        lo, hi = self.lo, self.hi
 
-        width = self.hi - self.lo
-        dlo = dhi = 0.25 * width
-        for _ in range(200):
-            if r(self.lo + dlo) < 0.0:
-                break
-            dlo *= 0.25
-        else:
-            raise BracketingError("could not bracket the barrier prox near lo")
-        for _ in range(200):
-            if r(self.hi - dhi) > 0.0:
-                break
-            dhi *= 0.25
-        else:
-            raise BracketingError("could not bracket the barrier prox near hi")
-        return _solve_residual(r, self.lo + dlo, self.hi - dhi)
+        def r(p):
+            return p - t - gamma * self.k_lo / (p - lo) + gamma * self.k_hi / (hi - p)
+
+        def dr(p):
+            return 1.0 + gamma * self.k_lo / (p - lo) ** 2 + gamma * self.k_hi / (hi - p) ** 2
+
+        quarter = np.broadcast_to(0.25 * (hi - lo), np.shape(t))
+        dlo = _shrink_until(lambda d: r(lo + d) < 0.0, quarter, 0.25, 200, "near lo")
+        dhi = _shrink_until(lambda d: r(hi - d) > 0.0, quarter, 0.25, 200, "near hi")
+        return _solve_residual(r, dr, lo + dlo, hi - dhi)
 
 
 SCALAR_KINDS = {
@@ -568,7 +611,7 @@ def scalar_prox(kind: ScalarKind, x: float, gamma: float = 1.0) -> float:
         raise InvalidParameterError(f"prox scale must be positive, got {gamma}")
     if not math.isfinite(x):
         raise InvalidParameterError(f"prox input must be finite, got {x}")
-    return float(kind.prox(float(x), float(gamma)))
+    return kind.prox(float(x), float(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +619,80 @@ def scalar_prox(kind: ScalarKind, x: float, gamma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _with_params(cls, params: dict) -> ScalarKind:
+    """A kind of class ``cls`` with already validated parameters, which may be
+    arrays with one entry per coordinate."""
+    kind = object.__new__(cls)
+    for name, value in params.items():
+        object.__setattr__(kind, name, value)
+    return kind
+
+
+def _stack(kinds: list) -> ScalarKind:
+    """One kind of the common class of ``kinds`` whose parameters are arrays
+    with an entry per kind (the kind itself when all entries are one object)."""
+    first = kinds[0]
+    if all(k is first for k in kinds):
+        return first
+    params = {}
+    for f in fields(first):
+        vals = [getattr(k, f.name) for k in kinds]
+        params[f.name] = _stack(vals) if isinstance(vals[0], ScalarKind) else np.array(vals, dtype=float)
+    return _with_params(type(first), params)
+
+
+class _Groups:
+    """Coordinates grouped by kind at construction, each group's parameters
+    stacked, so that a prox or an evaluation is one call per group."""
+
+    def __init__(self, kinds, n: int):
+        """``kinds`` is one kind for all ``n`` coordinates or a list of n kinds."""
+        self.n = n
+        if isinstance(kinds, ScalarKind):
+            self.groups = [(kinds, None)]
+            return
+        members = {}
+        for i, k in enumerate(kinds):
+            members.setdefault(k._group_key(), []).append(i)
+        if len(members) == 1:
+            self.groups = [(_stack(kinds), None)]
+        else:
+            self.groups = [(_stack([kinds[i] for i in idx]), np.array(idx)) for idx in members.values()]
+
+    def value(self, t: Array) -> float:
+        if len(self.groups) == 1:
+            return float(self.groups[0][0]._value(t).sum())
+        return float(sum(k._value(t[idx]).sum() for k, idx in self.groups))
+
+    def prox(self, gamma: float, t: Array) -> Array:
+        if len(self.groups) == 1:
+            return self.groups[0][0]._prox(t, gamma)
+        out = np.empty(self.n)
+        for k, idx in self.groups:
+            out[idx] = k._prox(t[idx], gamma)
+        return out
+
+
 def separable(kinds, dim: int | None = None) -> ProxFn:
     """Coordinatewise sum of scalar kinds in the canonical basis.
 
     ``kinds`` is either a single kind broadcast over ``dim`` coordinates or a
-    sequence with one kind per coordinate.
+    sequence with one kind per coordinate.  The coordinates are grouped by
+    kind here, once, so that the prox and the evaluation make one vectorized
+    call per kind present.
     """
     if isinstance(kinds, ScalarKind):
         if dim is None:
             raise InvalidParameterError("broadcasting a single kind requires dim")
-        kinds = [kinds] * dim
     else:
         kinds = list(kinds)
         if not kinds or not all(isinstance(k, ScalarKind) for k in kinds):
             raise InvalidParameterError("kinds must be a nonempty sequence of ScalarKind")
         if dim is not None and dim != len(kinds):
             raise InvalidParameterError(f"{len(kinds)} kinds for dimension {dim}")
-    n = len(kinds)
-
-    def value(x: Array) -> float:
-        return float(sum(k.value(float(t)) for k, t in zip(kinds, x)))
-
-    def prox_impl(gamma: float, x: Array) -> Array:
-        return np.array([k.prox(float(t), gamma) for k, t in zip(kinds, x)])
-
-    return ProxFn(dim=n, value=value, prox_impl=prox_impl, name="separable")
+        dim = len(kinds)
+    groups = _Groups(kinds, dim)
+    return ProxFn(dim=dim, value=groups.value, prox_impl=groups.prox, name="separable")
 
 
 def basis_separable(kinds, basis) -> ProxFn:
@@ -616,14 +708,13 @@ def basis_separable(kinds, basis) -> ProxFn:
         raise InvalidParameterError("basis must be square with one column per kind")
     if np.linalg.norm(B.T @ B - np.eye(B.shape[1])) > 1e-10:
         raise InvalidParameterError("basis columns must be orthonormal")
+    groups = _Groups(kinds, len(kinds))
 
     def value(x: Array) -> float:
-        c = B.T @ x
-        return float(sum(k.value(float(t)) for k, t in zip(kinds, c)))
+        return groups.value(B.T @ x)
 
     def prox_impl(gamma: float, x: Array) -> Array:
-        c = B.T @ x
-        return B @ np.array([k.prox(float(t), gamma) for k, t in zip(kinds, c)])
+        return B @ groups.prox(gamma, B.T @ x)
 
     return ProxFn(dim=B.shape[0], value=value, prox_impl=prox_impl, name="basis_separable")
 
@@ -633,7 +724,8 @@ def weighted_l1(weights) -> ProxFn:
     w = as_vector(weights)
     if np.any(w <= 0):
         raise InvalidParameterError("l1 weights must be strictly positive")
-    return separable([IntervalSupport(-wk, wk) for wk in w])
+    # one IntervalSupport whose endpoints hold a pair per coordinate
+    return separable(_with_params(IntervalSupport, {"lo": -w, "hi": w}), dim=w.size)
 
 
 def zero_fn(dim: int) -> ProxFn:

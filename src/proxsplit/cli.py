@@ -4,7 +4,9 @@ Subcommands:
 
 * ``solve``     -- parse a JSON problem configuration, run a solver, write a
                    CSV trace and a JSON result.  Exit 0 on convergence, 2 when
-                   the iteration cap was hit, 1 on any error.
+                   the run ended without converging (the iteration cap was
+                   hit, or the solver stopped early, e.g. at a fixed point
+                   outside the feasible set), 1 on any error.
 * ``prox-eval`` -- print a table of scalar prox values for one catalog kind.
 * ``check``     -- run the invariant suite (adjoint consistency, gradient
                    checks, firm nonexpansiveness, prox certificates) on a
@@ -297,7 +299,12 @@ def _cmd_solve(args) -> int:
         write_trace(trace_path, result)
     if out_path:
         write_result(out_path, result)
-    status = "converged" if result.converged else "max_iter reached"
+    if result.converged:
+        status = "converged"
+    elif result.iterations == (stop or solvers.StoppingRule()).max_iter:
+        status = "max_iter reached"
+    else:
+        status = "stopped without converging"
     print(f"{instance.tag}/{cfg.solver}: {status} after {result.iterations} iterations")
     return 0 if result.converged else 2
 

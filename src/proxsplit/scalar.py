@@ -1,14 +1,17 @@
-"""One-dimensional numerical kernels.
+"""One-dimensional numerical kernels, applied elementwise.
 
-Safeguarded root finding for the implicit scalar prox equations, a log-domain
-Lambert-W evaluation for the entropy prox, and a golden-section prox oracle
-used as ground truth in tests.  All functions are pure.
+Safeguarded root finding for the implicit scalar prox equations and a
+log-domain Lambert-W evaluation for the entropy prox.  Both take either a
+scalar or an array: an array is a batch of independent one-dimensional
+problems solved together, each with its own bracket and its own stopping
+test.  A scalar in gives a float out.  All functions are pure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import InvalidParameterError
 
@@ -18,10 +21,7 @@ __all__ = [
     "InfeasibleBracketError",
     "solve_monotone",
     "lambert_w_exp",
-    "scalar_prox_oracle",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
 
 
 class BracketingError(RuntimeError):
@@ -34,140 +34,134 @@ class InfeasibleBracketError(ValueError):
 
 @dataclass(frozen=True)
 class Bracket:
-    """A search interval [lo, hi] with lo < hi."""
+    """A search interval [lo, hi] with lo < hi.
+
+    The endpoints may be arrays (broadcast against each other), one interval
+    per element; every element must satisfy lo < hi.
+    """
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise InvalidParameterError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
+        if not np.less(self.lo, self.hi).all():
             raise InvalidParameterError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
-def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Root of a continuous monotone g with a sign change across the bracket.
+def _flat_call(fn, p, shape):
+    """fn at the flat points p, called in the caller's shape, as a flat array."""
+    v = np.asarray(fn(p if p.shape == shape else p.reshape(shape)), dtype=float)
+    return v if v.ndim == 1 else v.reshape(-1)
 
-    Bisection is the backbone; a secant step is accepted only when it lands
-    strictly inside the current bracket.  Returns p with |g(p)| <= tol or with
-    the final bracket width <= tol.  If the initial bracket shows no sign
-    change it is symmetrically doubled up to 64 times before giving up.
+
+def _values(g, p, shape, where: str):
+    v = _flat_call(g, p, shape)
+    if np.count_nonzero(v != v):
+        raise BracketingError(f"g evaluated to NaN {where}")
+    return v
+
+
+def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200, dg=None):
+    """Elementwise root of a continuous monotone g with a sign change across
+    the bracket.
+
+    ``g`` maps an array of points, one per element of the bracket, to the
+    array of values there.  Bisection is the backbone.  When ``dg`` (the
+    derivative of g) is given, a Newton step from the last point replaces the
+    midpoint where it lands strictly inside that element's bracket and is at
+    most half the step before the last, so the bracket still shrinks
+    geometrically.  An element stops, and its point is frozen, at the first
+    point p with |g(p)| <= tol, or once its bracket is no wider than tol or
+    holds no float strictly inside.  An element whose initial bracket shows
+    no sign change has it symmetrically doubled, up to 64 times, before
+    BracketingError is raised.  A scalar bracket gives a float.
     """
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    glo, ghi = float(g(lo)), float(g(hi))
-    if math.isnan(glo) or math.isnan(ghi):
-        raise BracketingError("g evaluated to NaN on the bracket")
-    expansions = 0
-    while glo * ghi > 0.0:
-        if expansions >= 64:
-            raise BracketingError(
-                f"no sign change on [{lo}, {hi}] after {expansions} doublings"
-            )
-        w = (hi - lo) / 2.0
-        lo -= w
-        hi += w
-        glo, ghi = float(g(lo)), float(g(hi))
-        if math.isnan(glo) or math.isnan(ghi):
-            raise BracketingError("g evaluated to NaN while expanding the bracket")
-        expansions += 1
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    sign = 1.0 if ghi > 0.0 else -1.0  # normalize to increasing orientation
-    glo, ghi = sign * glo, sign * ghi
-    p = 0.5 * (lo + hi)
-    for k in range(max_iter):
-        width = hi - lo
-        p = 0.5 * (lo + hi)
-        # secant acceleration on alternate steps only, so the bracket width is
-        # guaranteed to halve at least every other iteration
-        if k % 2 == 1 and math.isfinite(glo) and math.isfinite(ghi) and ghi != glo:
-            secant = hi - ghi * (hi - lo) / (ghi - glo)
-            if lo + 0.01 * width < secant < hi - 0.01 * width:
-                p = secant
-        gp = sign * float(g(p))
-        if math.isnan(gp):
-            raise BracketingError("g evaluated to NaN inside the bracket")
-        if abs(gp) <= tol or width <= tol:
-            return p
-        if gp < 0.0:
-            lo, glo = p, gp
+    lo, hi = np.broadcast_arrays(bracket.lo, bracket.hi)
+    shape = lo.shape
+    lo, hi = np.array(lo, dtype=float).reshape(-1), np.array(hi, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        glo, ghi = _values(g, lo, shape, "on the bracket"), _values(g, hi, shape, "on the bracket")
+        for expansions in range(65):
+            grow = glo * ghi > 0.0
+            if not np.count_nonzero(grow):
+                break
+            if expansions == 64:
+                k = int(np.argmax(grow))
+                raise BracketingError(f"no sign change on [{lo[k]}, {hi[k]}] after 64 doublings")
+            w = 0.5 * (hi - lo)
+            lo, hi = np.where(grow, lo - w, lo), np.where(grow, hi + w, hi)
+            glo = np.where(grow, _values(g, lo, shape, "while expanding the bracket"), glo)
+            ghi = np.where(grow, _values(g, hi, shape, "while expanding the bracket"), ghi)
+        done = (glo == 0.0) | (ghi == 0.0)
+        p = np.where(glo == 0.0, lo, hi)
+        # orient every element so that g increases across its bracket
+        sign = np.where(ghi < 0.0, -1.0, 1.0) if np.count_nonzero(ghi < 0.0) else None
+        # p of an element stays put once the element has met its stopping test.
+        # Step lengths for the Newton test: the first point is the midpoint,
+        # and the step before it counts as the whole bracket width.
+        earlier = hi - lo
+        last = 0.5 * earlier
+        p = np.where(done, p, lo + last)
+        for _ in range(max_iter):
+            gp = _values(g, p, shape, "inside the bracket")
+            if sign is not None:
+                gp = gp * sign
+            # p on an end of its bracket: no float lies strictly inside
+            done |= (np.abs(gp) <= tol) | (hi - lo <= tol) | (p <= lo) | (p >= hi)
+            if np.count_nonzero(done) == done.size:
+                break
+            lower = gp < 0.0
+            lo, hi = np.where(lower, p, lo), np.where(lower, hi, p)
+            length = 0.5 * (hi - lo)
+            nxt = lo + length
+            if dg is not None:
+                # the step is gp/dg in either orientation
+                step = gp / _flat_call(dg, p, shape)
+                if sign is not None:
+                    step = step * sign
+                newton, newton_length = p - step, np.abs(step)
+                take = (lo < newton) & (newton < hi) & (newton_length + newton_length <= earlier)
+                np.copyto(nxt, newton, where=take)
+                np.copyto(length, newton_length, where=take)
+            earlier, last = last, length
+            p = np.where(done, p, nxt)
         else:
-            hi, ghi = p, gp
-    return 0.5 * (lo + hi)
+            p = np.where(done, p, 0.5 * (lo + hi))
+    return float(p[0]) if shape == () else p.reshape(shape)
 
 
-def lambert_w_exp(x: float) -> float:
-    """W(exp(x - 1)) for the principal Lambert-W branch, computed in log domain.
+def lambert_w_exp(x):
+    """W(exp(x - 1)) for the principal Lambert-W branch, computed in log
+    domain, elementwise.
 
     Solves w + ln w = x - 1 for w > 0 (equivalently v + e^v = c with w = e^v),
     which avoids forming exp(x - 1) and therefore stays finite for large x.
     Newton on the strictly convex increasing v |-> e^v + v - c converges
-    monotonically from a point left of the root.
+    monotonically from a point left of the root; each element stops when its
+    step falls to 1e-16 relative or stops shrinking.  A scalar in gives a
+    float out.
     """
-    x = float(x)
-    if not math.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
         raise InvalidParameterError(f"lambert_w_exp needs finite input, got {x}")
     c = x - 1.0
-    if c > 1.0:
-        v = math.log(c - math.log(c))  # k(v) <= 0: left of the root
-    else:
-        v = c - 1.0  # k(c-1) = e^(c-1) - 1 <= 0 for c <= 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # k(v) <= 0 at both starts: left of the root
+        v = np.where(c > 1.0, np.log(c - np.log(c)), c - 1.0)
+    done = np.zeros(c.shape, dtype=bool)
+    last = np.full(c.shape, np.inf)
     for _ in range(80):
-        ev = math.exp(v)
+        ev = np.exp(v)
         step = (ev + v - c) / (ev + 1.0)
-        v -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(v)):
+        size = np.abs(step)
+        v = np.where(done, v, v - step)
+        # in exact arithmetic the steps shrink monotonically; a step that does
+        # not is rounding noise, so the element has converged
+        done = done | (size <= 1e-16 * np.maximum(1.0, np.abs(v))) | (size >= last)
+        last = size
+        if done.all():
             break
-    return math.exp(v)
-
-
-def scalar_prox_oracle(phi, x: float, bracket: Bracket, tol: float = 1e-12) -> float:
-    """Reference minimizer of phi(p) + 0.5*(x - p)^2 over the bracket.
-
-    Test-only ground truth.  A 33-point scan first locates a finite value
-    (raising InfeasibleBracketError when phi is non-finite at every scanned
-    point); golden-section search then shrinks the bracket, breaking +inf ties
-    toward the best finite point seen so far, which is safe because the
-    domain of a convex phi is an interval.
-    """
-    x = float(x)
-
-    def obj(p: float) -> float:
-        return phi(p) + 0.5 * (x - p) ** 2
-
-    a, b = float(bracket.lo), float(bracket.hi)
-    best_p, best_v = math.nan, math.inf
-    scan = 33
-    for i in range(scan):
-        t = a + (b - a) * i / (scan - 1)
-        v = obj(t)
-        if v < best_v:
-            best_p, best_v = t, v
-    if not math.isfinite(best_v):
-        raise InfeasibleBracketError("objective non-finite everywhere on the bracket")
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = obj(c), obj(d)
-    for _ in range(300):
-        if b - a <= tol:
-            break
-        if fc < best_v:
-            best_p, best_v = c, fc
-        if fd < best_v:
-            best_p, best_v = d, fd
-        if fc < fd or (fc == fd and best_p <= c):
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = obj(d)
-    mid = 0.5 * (a + b)
-    if obj(mid) <= best_v:
-        return mid
-    return best_p
+    w = np.exp(v)
+    return float(w) if w.ndim == 0 else w

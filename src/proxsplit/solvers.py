@@ -21,6 +21,7 @@ are documented with each solver; their violation surfaces as
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -78,10 +79,16 @@ class StoppingRule:
     objective_stride: int = 10
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise InvalidParameterError(f"tol must be a number, got {self.tol!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name, least in (("max_iter", 1), ("objective_dense_until", 0), ("objective_stride", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
 
 
 class _Tracer:

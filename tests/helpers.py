@@ -1,6 +1,7 @@
-"""Shared test utilities: randomized draw generators for every scalar prox
-kind (with oracle brackets proven to contain the prox), an independent 2-D
-grid prox oracle, and the calculus-rule verification suite."""
+"""Shared test utilities: the golden-section scalar prox oracle, randomized
+draw generators for every scalar prox kind (with oracle brackets proven to
+contain the prox), an independent 2-D grid prox oracle, and the
+calculus-rule verification suite."""
 
 from __future__ import annotations
 
@@ -12,7 +13,59 @@ from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.core import matrix_map
 from proxsplit.problems import grid_min_2d
-from proxsplit.scalar import Bracket, scalar_prox_oracle
+from proxsplit.scalar import Bracket, InfeasibleBracketError
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
+
+
+def scalar_prox_oracle(phi, x: float, bracket: Bracket, tol: float = 1e-12) -> float:
+    """Reference minimizer of phi(p) + 0.5*(x - p)^2 over the bracket.
+
+    Ground truth for the scalar proxes, independent of the root finder.  A
+    33-point scan first locates a finite value (raising
+    InfeasibleBracketError when phi is non-finite at every scanned point);
+    golden-section search then shrinks the bracket, breaking +inf ties toward
+    the best finite point seen so far, which is safe because the domain of a
+    convex phi is an interval.
+    """
+    x = float(x)
+
+    def obj(p: float) -> float:
+        return phi(p) + 0.5 * (x - p) ** 2
+
+    a, b = float(bracket.lo), float(bracket.hi)
+    best_p, best_v = math.nan, math.inf
+    scan = 33
+    for i in range(scan):
+        t = a + (b - a) * i / (scan - 1)
+        v = obj(t)
+        if v < best_v:
+            best_p, best_v = t, v
+    if not math.isfinite(best_v):
+        raise InfeasibleBracketError("objective non-finite everywhere on the bracket")
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = obj(c), obj(d)
+    for _ in range(300):
+        if b - a <= tol:
+            break
+        if fc < best_v:
+            best_p, best_v = c, fc
+        if fd < best_v:
+            best_p, best_v = d, fd
+        if fc < fd or (fc == fd and best_p <= c):
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = obj(d)
+    mid = 0.5 * (a + b)
+    if obj(mid) <= best_v:
+        return mid
+    return best_p
 
 KIND_NAMES = [
     "interval",

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import proxsplit
 
 from proxsplit.cli import (
     COMPATIBLE_SOLVERS,
@@ -94,6 +99,49 @@ class TestSolveExitCodes:
         path = tmp_path / "pocs.json"
         path.write_text(json.dumps(doc))
         assert main(["solve", "--config", str(path)]) == 2
+
+    def test_early_stop_is_not_reported_as_cap(self, tmp_path, capsys):
+        # disjoint unit balls: POCS reaches a fixed point after 2 iterations,
+        # far below the cap, without converging
+        doc = {
+            "problem": {
+                "tag": "feasibility",
+                "sets": [
+                    {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                    {"type": "ball", "center": [3.0, 0.0], "radius": 1.0},
+                ],
+            },
+            "solver": "pocs",
+            "stop": {"tol": 1e-12, "max_iter": 1100},
+        }
+        path = tmp_path / "balls.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "stopped without converging after 2 iterations" in out
+        assert "max_iter reached" not in out
+
+    def test_cap_is_reported_when_reached(self, tmp_path, capsys):
+        cfg = lasso_config(tmp_path, stop={"tol": 1e-300, "max_iter": 7})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "max_iter reached after 7 iterations" in capsys.readouterr().out
+
+    def test_zero_objective_stride_exits_one(self, tmp_path, capsys):
+        doc = {
+            "problem": {"tag": "lasso", "A": [[1.0, 2.0], [0.5, 1.1]], "y": [3.0, 0.5], "weights": [0.01, 0.01]},
+            "solver": "forward_backward",
+            "stop": {"tol": 1e-300, "max_iter": 1100, "objective_stride": 0},
+        }
+        path = tmp_path / "stride.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "objective_stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop", [{"max_iter": 1.5}, {"objective_dense_until": -1}, {"objective_stride": 2.5}])
+    def test_bad_stop_field_exits_one(self, tmp_path, capsys, stop):
+        cfg = lasso_config(tmp_path, stop=stop)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigDiagnostics:
@@ -203,3 +251,21 @@ class TestCheck:
         path = tmp_path / "tv.json"
         path.write_text(json.dumps(doc))
         assert main(["check", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("module", ["proxsplit", "proxsplit.cli"])
+def test_module_entry_points_run_without_runtime_warning(module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxsplit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["prox-eval", "--kind", "interval_support", "--params", '{"lo": -1, "hi": 1}', "--x", "-2", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["x prox objective", "-2.0 -1.0 1.5", "3.0 2.0 2.5"]
+

@@ -18,8 +18,9 @@ from proxsplit.problems import (
     grid_best_approximation_oracle,
     run_instance,
 )
+from helpers import scalar_prox_oracle
 from proxsplit.core import Schedule
-from proxsplit.scalar import Bracket, scalar_prox_oracle
+from proxsplit.scalar import Bracket
 from proxsplit.solvers import StoppingRule
 
 TIGHT = StoppingRule(tol=1e-12, max_iter=100_000)

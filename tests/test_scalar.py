@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import scalar_prox_oracle
 from proxsplit.scalar import (
     Bracket,
     BracketingError,
     InfeasibleBracketError,
     lambert_w_exp,
-    scalar_prox_oracle,
     solve_monotone,
 )
 

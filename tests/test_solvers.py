@@ -505,6 +505,29 @@ class TestStoppingRule:
         with pytest.raises(InvalidParameterError):
             StoppingRule(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"objective_stride": 0},
+            {"objective_stride": -3},
+            {"objective_dense_until": -1},
+            {"max_iter": 1.5},
+            {"max_iter": 100.0},
+            {"max_iter": True},
+            {"objective_stride": 2.0},
+            {"objective_dense_until": 10.5},
+            {"objective_dense_until": False},
+            {"tol": "1e-8"},
+        ],
+    )
+    def test_rejects_each_bad_field(self, fields):
+        with pytest.raises(InvalidParameterError):
+            StoppingRule(**fields)
+
+    def test_accepts_integer_fields(self):
+        stop = StoppingRule(max_iter=np.int64(5), objective_dense_until=0, objective_stride=1)
+        assert stop.max_iter == 5
+
     def test_objective_cadence_beyond_dense_window(self):
         # ill-conditioned quadratic forced past 1000 iterations
         f1 = cat.zero_fn(2)
