@@ -147,7 +147,7 @@ def _power_root(c, q, a):
 
 
 def _soft(t, a, b):
-    """t minus its clamp to [a, b]: the prox of the support of [a/gamma, b/gamma]."""
+    """Soft threshold: t minus its clamp to [a, b]."""
     return t - np.minimum(np.maximum(t, a), b)
 
 
