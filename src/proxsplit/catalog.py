@@ -922,22 +922,40 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
 
 
 def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
-    """(weight/2)*||L x - y||^2; the prox solves an SPD linear system."""
+    """(weight/2)*||L x - y||^2.
+
+    The prox at scale gamma solves (I + c A^T A) p = b with c = gamma*weight,
+    b = x + c A^T y and A the matrix of L.  One eigendecomposition of the
+    smaller Gram matrix, taken here at construction, serves every gamma, so a
+    prox costs two matrix-vector products and a diagonal scaling:
+
+    * rows >= cols: A^T A = V diag(s) V^T and p = V diag(1/(1 + c s)) V^T b;
+    * rows < cols: A A^T = U diag(s) U^T, and the matrix-inversion lemma with
+      W = A^T U gives p = b - c W diag(1/(1 + c s)) W^T b.
+
+    Eigenvalues are clipped at 0 against rounding.
+    """
     y = as_vector(y, L.rows)
     w = float(weight)
     if not (np.isfinite(w) and w > 0):
         raise InvalidParameterError(f"weight must be > 0, got {w}")
     A = L.to_dense()
-    G = A.T @ A
     Aty = A.T @ y
-    eye = np.eye(L.cols)
+    wide = L.rows < L.cols
+    s, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+    s = np.maximum(s, 0.0)
+    if wide:
+        W = A.T @ W
 
     def value(x: Array) -> float:
         return 0.5 * w * float(np.linalg.norm(A @ x - y) ** 2)
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
-        return np.linalg.solve(eye + c * G, x + c * Aty)
+        b = x + c * Aty
+        if wide:
+            return b - c * (W @ ((W.T @ b) / (1.0 + c * s)))
+        return W @ ((W.T @ b) / (1.0 + c * s))
 
     return ProxFn(dim=L.cols, value=value, prox_impl=prox_impl, name="quadratic")
 

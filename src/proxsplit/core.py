@@ -134,6 +134,8 @@ class LinearMap:
 
     When ``tight_frame_nu`` is set, the operator is declared to satisfy
     L L^T = nu I; this is probed on random vectors at construction.
+    ``matrix``, when given, is the operator's own rows x cols matrix (set by
+    ``matrix_map``); ``to_dense`` then copies it instead of probing columns.
     """
 
     rows: int
@@ -142,10 +144,15 @@ class LinearMap:
     adjoint_impl: Callable[[Array], Array]
     tight_frame_nu: Optional[float] = None
     name: str = "L"
+    matrix: Optional[Array] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InvalidParameterError("operator dimensions must be >= 1")
+        if self.matrix is not None and np.shape(self.matrix) != (self.rows, self.cols):
+            raise InvalidParameterError(
+                f"matrix of shape {np.shape(self.matrix)} does not match {self.rows} x {self.cols}"
+            )
         if self.tight_frame_nu is not None:
             nu = float(self.tight_frame_nu)
             if not (np.isfinite(nu) and nu > 0):
@@ -166,7 +173,10 @@ class LinearMap:
         return as_vector(self.adjoint_impl(as_vector(u, self.rows)), self.cols)
 
     def to_dense(self) -> Array:
-        """Materialize the operator column by column (desk-scale only)."""
+        """The operator as a fresh matrix: a copy of ``matrix`` when the map
+        carries one, otherwise materialized column by column (desk-scale only)."""
+        if self.matrix is not None:
+            return self.matrix.copy()
         cols = np.empty((self.rows, self.cols))
         e = np.zeros(self.cols)
         for j in range(self.cols):
@@ -189,6 +199,7 @@ def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> Li
         adjoint_impl=lambda u: A.T @ u,
         tight_frame_nu=tight_frame_nu,
         name=name,
+        matrix=A,
     )
 
 

@@ -59,7 +59,6 @@ class ProblemInstance:
     components: dict
     solver_tags: tuple
     validator: Callable[[SolveResult], dict]
-    seed: int | None = None
 
 
 def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
@@ -120,15 +119,12 @@ def lasso_kkt_residual(A, y, weights, x, kink_tol: float = 1e-9) -> float:
     w = as_vector(weights)
     x = as_vector(x)
     corr = A.T @ (y - A @ x)
-    worst = 0.0
-    for ck, wk, xk in zip(corr, w, x):
-        if xk > kink_tol:
-            worst = max(worst, abs(ck - wk))
-        elif xk < -kink_tol:
-            worst = max(worst, abs(ck + wk))
-        else:
-            worst = max(worst, max(abs(ck) - wk, 0.0))
-    return worst
+    dist = np.where(
+        x > kink_tol,
+        np.abs(corr - w),
+        np.where(x < -kink_tol, np.abs(corr + w), np.maximum(np.abs(corr) - w, 0.0)),
+    )
+    return float(np.max(dist, initial=0.0))
 
 
 def grid_min_2d(F, center, halfwidth: float, rounds: int = 6, pts: int = 81) -> Array:

@@ -448,36 +448,52 @@ class QuadraticTerm:
         return 0.5 * self.weight * float(np.linalg.norm(as_vector(x) - self.center) ** 2)
 
 
-def _quadratic_step_matrix(f, L: LinearMap, gamma: float):
+def _spd_inverse(M: Array, singular_message: str) -> Array:
+    """M^{-1} for a symmetric positive definite M, computed once.
+
+    A Cholesky factorization checks definiteness (PreconditionError with
+    ``singular_message`` when it fails); one eigendecomposition
+    M = V diag(s) V^T then gives M^{-1} = V diag(1/s) V^T, so every later
+    solve with M is one matrix-vector product.
+    """
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(singular_message) from exc
+    s, V = np.linalg.eigh(M)
+    return (V / s) @ V.T
+
+
+def _quadratic_step(f, L: LinearMap, gamma: float):
+    """A, M^{-1} and w for the x-step M x = A^T v + w c, M = w I + A^T A,
+    w = gamma * f.weight (0 for f = None) and c = f.center."""
     if f is not None and not isinstance(f, QuadraticTerm):
         raise UnsupportedFunctionError(
             "the x-step supports only f = None (zero) or a QuadraticTerm"
         )
     A = L.to_dense()
     w = gamma * f.weight if f is not None else 0.0
-    M = w * np.eye(L.cols) + A.T @ A
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(
-            "the x-step system is singular (L^T L not invertible and no quadratic term)"
-        ) from exc
-    return A, M, w
+    M_inv = _spd_inverse(
+        w * np.eye(L.cols) + A.T @ A,
+        "the x-step system is singular (L^T L not invertible and no quadratic term)",
+    )
+    return A, M_inv, w
 
 
 def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
     """Minimizer of gamma*f(x) + ||L x - v||^2 / 2 for supported f.
 
     f is either None (the zero function, giving the least-squares solution)
-    or a QuadraticTerm; one SPD solve, errors on singular systems.
+    or a QuadraticTerm.  Each call factors the SPD x-step matrix once (see
+    ``admm``) and errors on singular systems.
     """
     gamma = float(gamma)
     if not (np.isfinite(gamma) and gamma > 0):
         raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
     v = as_vector(v, L.rows)
-    A, M, w = _quadratic_step_matrix(f, L, gamma)
+    A, M_inv, w = _quadratic_step(f, L, gamma)
     rhs = A.T @ v + (w * f.center if f is not None else 0.0)
-    return np.linalg.solve(M, rhs)
+    return M_inv @ rhs
 
 
 def admm(
@@ -493,8 +509,12 @@ def admm(
 
     x_n minimizes gamma*f + ||L . - (y_n - z_n)||^2/2 (exact SPD solve, so f
     is restricted to None/QuadraticTerm); then y_{n+1} = prox_{gamma g}(L x_n
-    + z_n) and z updates by the residual.  Requires L^T L invertible when f
-    is None, and ri(dom g) meeting ri L(dom f) (documented, not checked).
+    + z_n) and z updates by the residual.  The x-step matrix
+    M = gamma*weight*I + L^T L is fixed for the whole solve: on entry it is
+    checked by Cholesky and inverted through one eigendecomposition, so
+    every x-step is one matrix-vector product.  Requires L^T L invertible
+    when f is None, and ri(dom g) meeting ri L(dom f) (documented, not
+    checked).
     """
     stop = stop or StoppingRule()
     gamma = float(gamma)
@@ -502,7 +522,7 @@ def admm(
         raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
     if g.dim != L.rows:
         raise InvalidInputError(f"g has dimension {g.dim}, expected {L.rows}")
-    A, M, w = _quadratic_step_matrix(f, L, gamma)
+    A, M_inv, w = _quadratic_step(f, L, gamma)
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
 
@@ -514,7 +534,7 @@ def admm(
     x_prev = None
     for n in range(stop.max_iter):
         rhs = A.T @ (y - z) + (w * f.center if f is not None else 0.0)
-        x = np.linalg.solve(M, rhs)
+        x = M_inv @ rhs
         s = A @ x
         y = g.prox(gamma, s + z)
         z = z + s - y
@@ -657,10 +677,11 @@ def sdmm(
 ) -> SolveResult:
     """Simultaneous-direction method of multipliers for min sum_i g_i(L_i x).
 
-    Q = sum_i L_i^T L_i must be invertible; it is factored once before
-    iterating.  x_n solves Q x = sum_i L_i^T (y_{i,n} - z_{i,n}); each branch
-    then applies prox_{gamma g_i} and a multiplier update.  Branch updates run
-    in ascending index order for determinism.
+    Q = sum_i L_i^T L_i must be invertible.  On entry to the solve it is
+    checked by Cholesky and inverted through one eigendecomposition, so each
+    x-step, Q x = sum_i L_i^T (y_{i,n} - z_{i,n}), is one matrix-vector
+    product.  Each branch then applies prox_{gamma g_i} and a multiplier
+    update.  Branch updates run in ascending index order for determinism.
     """
     g_list = list(g_list)
     L_list = list(L_list)
@@ -681,10 +702,7 @@ def sdmm(
     Q = np.zeros((dim, dim))
     for A in mats:
         Q += A.T @ A
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("Q = sum_i L_i^T L_i is singular") from exc
+    Q_inv = _spd_inverse(Q, "Q = sum_i L_i^T L_i is singular")
 
     ys = (
         [np.zeros(L.rows) for L in L_list]
@@ -708,7 +726,7 @@ def sdmm(
         rhs = np.zeros(dim)
         for A, yi, zi in zip(mats, ys, zs):
             rhs += A.T @ (yi - zi)
-        x = np.linalg.solve(Q, rhs)
+        x = Q_inv @ rhs
         for i, (g, A) in enumerate(zip(g_list, mats)):
             s = A @ x
             ys[i] = g.prox(gamma, s + zs[i])

@@ -16,6 +16,7 @@ from proxsplit.problems import (
     build_tv1d,
     first_difference,
     grid_best_approximation_oracle,
+    lasso_kkt_residual,
     run_instance,
 )
 from helpers import scalar_prox_oracle
@@ -87,6 +88,25 @@ class TestLasso:
         a2 = build_lasso(rng2.standard_normal((5, 3)), rng2.standard_normal(5), [0.2])
         assert a1.components["y"].tobytes() == a2.components["y"].tobytes()
         assert a1.components["A"].to_dense().tobytes() == a2.components["A"].to_dense().tobytes()
+
+    def test_kkt_residual_matches_coordinate_loop(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((6, 8))
+        y = rng.standard_normal(6)
+        w = rng.uniform(0.1, 1.0, 8)
+        # positive, negative, zero and within-kink coordinates
+        x = np.array([0.7, -1.2, 0.0, 5e-10, -5e-10, 2e-9, -2e-9, 0.0])
+        corr = A.T @ (y - A @ x)
+        worst = 0.0
+        for ck, wk, xk in zip(corr, w, x):
+            if xk > 1e-9:
+                worst = max(worst, abs(ck - wk))
+            elif xk < -1e-9:
+                worst = max(worst, abs(ck + wk))
+            else:
+                worst = max(worst, max(abs(ck) - wk, 0.0))
+        assert lasso_kkt_residual(A, y, w, x) == worst
+        assert lasso_kkt_residual(A, y, np.full(8, 1e3), np.zeros(8)) == 0.0
 
 
 class TestAlternatingProjections:
