@@ -43,6 +43,7 @@ from .core import (
     PreconditionError,
     ProxFn,
     as_vector,
+    norm,
 )
 from .scalar import Bracket, BracketingError, lambert_w_exp, solve_monotone
 
@@ -741,7 +742,7 @@ def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
         raise InvalidParameterError(f"weight must be > 0, got {w}")
 
     def value(x: Array) -> float:
-        return 0.5 * w * float(np.linalg.norm(x - r) ** 2)
+        return 0.5 * w * norm(x - r) ** 2
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
@@ -948,7 +949,7 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
         W = A.T @ W
 
     def value(x: Array) -> float:
-        return 0.5 * w * float(np.linalg.norm(A @ x - y) ** 2)
+        return 0.5 * w * norm(A @ x - y) ** 2
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w

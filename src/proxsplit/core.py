@@ -13,6 +13,7 @@ so all objects can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -29,6 +30,7 @@ __all__ = [
     "PreconditionError",
     "UnsupportedFunctionError",
     "as_vector",
+    "norm",
     "ProxFn",
     "SmoothFn",
     "LinearMap",
@@ -67,16 +69,39 @@ class UnsupportedFunctionError(TypeError):
     """An operation received a function outside its supported family."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_vector(x, dim: Optional[int] = None) -> Array:
-    """Validate ``x`` as a finite 1-D float vector, optionally of length ``dim``."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    """Validate ``x`` as a finite 1-D float vector, optionally of length ``dim``.
+
+    A plain 1-D float64 ndarray is returned as it is (``asarray`` would return
+    that same object); anything else is converted.  The finiteness test counts
+    the finite entries, which is exact and cannot overflow.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1:
+        v = x
+    else:
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if v.ndim != 1:
+            raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise InvalidInputError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise InvalidInputError(f"expected a vector of dimension {dim}, got {v.size}")
     return v
+
+
+def norm(v: Array) -> float:
+    """Euclidean norm of a 1-D float64 vector, equal bit for bit to
+    ``float(np.linalg.norm(v))`` at a fraction of its call cost.
+
+    Like numpy, it takes sqrt(v . v) on ``v.ravel(order="K")``, so a strided
+    view is first copied to contiguous memory and summed in the same order.
+    """
+    if not v.flags.c_contiguous:
+        v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import catalog, sets, solvers
 from .core import (
-    Array,
     InvalidInputError,
     InvalidParameterError,
     LinearMap,
@@ -44,8 +43,6 @@ __all__ = [
     "build_feasibility",
     "run_instance",
     "lasso_kkt_residual",
-    "grid_min_2d",
-    "grid_best_approximation_oracle",
 ]
 
 
@@ -87,11 +84,6 @@ def set_distance_smooth(C) -> SmoothFn:
     )
 
 
-def zero_smooth(dim: int, beta: float = 1.0) -> SmoothFn:
-    """The zero function as a SmoothFn (beta is a formal constant)."""
-    return SmoothFn(dim=dim, value=lambda x: 0.0, grad_impl=lambda x: np.zeros(dim), lipschitz=beta, name="zero")
-
-
 def first_difference(n: int) -> LinearMap:
     """The (n-1) x n forward-difference operator x |-> (x_{k+1} - x_k)_k."""
     if n < 2:
@@ -125,45 +117,6 @@ def lasso_kkt_residual(A, y, weights, x, kink_tol: float = 1e-9) -> float:
         np.where(x < -kink_tol, np.abs(corr + w), np.maximum(np.abs(corr) - w, 0.0)),
     )
     return float(np.max(dist, initial=0.0))
-
-
-def grid_min_2d(F, center, halfwidth: float, rounds: int = 6, pts: int = 81) -> Array:
-    """Coarse-to-fine grid minimizer of F over a square in R^2.
-
-    Each round scans a pts x pts grid and re-centers a window three cells
-    wide around the best point.  Intended as an independent brute-force
-    oracle for desk-scale tests; F may return +inf (infeasible cells).
-    """
-    cx, cy = float(center[0]), float(center[1])
-    h = float(halfwidth)
-    best = None
-    for _ in range(rounds):
-        xs = np.linspace(cx - h, cx + h, pts)
-        ys = np.linspace(cy - h, cy + h, pts)
-        best_v = np.inf
-        for xv in xs:
-            for yv in ys:
-                v = F(np.array([xv, yv]))
-                if v < best_v:
-                    best_v = v
-                    best = (xv, yv)
-        if best is None or not np.isfinite(best_v):
-            raise InvalidInputError("grid oracle found no finite value")
-        cx, cy = best
-        h = 3.0 * (2.0 * h / (pts - 1))
-    return np.array(best)
-
-
-def grid_best_approximation_oracle(C, D, r, center=None, halfwidth: float = 4.0) -> Array:
-    """Grid-search projection of r onto C ∩ D (2-D sets only)."""
-    r = as_vector(r, 2)
-
-    def F(p: Array) -> float:
-        if not (C.contains(p, tol=1e-7) and D.contains(p, tol=1e-7)):
-            return np.inf
-        return float(np.linalg.norm(p - r) ** 2)
-
-    return grid_min_2d(F, center if center is not None else np.zeros(2), halfwidth)
 
 
 def _feasible_probes(sets_list, dim: int, count: int, seed: int) -> list:
@@ -397,10 +350,7 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
         gaps = Dmat @ x
         stationarity = float(np.linalg.norm(Dmat.T @ u - v))
         bound = float(max(np.max(np.abs(u)) - omega, 0.0))
-        align = 0.0
-        for uk, gk in zip(u, gaps):
-            if abs(gk) > 1e-7:
-                align = max(align, abs(uk - omega * np.sign(gk)))
+        align = float(np.max(np.where(np.abs(gaps) > 1e-7, np.abs(u - omega * np.sign(gaps)), 0.0)))
         return {"stationarity": stationarity, "dual_bound": bound, "alignment": align}
 
     return ProblemInstance(

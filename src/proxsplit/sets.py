@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, as_vector
+from .core import Array, InvalidParameterError, ProxFn, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -44,7 +44,7 @@ class ConvexSet:
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+        return norm(x - self.project(x))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol

@@ -42,6 +42,7 @@ from .core import (
     SolveResult,
     UnsupportedFunctionError,
     as_vector,
+    norm,
     operator_norm,
     sequence_value,
 )
@@ -163,9 +164,9 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
         v = x
         for C in reversed(sets):
             v = C.project(v)
-        change = float(np.linalg.norm(v - x))
+        change = norm(v - x)
         tracer.add(n + 1, v, change)
-        done = _rel(change, float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(change, norm(x)) <= stop.tol
         x = v
         if done:
             feasible = all(C.contains(x) for C in sets)
@@ -207,11 +208,11 @@ def forward_backward(
         lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.0)
         y = x - gamma * f2.grad(x)
         p = f1.prox(gamma, y)
-        gap = float(np.linalg.norm(p - x))
+        gap = norm(p - x)
         x_new = x + lam * (p - x)
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
-        done = _rel(max(change, gap), float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(max(change, gap), norm(x)) <= stop.tol
         x = x_new
         if done:
             return tracer.result(x, True, aux={"gamma": gamma})
@@ -243,11 +244,11 @@ def forward_backward_const(
         lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.5 - eps)
         y = x - gamma * f2.grad(x)
         p = f1.prox(gamma, y)
-        gap = float(np.linalg.norm(p - x))
+        gap = norm(p - x)
         x_new = x + lam * (p - x)
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
-        done = _rel(max(change, gap), float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(max(change, gap), norm(x)) <= stop.tol
         x = x_new
         if done:
             return tracer.result(x, True, aux={"gamma": gamma})
@@ -279,14 +280,14 @@ def fista(
         t_new = 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
         lam = 1.0 + (t - 1.0) / t_new
         z = x + lam * (x_new - x)
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
         done = False
-        if _rel(change, float(np.linalg.norm(x))) <= stop.tol:
+        if _rel(change, norm(x)) <= stop.tol:
             # momentum makes the iterate change an unreliable optimality
             # proxy; confirm with the prox-gradient fixed-point gap
-            gap = float(np.linalg.norm(x_new - f1.prox(gamma, x_new - gamma * f2.grad(x_new))))
-            done = _rel(gap, float(np.linalg.norm(x_new))) <= stop.tol
+            gap = norm(x_new - f1.prox(gamma, x_new - gamma * f2.grad(x_new)))
+            done = _rel(gap, norm(x_new)) <= stop.tol
         x = x_new
         t = t_new
         if done:
@@ -329,10 +330,10 @@ def douglas_rachford(
         x = f2.prox(gamma, y)
         lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 2.0 - eps)
         p = f1.prox(gamma, 2.0 * x - y)
-        two_level = float(np.linalg.norm(p - x))
-        change = float(np.linalg.norm(x - x_prev))
+        two_level = norm(p - x)
+        change = norm(x - x_prev)
         tracer.add(n + 1, x, change)
-        if n > 0 and _rel(max(change, two_level), float(np.linalg.norm(x_prev))) <= stop.tol:
+        if n > 0 and _rel(max(change, two_level), norm(x_prev)) <= stop.tol:
             return tracer.result(x, True, aux={"y": y, "gamma": gamma})
         y = y + lam * (p - x)
         x_prev = x
@@ -355,16 +356,16 @@ def dykstra_like(
     p = np.zeros(f.dim)
     q = np.zeros(f.dim)
     tracer = _Tracer(
-        stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * float(np.linalg.norm(v - r) ** 2)
+        stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * norm(v - r) ** 2
     )
     for n in range(stop.max_iter):
         y = g.prox(1.0, x + p)
         p = x + p - y
         x_new = f.prox(1.0, y + q)
         q = y + q - x_new
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
-        done = _rel(change, float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(change, norm(x)) <= stop.tol
         x = x_new
         if done:
             return tracer.result(x, True)
@@ -410,7 +411,7 @@ def dual_forward_backward(
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
     tracer = _Tracer(
         stop,
-        lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * float(np.linalg.norm(v - r) ** 2),
+        lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * norm(v - r) ** 2,
     )
     x_prev = r
     for n in range(stop.max_iter):
@@ -418,13 +419,13 @@ def dual_forward_backward(
         gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
         lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.0)
         u_new = u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
-        u_change = float(np.linalg.norm(u_new - u))
-        change = float(np.linalg.norm(x - x_prev))
+        u_change = norm(u_new - u)
+        change = norm(x - x_prev)
         tracer.add(n + 1, x, change)
-        xnorm = float(np.linalg.norm(x_prev))
+        xnorm = norm(x_prev)
         x_prev = x
         u = u_new
-        if n > 0 and max(_rel(change, xnorm), _rel(u_change, float(np.linalg.norm(u)))) <= stop.tol:
+        if n > 0 and max(_rel(change, xnorm), _rel(u_change, norm(u))) <= stop.tol:
             return tracer.result(x, True, aux={"u": u})
     return tracer.result(x_prev, False, aux={"u": u})
 
@@ -445,7 +446,7 @@ class QuadraticTerm:
         object.__setattr__(self, "center", as_vector(self.center))
 
     def eval(self, x) -> float:
-        return 0.5 * self.weight * float(np.linalg.norm(as_vector(x) - self.center) ** 2)
+        return 0.5 * self.weight * norm(as_vector(x) - self.center) ** 2
 
 
 def _spd_inverse(M: Array, singular_message: str) -> Array:
@@ -538,9 +539,9 @@ def admm(
         s = A @ x
         y = g.prox(gamma, s + z)
         z = z + s - y
-        change = float(np.linalg.norm(x - x_prev)) if x_prev is not None else math.inf
-        tracer.add(n + 1, x, change if math.isfinite(change) else float(np.linalg.norm(x)))
-        done = x_prev is not None and _rel(change, float(np.linalg.norm(x_prev))) <= stop.tol
+        change = norm(x - x_prev) if x_prev is not None else math.inf
+        tracer.add(n + 1, x, change if math.isfinite(change) else norm(x))
+        done = x_prev is not None and _rel(change, norm(x_prev)) <= stop.tol
         x_prev = x
         if done:
             return tracer.result(x, True)
@@ -612,9 +613,9 @@ def ppxa(
         for i in range(len(ys)):
             ys[i] = ys[i] + lam * (2.0 * p - x - ps[i])
         x_new = x + lam * (p - x)
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
-        done = _rel(change, float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(change, norm(x)) <= stop.tol
         x = x_new
         if done:
             return tracer.result(x, True)
@@ -646,9 +647,7 @@ def parallel_dykstra(
     zs = [r.copy() for _ in f_list]
 
     def objective(v: Array) -> float:
-        return float(sum(wi * f.eval(v) for wi, f in zip(w, f_list))) + 0.5 * float(
-            np.linalg.norm(v - r) ** 2
-        )
+        return float(sum(wi * f.eval(v) for wi, f in zip(w, f_list))) + 0.5 * norm(v - r) ** 2
 
     tracer = _Tracer(stop, objective)
     for n in range(stop.max_iter):
@@ -658,9 +657,9 @@ def parallel_dykstra(
             x_new = x_new + wi * pi
         for i in range(len(zs)):
             zs[i] = x_new + zs[i] - ps[i]
-        change = float(np.linalg.norm(x_new - x))
+        change = norm(x_new - x)
         tracer.add(n + 1, x_new, change)
-        done = _rel(change, float(np.linalg.norm(x))) <= stop.tol
+        done = _rel(change, norm(x)) <= stop.tol
         x = x_new
         if done:
             return tracer.result(x, True)
@@ -731,9 +730,9 @@ def sdmm(
             s = A @ x
             ys[i] = g.prox(gamma, s + zs[i])
             zs[i] = zs[i] + s - ys[i]
-        change = float(np.linalg.norm(x - x_prev)) if x_prev is not None else math.inf
-        tracer.add(n + 1, x, change if math.isfinite(change) else float(np.linalg.norm(x)))
-        done = x_prev is not None and _rel(change, float(np.linalg.norm(x_prev))) <= stop.tol
+        change = norm(x - x_prev) if x_prev is not None else math.inf
+        tracer.add(n + 1, x, change if math.isfinite(change) else norm(x))
+        done = x_prev is not None and _rel(change, norm(x_prev)) <= stop.tol
         x_prev = x
         if done:
             return tracer.result(x, True)
@@ -743,11 +742,11 @@ def sdmm(
 def fb_fixed_point_residual(f1: ProxFn, f2: SmoothFn, gamma: float, x) -> float:
     """||x - prox_{gamma f1}(x - gamma grad f2(x))||: zero exactly at solutions."""
     x = as_vector(x, f1.dim)
-    return float(np.linalg.norm(x - f1.prox(gamma, x - gamma * f2.grad(x))))
+    return norm(x - f1.prox(gamma, x - gamma * f2.grad(x)))
 
 
 def dr_two_level_residual(f1: ProxFn, f2: ProxFn, gamma: float, y) -> float:
     """||prox_{gamma f1}(2x - y) - x|| at x = prox_{gamma f2}(y)."""
     y = as_vector(y, f1.dim)
     x = f2.prox(gamma, y)
-    return float(np.linalg.norm(f1.prox(gamma, 2.0 * x - y) - x))
+    return norm(f1.prox(gamma, 2.0 * x - y) - x)

@@ -1,7 +1,7 @@
 """Shared test utilities: the golden-section scalar prox oracle, randomized
 draw generators for every scalar prox kind (with oracle brackets proven to
-contain the prox), an independent 2-D grid prox oracle, and the
-calculus-rule verification suite."""
+contain the prox), independent 2-D grid oracles for the prox and for the
+best approximation, and the calculus-rule verification suite."""
 
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import numpy as np
 
 from proxsplit import catalog as cat
 from proxsplit import sets
-from proxsplit.core import matrix_map
-from proxsplit.problems import grid_min_2d
+from proxsplit.core import InvalidInputError, as_vector, matrix_map
 from proxsplit.scalar import Bracket, InfeasibleBracketError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
@@ -192,6 +191,45 @@ def scalar_kind_max_error(name: str, draws: int = 100, seed: int = 0) -> float:
         kind, x, g, bracket = draw_case(name, rng)
         worst = max(worst, abs(kind.prox(x, g) - oracle_prox(kind, x, g, bracket)))
     return worst
+
+
+def grid_min_2d(F, center, halfwidth: float, rounds: int = 6, pts: int = 81) -> np.ndarray:
+    """Coarse-to-fine grid minimizer of F over a square in R^2.
+
+    Each round scans a pts x pts grid and re-centers a window three cells
+    wide around the best point.  Intended as an independent brute-force
+    oracle for desk-scale tests; F may return +inf (infeasible cells).
+    """
+    cx, cy = float(center[0]), float(center[1])
+    h = float(halfwidth)
+    best = None
+    for _ in range(rounds):
+        xs = np.linspace(cx - h, cx + h, pts)
+        ys = np.linspace(cy - h, cy + h, pts)
+        best_v = np.inf
+        for xv in xs:
+            for yv in ys:
+                v = F(np.array([xv, yv]))
+                if v < best_v:
+                    best_v = v
+                    best = (xv, yv)
+        if best is None or not np.isfinite(best_v):
+            raise InvalidInputError("grid oracle found no finite value")
+        cx, cy = best
+        h = 3.0 * (2.0 * h / (pts - 1))
+    return np.array(best)
+
+
+def grid_best_approximation_oracle(C, D, r, center=None, halfwidth: float = 4.0) -> np.ndarray:
+    """Grid-search projection of r onto C ∩ D (2-D sets only)."""
+    r = as_vector(r, 2)
+
+    def F(p: np.ndarray) -> float:
+        if not (C.contains(p, tol=1e-7) and D.contains(p, tol=1e-7)):
+            return np.inf
+        return float(np.linalg.norm(p - r) ** 2)
+
+    return grid_min_2d(F, center if center is not None else np.zeros(2), halfwidth)
 
 
 def grid_prox_2d(f, x, gamma: float = 1.0, halfwidth: float = 6.0) -> np.ndarray:

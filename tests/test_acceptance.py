@@ -7,7 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import KIND_NAMES, calculus_rule_errors, catalog_zoo, scalar_kind_max_error
+from helpers import (
+    KIND_NAMES,
+    calculus_rule_errors,
+    catalog_zoo,
+    grid_best_approximation_oracle,
+    scalar_kind_max_error,
+)
 from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.cli import COMPATIBLE_SOLVERS, RunConfig, main, read_trace, write_trace
@@ -25,7 +31,6 @@ from proxsplit.problems import (
     build_best_approximation,
     build_lasso,
     build_tv1d,
-    grid_best_approximation_oracle,
     least_squares_smooth,
     run_instance,
 )

@@ -5,7 +5,7 @@ import pytest
 
 from proxsplit import catalog as cat
 from proxsplit import sets
-from proxsplit.core import InvalidInputError, identity_map, matrix_map
+from proxsplit.core import InvalidInputError, SolveResult, identity_map, matrix_map
 from proxsplit.problems import (
     build_alternating_projections,
     build_best_approximation,
@@ -15,11 +15,10 @@ from proxsplit.problems import (
     build_lasso,
     build_tv1d,
     first_difference,
-    grid_best_approximation_oracle,
     lasso_kkt_residual,
     run_instance,
 )
-from helpers import scalar_prox_oracle
+from helpers import grid_best_approximation_oracle, scalar_prox_oracle
 from proxsplit.core import Schedule
 from proxsplit.scalar import Bracket
 from proxsplit.solvers import StoppingRule
@@ -246,6 +245,25 @@ class TestTv1d:
         x = rng.standard_normal(7)
         tv = float(np.sum(np.abs(np.diff(x))))
         assert f_even.eval(x) + f_odd.eval(x) == pytest.approx(0.4 * tv, abs=1e-10)
+
+    def test_alignment_matches_coordinate_loop(self):
+        rng = np.random.default_rng(21)
+        r = rng.standard_normal(9)
+        omega = 0.35
+        inst = build_tv1d(r, omega)
+        # flat runs, gaps just below and above the 1e-7 cut, and jumps of both signs
+        x = np.array([0.2, 0.2, 0.2 + 5e-8, 0.2 + 5e-8 + 2e-7, 1.1, 1.1, -0.4, -0.4, 0.3])
+        D = first_difference(9).to_dense()
+        u, *_ = np.linalg.lstsq(D.T, r - x, rcond=None)
+        worst = 0.0
+        for uk, gk in zip(u, D @ x):
+            if abs(gk) > 1e-7:
+                worst = max(worst, abs(uk - omega * np.sign(gk)))
+        assert worst > 0.0
+        result = SolveResult(final_x=x, converged=False, iterations=0, records=())
+        assert inst.validator(result)["alignment"] == worst
+        flat = SolveResult(final_x=np.full(9, 0.5), converged=False, iterations=0, records=())
+        assert inst.validator(flat)["alignment"] == 0.0
 
 
 class TestFeasibility:

@@ -10,6 +10,7 @@ from proxsplit.core import (
     InvalidScheduleError,
     PreconditionError,
     Schedule,
+    SmoothFn,
     UnsupportedFunctionError,
     identity_map,
     matrix_map,
@@ -19,7 +20,6 @@ from proxsplit.problems import (
     lasso_kkt_residual,
     least_squares_smooth,
     set_distance_smooth,
-    zero_smooth,
 )
 from proxsplit.solvers import (
     QuadraticTerm,
@@ -103,7 +103,8 @@ class TestForwardBackward:
     def test_proximal_point(self):
         # f2 = 0 with formal beta = 1: pure prox iterations on |.|
         f1 = cat.separable(cat.IntervalSupport(-1.0, 1.0), dim=1)
-        res = forward_backward(f1, zero_smooth(1), x0=[4.0], stop=TIGHT)
+        zero = SmoothFn(dim=1, value=lambda x: 0.0, grad_impl=lambda x: np.zeros(1), lipschitz=1.0, name="zero")
+        res = forward_backward(f1, zero, x0=[4.0], stop=TIGHT)
         assert res.converged
         assert abs(res.final_x[0]) <= 1e-9
 
