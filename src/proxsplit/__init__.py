@@ -24,7 +24,6 @@ from .core import (
     identity_map,
     matrix_map,
     operator_norm,
-    prox_of,
     subgradient_certificate,
 )
 from .solvers import StoppingRule
@@ -46,7 +45,6 @@ __all__ = [
     "identity_map",
     "matrix_map",
     "operator_norm",
-    "prox_of",
     "subgradient_certificate",
 ]
 

@@ -47,21 +47,13 @@ from .core import (
     matrix_map,
     subgradient_certificate,
 )
-from .scalar import BracketingError, InfeasibleBracketError
+from .scalar import BracketingError
 
 __all__ = ["RunConfig", "main", "write_trace", "read_trace", "COMPATIBLE_SOLVERS"]
 
 TRACE_HEADER = "iter,objective,residual,elapsed_ns"
 
-COMPATIBLE_SOLVERS = {
-    "lasso": ("forward_backward", "forward_backward_const", "fista", "douglas_rachford", "ppxa", "sdmm"),
-    "constrained_least_squares": ("forward_backward", "forward_backward_const", "fista"),
-    "alternating_projections": ("forward_backward", "douglas_rachford"),
-    "best_approximation": ("dykstra_like", "parallel_dykstra"),
-    "denoise": ("dykstra_like", "parallel_dykstra"),
-    "tv1d": ("dual_forward_backward", "ppxa"),
-    "feasibility": ("pocs",),
-}
+COMPATIBLE_SOLVERS = problems._COMPATIBLE_SOLVERS
 
 _TOOLKIT_ERRORS = (
     InvalidInputError,
@@ -70,7 +62,6 @@ _TOOLKIT_ERRORS = (
     PreconditionError,
     UnsupportedFunctionError,
     BracketingError,
-    InfeasibleBracketError,
 )
 
 
@@ -285,11 +276,6 @@ def _cmd_solve(args) -> int:
     if args.seed is not None:
         cfg = RunConfig(**{**cfg.to_dict(), "seed": args.seed})
     instance = build_instance(cfg)
-    if cfg.solver not in COMPATIBLE_SOLVERS.get(instance.tag, ()):
-        raise ConfigError(
-            f"solver '{cfg.solver}' is not applicable to problem '{instance.tag}'; "
-            f"compatible solvers: {', '.join(COMPATIBLE_SOLVERS[instance.tag])}"
-        )
     schedule = parse_schedule(cfg.schedule)
     stop = parse_stop(cfg.stop, tol=args.tol, max_iter=args.max_iter)
     result = problems.run_instance(instance, cfg.solver, schedule=schedule, stop=stop)
@@ -407,16 +393,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _TOOLKIT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TypeError, ValueError, KeyError) as exc:
+    except (*_TOOLKIT_ERRORS, OSError, TypeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

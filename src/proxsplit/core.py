@@ -40,7 +40,6 @@ __all__ = [
     "sequence_value",
     "IterationRecord",
     "SolveResult",
-    "prox_of",
     "subgradient_certificate",
     "operator_norm",
     "check_adjoint",
@@ -288,11 +287,6 @@ class SolveResult:
     def __post_init__(self):
         if self.iterations != len(self.records):
             raise InvalidParameterError("iteration count must equal the number of records")
-
-
-def prox_of(f: ProxFn, gamma: float, x) -> Array:
-    """Proximity map of f at scale gamma: the unique p with x - p in gamma*df(p)."""
-    return f.prox(gamma, x)
 
 
 def subgradient_certificate(

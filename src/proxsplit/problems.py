@@ -1,9 +1,11 @@
 """Builders for the desk-scale worked examples.
 
 Each builder returns a ``ProblemInstance`` holding the function/operator
-objects, the solver tags it is compatible with, and a pure validator mapping
-a ``SolveResult`` to named residual diagnostics.  ``run_instance`` dispatches
-an instance to a solver by tag.
+objects and a pure validator mapping a ``SolveResult`` to named residual
+diagnostics.  ``_COMPATIBLE_SOLVERS`` is the one table of the solvers that
+fit each problem tag (``ProblemInstance.solver_tags`` and
+``cli.COMPATIBLE_SOLVERS`` read it), and ``run_instance`` dispatches an
+instance to one of them by name.
 """
 
 from __future__ import annotations
@@ -46,16 +48,32 @@ __all__ = [
 ]
 
 
+# problem tag -> the solvers that fit it, in a fixed order
+_COMPATIBLE_SOLVERS = {
+    "lasso": ("forward_backward", "forward_backward_const", "fista", "douglas_rachford", "ppxa", "sdmm"),
+    "constrained_least_squares": ("forward_backward", "forward_backward_const", "fista"),
+    "alternating_projections": ("forward_backward", "douglas_rachford"),
+    "best_approximation": ("dykstra_like", "parallel_dykstra"),
+    "denoise": ("dykstra_like", "parallel_dykstra"),
+    "tv1d": ("dual_forward_backward", "ppxa"),
+    "feasibility": ("pocs",),
+}
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A bundle of problem components, recommended solver tags, and a pure
-    validator producing named residual diagnostics for a solve result."""
+    """A bundle of problem components and a pure validator producing named
+    residual diagnostics for a solve result."""
 
     tag: str
     dim: int
     components: dict
-    solver_tags: tuple
     validator: Callable[[SolveResult], dict]
+
+    @property
+    def solver_tags(self) -> tuple:
+        """The solvers that fit this problem's tag."""
+        return _COMPATIBLE_SOLVERS.get(self.tag, ())
 
 
 def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
@@ -154,7 +172,6 @@ def build_constrained_least_squares(L: LinearMap, y, C) -> ProblemInstance:
         tag="constrained_least_squares",
         dim=L.cols,
         components={"f1": f1, "f2": f2, "L": L, "y": y, "C": C},
-        solver_tags=("forward_backward", "forward_backward_const", "fista"),
         validator=validator,
     )
 
@@ -167,15 +184,15 @@ def build_lasso(A, y, weights) -> ProblemInstance:
     three-way split for PPXA (with an inactive box bound), and the two-block
     SDMM encoding.
     """
-    A = np.asarray(A, dtype=float)
-    y = as_vector(y, A.shape[0])
-    n = A.shape[1]
+    Lmap = matrix_map(A, name="A")
+    A = Lmap.matrix
+    y = as_vector(y, Lmap.rows)
+    n = Lmap.cols
     w = as_vector(weights)
     if w.size == 1:
         w = np.full(n, float(w[0]))
     if w.size != n or np.any(w <= 0):
         raise InvalidParameterError("lasso needs one positive weight per coordinate")
-    Lmap = matrix_map(A, name="A")
     f1 = catalog.weighted_l1(w)
     f2 = least_squares_smooth(Lmap, y)
     f2_prox = catalog.quadratic(Lmap, y, 1.0)
@@ -194,19 +211,10 @@ def build_lasso(A, y, weights) -> ProblemInstance:
             "f1": f1,
             "f2": f2,
             "f2_prox": f2_prox,
-            "ppxa_f_list": [f2_prox, f1, sets.indicator(box)],
-            "ppxa_weights": np.full(3, 1.0 / 3.0),
+            "ppxa": {"f_list": [f2_prox, f1, sets.indicator(box)], "weights": np.full(3, 1.0 / 3.0)},
             "sdmm_g_list": [catalog.quadratic_deviation(y), f1],
             "sdmm_L_list": [Lmap, identity_map(n)],
         },
-        solver_tags=(
-            "forward_backward",
-            "forward_backward_const",
-            "fista",
-            "douglas_rachford",
-            "ppxa",
-            "sdmm",
-        ),
         validator=validator,
     )
 
@@ -231,7 +239,6 @@ def build_alternating_projections(C, D) -> ProblemInstance:
         tag="alternating_projections",
         dim=C.dim,
         components={"f1": f1, "f2": f2, "f2_prox": catalog.squared_distance(sets.indicator(D)), "C": C, "D": D},
-        solver_tags=("forward_backward", "douglas_rachford"),
         validator=validator,
     )
 
@@ -256,7 +263,6 @@ def build_best_approximation(C, D, r) -> ProblemInstance:
         tag="best_approximation",
         dim=C.dim,
         components={"f": sets.indicator(C), "g": sets.indicator(D), "C": C, "D": D, "r": r},
-        solver_tags=("dykstra_like", "parallel_dykstra"),
         validator=validator,
     )
 
@@ -281,7 +287,6 @@ def build_denoise(f: ProxFn, g: ProxFn, r) -> ProblemInstance:
         tag="denoise",
         dim=f.dim,
         components={"f": f, "g": g, "r": r},
-        solver_tags=("dykstra_like", "parallel_dykstra"),
         validator=validator,
     )
 
@@ -357,7 +362,6 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
         tag="tv1d",
         dim=n,
         components={"r": r, "omega": omega, "dual": dual, "ppxa": ppxa_encoding},
-        solver_tags=("dual_forward_backward", "ppxa"),
         validator=validator,
     )
 
@@ -379,9 +383,31 @@ def build_feasibility(sets_list) -> ProblemInstance:
         tag="feasibility",
         dim=dim,
         components={"sets": sets_list},
-        solver_tags=("pocs",),
         validator=validator,
     )
+
+
+def _parallel_dykstra_args(c, schedule, gamma):
+    # the parallel objective is sum_i omega_i f_i + ||.-r||^2/2, so each
+    # term is pre-divided by its weight to recover f + g + ||.-r||^2/2
+    branches = [catalog.scaled(c["f"], 2.0), catalog.scaled(c["g"], 2.0)]
+    return (branches, np.array([0.5, 0.5]), c["r"]), {}
+
+
+# solver name -> (positional arguments, keyword arguments) drawn from an
+# instance's components, the schedule and the gamma of run_instance
+_SOLVER_ARGS = {
+    "forward_backward": lambda c, s, g: ((c["f1"], c["f2"]), {"schedule": s}),
+    "forward_backward_const": lambda c, s, g: ((c["f1"], c["f2"]), {"schedule": s}),
+    "fista": lambda c, s, g: ((c["f1"], c["f2"]), {}),
+    "douglas_rachford": lambda c, s, g: ((c["f1"], c["f2_prox"]), {"gamma": g, "schedule": s}),
+    "dykstra_like": lambda c, s, g: ((c["f"], c["g"], c["r"]), {}),
+    "parallel_dykstra": _parallel_dykstra_args,
+    "dual_forward_backward": lambda c, s, g: (tuple(c["dual"][k] for k in ("h", "g", "L", "r")), {"schedule": s}),
+    "ppxa": lambda c, s, g: ((c["ppxa"]["f_list"], c["ppxa"]["weights"]), {"gamma": g, "schedule": s}),
+    "sdmm": lambda c, s, g: ((c["sdmm_g_list"], c["sdmm_L_list"]), {"gamma": g}),
+    "pocs": lambda c, s, g: ((c["sets"],), {}),
+}
 
 
 def run_instance(
@@ -391,38 +417,13 @@ def run_instance(
     stop: solvers.StoppingRule | None = None,
     gamma: float = 1.0,
 ) -> SolveResult:
-    """Dispatch an instance to one of its recommended solvers."""
+    """Dispatch an instance to one of its compatible solvers."""
     if solver_tag not in instance.solver_tags:
         raise InvalidInputError(
             f"solver '{solver_tag}' is not applicable to '{instance.tag}'; "
             f"compatible solvers: {', '.join(instance.solver_tags)}"
         )
-    c = instance.components
-    if solver_tag == "forward_backward":
-        return solvers.forward_backward(c["f1"], c["f2"], schedule=schedule, stop=stop)
-    if solver_tag == "forward_backward_const":
-        return solvers.forward_backward_const(c["f1"], c["f2"], schedule=schedule, stop=stop)
-    if solver_tag == "fista":
-        return solvers.fista(c["f1"], c["f2"], stop=stop)
-    if solver_tag == "douglas_rachford":
-        return solvers.douglas_rachford(c["f1"], c["f2_prox"], gamma=gamma, schedule=schedule, stop=stop)
-    if solver_tag == "dykstra_like":
-        return solvers.dykstra_like(c["f"], c["g"], c["r"], stop=stop)
-    if solver_tag == "parallel_dykstra":
-        # the parallel objective is sum_i omega_i f_i + ||.-r||^2/2, so each
-        # term is pre-divided by its weight to recover f + g + ||.-r||^2/2
-        branches = [catalog.scaled(c["f"], 2.0), catalog.scaled(c["g"], 2.0)]
-        return solvers.parallel_dykstra(branches, np.array([0.5, 0.5]), c["r"], stop=stop)
-    if solver_tag == "dual_forward_backward":
-        d = c["dual"]
-        return solvers.dual_forward_backward(d["h"], d["g"], d["L"], d["r"], schedule=schedule, stop=stop)
-    if solver_tag == "ppxa":
-        enc = c.get("ppxa")
-        f_list = enc["f_list"] if enc else c["ppxa_f_list"]
-        weights = enc["weights"] if enc else c["ppxa_weights"]
-        return solvers.ppxa(f_list, weights, gamma=gamma, schedule=schedule, stop=stop)
-    if solver_tag == "sdmm":
-        return solvers.sdmm(c["sdmm_g_list"], c["sdmm_L_list"], gamma=gamma, stop=stop)
-    if solver_tag == "pocs":
-        return solvers.pocs(c["sets"], stop=stop)
-    raise InvalidInputError(f"unknown solver tag '{solver_tag}'")
+    args, kwargs = _SOLVER_ARGS[solver_tag](instance.components, schedule, gamma)
+    # looked up on the module at call time, so that a rebinding of
+    # ``solvers.<name>`` (as a tracer does) is honoured
+    return getattr(solvers, solver_tag)(*args, stop=stop, **kwargs)

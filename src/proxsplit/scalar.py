@@ -18,7 +18,6 @@ from .core import InvalidParameterError
 __all__ = [
     "Bracket",
     "BracketingError",
-    "InfeasibleBracketError",
     "solve_monotone",
     "lambert_w_exp",
 ]
@@ -26,10 +25,6 @@ __all__ = [
 
 class BracketingError(RuntimeError):
     """No sign change found after the allowed bracket expansions."""
-
-
-class InfeasibleBracketError(ValueError):
-    """The objective is non-finite everywhere on the scanned bracket."""
 
 
 @dataclass(frozen=True)

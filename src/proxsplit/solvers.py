@@ -142,6 +142,70 @@ def _validate_spec(name: str, spec, lo: float, hi: float) -> None:
             _check_range(name, float(v), lo, hi)
 
 
+def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None = None):
+    """Defaults and admissible intervals of a schedule, checked before iterating.
+
+    ``kind`` is one of
+      * ``"fb"``: forward-backward type, ``beta`` the Lipschitz constant or
+        ||L||^2; eps in ]0, min(1, 1/beta)[ (default min(0.05/beta, 0.5)),
+        gamma in [eps, 2/beta - eps] (default 1.9/beta), lambda in [eps, 1];
+      * ``"const"``: constant step gamma = 1/beta; eps in ]0, 3/4[,
+        lambda in [eps, 3/2 - eps];
+      * ``"relaxed"``: eps in ]0, 1[, lambda in [eps, 2 - eps].
+    The default eps of the last two is 0.05 and the default lambda is 1.
+    Returns the (spec, lo, hi) of gamma (None unless ``"fb"``) and of lambda;
+    the solver loop checks each emitted value against them once.
+    """
+    sched = schedule or Schedule()
+    if kind == "fb":
+        eps_default, eps_hi = min(0.05 / beta, 0.5), min(1.0, 1.0 / beta)
+    else:
+        eps_default, eps_hi = 0.05, (0.75 if kind == "const" else 1)
+    eps = float(sched.epsilon) if sched.epsilon is not None else eps_default
+    if not 0.0 < eps < eps_hi:
+        raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, {eps_hi}[")
+    gamma = None
+    if kind == "fb":
+        gamma = (sched.gamma if sched.gamma is not None else 1.9 / beta, eps, 2.0 / beta - eps)
+        _validate_spec("gamma", *gamma)
+    lam_hi = 1.0 if kind == "fb" else (1.5 - eps if kind == "const" else 2.0 - eps)
+    lam = (sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
+    _validate_spec("lambda", *lam)
+    return gamma, lam
+
+
+def _positive_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
+    return gamma
+
+
+def _branches(f_list, weights, solver: str):
+    """The branch functions as a list, their shared dimension, and their
+    weights, each in ]0, 1] and summing to 1."""
+    f_list = list(f_list)
+    if not f_list:
+        raise InvalidInputError(f"{solver} needs at least one function")
+    dim = f_list[0].dim
+    if any(f.dim != dim for f in f_list):
+        raise InvalidInputError("all functions must share one dimension")
+    w = as_vector(weights, len(f_list))
+    if np.any(w <= 0.0) or np.any(w > 1.0):
+        raise InvalidParameterError("weights must lie in ]0, 1]")
+    if abs(float(np.sum(w)) - 1.0) > 1e-12:
+        raise InvalidParameterError(f"weights must sum to 1, got {float(np.sum(w))}")
+    return f_list, dim, w
+
+
+def _weighted_sum(w: Array, vs, dim: int) -> Array:
+    """sum_i w_i v_i, accumulated from zero in ascending branch order."""
+    total = np.zeros(dim)
+    for wi, vi in zip(w, vs):
+        total = total + wi * vi
+    return total
+
+
 def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
     """Cyclic projections x_{n+1} = P_{C_1} ... P_{C_m} x_n.
 
@@ -174,6 +238,32 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
     return tracer.result(x, False)
 
 
+def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_range, lam_range, x0, stop) -> SolveResult:
+    """The forward-backward loop; ``gamma_range`` is None for the constant
+    step 1/beta."""
+    stop = stop or StoppingRule()
+    gamma_spec, g_lo, g_hi = gamma_range or (None, None, None)
+    lam_spec, lam_lo, lam_hi = lam_range
+    gamma = 1.0 / f2.lipschitz
+    x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
+    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
+    for n in range(stop.max_iter):
+        if gamma_range is not None:
+            gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
+        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
+        y = x - gamma * f2.grad(x)
+        p = f1.prox(gamma, y)
+        gap = norm(p - x)
+        x_new = x + lam * (p - x)
+        change = norm(x_new - x)
+        tracer.add(n + 1, x_new, change)
+        done = _rel(max(change, gap), norm(x)) <= stop.tol
+        x = x_new
+        if done:
+            return tracer.result(x, True, aux={"gamma": gamma})
+    return tracer.result(x, False, aux={"gamma": gamma})
+
+
 def forward_backward(
     f1: ProxFn,
     f2: SmoothFn,
@@ -187,36 +277,7 @@ def forward_backward(
     f2(x_n)) - x_n) with gamma_n in [eps, 2/beta - eps] and lambda_n in
     [eps, 1].  Requires f1 + f2 coercive (documented, not checked).
     """
-    stop = stop or StoppingRule()
-    sched = schedule or Schedule()
-    beta = f2.lipschitz
-    eps = float(sched.epsilon) if sched.epsilon is not None else min(0.05 / beta, 0.5)
-    if not 0.0 < eps < min(1.0, 1.0 / beta):
-        raise InvalidScheduleError(
-            f"epsilon={eps} outside the admissible interval ]0, {min(1.0, 1.0 / beta)}["
-        )
-    g_lo, g_hi = eps, 2.0 / beta - eps
-    gamma_spec = sched.gamma if sched.gamma is not None else 1.9 / beta
-    lam_spec = sched.lam if sched.lam is not None else 1.0
-    _validate_spec("gamma", gamma_spec, g_lo, g_hi)
-    _validate_spec("lambda", lam_spec, eps, 1.0)
-
-    x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
-    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in range(stop.max_iter):
-        gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.0)
-        y = x - gamma * f2.grad(x)
-        p = f1.prox(gamma, y)
-        gap = norm(p - x)
-        x_new = x + lam * (p - x)
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(max(change, gap), norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True, aux={"gamma": gamma})
-    return tracer.result(x, False, aux={"gamma": gamma})
+    return _forward_backward(f1, f2, *_resolve_schedule("fb", schedule, f2.lipschitz), x0, stop)
 
 
 def forward_backward_const(
@@ -226,33 +287,10 @@ def forward_backward_const(
     x0=None,
     stop: StoppingRule | None = None,
 ) -> SolveResult:
-    """Constant-step forward-backward: gamma = 1/beta fixed, lambda_n in
-    [eps, 3/2 - eps] with eps in ]0, 3/4[."""
-    stop = stop or StoppingRule()
-    sched = schedule or Schedule()
-    beta = f2.lipschitz
-    eps = float(sched.epsilon) if sched.epsilon is not None else 0.05
-    if not 0.0 < eps < 0.75:
-        raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, 0.75[")
-    lam_spec = sched.lam if sched.lam is not None else 1.0
-    _validate_spec("lambda", lam_spec, eps, 1.5 - eps)
-    gamma = 1.0 / beta
-
-    x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
-    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in range(stop.max_iter):
-        lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.5 - eps)
-        y = x - gamma * f2.grad(x)
-        p = f1.prox(gamma, y)
-        gap = norm(p - x)
-        x_new = x + lam * (p - x)
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(max(change, gap), norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True, aux={"gamma": gamma})
-    return tracer.result(x, False, aux={"gamma": gamma})
+    """Constant-step forward-backward, the preset of ``forward_backward``
+    with gamma = 1/beta fixed and lambda_n in [eps, 3/2 - eps], eps in
+    ]0, 3/4[."""
+    return _forward_backward(f1, f2, *_resolve_schedule("const", schedule), x0, stop)
 
 
 def fista(
@@ -313,22 +351,15 @@ def douglas_rachford(
     (documented, not checked).
     """
     stop = stop or StoppingRule()
-    sched = schedule or Schedule()
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
-    eps = float(sched.epsilon) if sched.epsilon is not None else 0.05
-    if not 0.0 < eps < 1.0:
-        raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, 1[")
-    lam_spec = sched.lam if sched.lam is not None else 1.0
-    _validate_spec("lambda", lam_spec, eps, 2.0 - eps)
+    gamma = _positive_gamma(gamma)
+    _, (lam_spec, lam_lo, lam_hi) = _resolve_schedule("relaxed", schedule)
 
     y = np.zeros(f1.dim) if y0 is None else as_vector(y0, f1.dim)
     tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
     x_prev = y
     for n in range(stop.max_iter):
         x = f2.prox(gamma, y)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 2.0 - eps)
+        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
         p = f1.prox(gamma, 2.0 * x - y)
         two_level = norm(p - x)
         change = norm(x - x_prev)
@@ -390,22 +421,11 @@ def dual_forward_backward(
     ri L(dom h) (documented, not checked).
     """
     stop = stop or StoppingRule()
-    sched = schedule or Schedule()
     r = as_vector(r, h.dim)
     norm_l = operator_norm(L)
     if norm_l == 0.0:
         raise InvalidParameterError("dual forward-backward needs a nonzero operator")
-    bound = norm_l**2
-    eps = float(sched.epsilon) if sched.epsilon is not None else min(0.05 / bound, 0.5)
-    if not 0.0 < eps < min(1.0, 1.0 / bound):
-        raise InvalidScheduleError(
-            f"epsilon={eps} outside the admissible interval ]0, {min(1.0, 1.0 / bound)}["
-        )
-    g_lo, g_hi = eps, 2.0 / bound - eps
-    gamma_spec = sched.gamma if sched.gamma is not None else 1.9 / bound
-    lam_spec = sched.lam if sched.lam is not None else 1.0
-    _validate_spec("gamma", gamma_spec, g_lo, g_hi)
-    _validate_spec("lambda", lam_spec, eps, 1.0)
+    (gamma_spec, g_lo, g_hi), (lam_spec, lam_lo, lam_hi) = _resolve_schedule("fb", schedule, norm_l**2)
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
@@ -417,7 +437,7 @@ def dual_forward_backward(
     for n in range(stop.max_iter):
         x = h.prox(1.0, r - L.adjoint(u))
         gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 1.0)
+        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
         u_new = u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
         u_change = norm(u_new - u)
         change = norm(x - x_prev)
@@ -488,9 +508,7 @@ def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
     or a QuadraticTerm.  Each call factors the SPD x-step matrix once (see
     ``admm``) and errors on singular systems.
     """
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
+    gamma = _positive_gamma(gamma)
     v = as_vector(v, L.rows)
     A, M_inv, w = _quadratic_step(f, L, gamma)
     rhs = A.T @ v + (w * f.center if f is not None else 0.0)
@@ -518,9 +536,7 @@ def admm(
     checked).
     """
     stop = stop or StoppingRule()
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
+    gamma = _positive_gamma(gamma)
     if g.dim != L.rows:
         raise InvalidInputError(f"g has dimension {g.dim}, expected {L.rows}")
     A, M_inv, w = _quadratic_step(f, L, gamma)
@@ -548,15 +564,6 @@ def admm(
     return tracer.result(x_prev, False)
 
 
-def _check_weights(weights, m: int) -> Array:
-    w = as_vector(weights, m)
-    if np.any(w <= 0.0) or np.any(w > 1.0):
-        raise InvalidParameterError("weights must lie in ]0, 1]")
-    if abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise InvalidParameterError(f"weights must sum to 1, got {float(np.sum(w))}")
-    return w
-
-
 def ppxa(
     f_list,
     weights,
@@ -574,23 +581,10 @@ def ppxa(
     reductions run in ascending branch order for determinism.  Requires the
     relative interiors of the domains to intersect (documented, not checked).
     """
-    f_list = list(f_list)
-    if not f_list:
-        raise InvalidInputError("ppxa needs at least one function")
-    dim = f_list[0].dim
-    if any(f.dim != dim for f in f_list):
-        raise InvalidInputError("all functions must share one dimension")
-    w = _check_weights(weights, len(f_list))
+    f_list, dim, w = _branches(f_list, weights, "ppxa")
     stop = stop or StoppingRule()
-    sched = schedule or Schedule()
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
-    eps = float(sched.epsilon) if sched.epsilon is not None else 0.05
-    if not 0.0 < eps < 1.0:
-        raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, 1[")
-    lam_spec = sched.lam if sched.lam is not None else 1.0
-    _validate_spec("lambda", lam_spec, eps, 2.0 - eps)
+    gamma = _positive_gamma(gamma)
+    _, (lam_spec, lam_lo, lam_hi) = _resolve_schedule("relaxed", schedule)
 
     ys = (
         [np.zeros(dim) for _ in f_list]
@@ -599,17 +593,13 @@ def ppxa(
     )
     if len(ys) != len(f_list):
         raise InvalidInputError("one starting point per function is required")
-    x = np.zeros(dim)
-    for wi, yi in zip(w, ys):
-        x = x + wi * yi
+    x = _weighted_sum(w, ys, dim)
 
     tracer = _Tracer(stop, lambda v: float(sum(f.eval(v) for f in f_list)))
     for n in range(stop.max_iter):
         ps = [f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, ys)]
-        p = np.zeros(dim)
-        for wi, pi in zip(w, ps):
-            p = p + wi * pi
-        lam = _check_range("lambda", sequence_value(lam_spec, n), eps, 2.0 - eps)
+        p = _weighted_sum(w, ps, dim)
+        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
         for i in range(len(ys)):
             ys[i] = ys[i] + lam * (2.0 * p - x - ps[i])
         x_new = x + lam * (p - x)
@@ -634,13 +624,7 @@ def parallel_dykstra(
     the branch proxes is the next iterate.  Requires the domains to intersect
     (documented, not checked).
     """
-    f_list = list(f_list)
-    if not f_list:
-        raise InvalidInputError("parallel_dykstra needs at least one function")
-    dim = f_list[0].dim
-    if any(f.dim != dim for f in f_list):
-        raise InvalidInputError("all functions must share one dimension")
-    w = _check_weights(weights, len(f_list))
+    f_list, dim, w = _branches(f_list, weights, "parallel_dykstra")
     stop = stop or StoppingRule()
     r = as_vector(r, dim)
     x = r.copy()
@@ -652,9 +636,7 @@ def parallel_dykstra(
     tracer = _Tracer(stop, objective)
     for n in range(stop.max_iter):
         ps = [f.prox(1.0, zi) for f, zi in zip(f_list, zs)]
-        x_new = np.zeros(dim)
-        for wi, pi in zip(w, ps):
-            x_new = x_new + wi * pi
+        x_new = _weighted_sum(w, ps, dim)
         for i in range(len(zs)):
             zs[i] = x_new + zs[i] - ps[i]
         change = norm(x_new - x)
@@ -693,9 +675,7 @@ def sdmm(
         if g.dim != L.rows:
             raise InvalidInputError(f"{g.name} has dimension {g.dim}, expected {L.rows}")
     stop = stop or StoppingRule()
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
+    gamma = _positive_gamma(gamma)
 
     mats = [L.to_dense() for L in L_list]
     Q = np.zeros((dim, dim))
@@ -703,16 +683,12 @@ def sdmm(
         Q += A.T @ A
     Q_inv = _spd_inverse(Q, "Q = sum_i L_i^T L_i is singular")
 
-    ys = (
-        [np.zeros(L.rows) for L in L_list]
-        if y0s is None
-        else [as_vector(y, L.rows).copy() for y, L in zip(y0s, L_list)]
-    )
-    zs = (
-        [np.zeros(L.rows) for L in L_list]
-        if z0s is None
-        else [as_vector(z, L.rows).copy() for z, L in zip(z0s, L_list)]
-    )
+    def starts(v0s) -> list:
+        if v0s is None:
+            return [np.zeros(L.rows) for L in L_list]
+        return [as_vector(v, L.rows).copy() for v, L in zip(v0s, L_list)]
+
+    ys, zs = starts(y0s), starts(z0s)
     if len(ys) != len(g_list) or len(zs) != len(g_list):
         raise InvalidInputError("one starting pair per branch is required")
 

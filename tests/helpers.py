@@ -12,9 +12,13 @@ import numpy as np
 from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.core import InvalidInputError, as_vector, matrix_map
-from proxsplit.scalar import Bracket, InfeasibleBracketError
+from proxsplit.scalar import Bracket
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
+
+
+class InfeasibleBracketError(ValueError):
+    """The objective is non-finite everywhere on the scanned bracket."""
 
 
 def scalar_prox_oracle(phi, x: float, bracket: Bracket, tol: float = 1e-12) -> float:

@@ -16,7 +16,35 @@ from proxsplit.cli import (
     read_trace,
     write_trace,
 )
+from proxsplit import problems
 from proxsplit.core import IterationRecord, SolveResult
+
+SOLVER_NAMES = (
+    "pocs", "forward_backward", "forward_backward_const", "fista", "douglas_rachford", "dykstra_like",
+    "dual_forward_backward", "admm", "ppxa", "parallel_dykstra", "sdmm",
+)
+BOX2 = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+# one small problem per tag
+TAG_PROBLEMS = {
+    "lasso": {"tag": "lasso", "A": [[1.0, 0.0], [0.0, 1.0]], "y": [3.0, 0.5], "weights": [1.0, 1.0]},
+    "constrained_least_squares": {
+        "tag": "constrained_least_squares", "L": [[1.0, 0.0], [0.0, 1.0]], "y": [2.0, -1.0], "C": BOX2,
+    },
+    "alternating_projections": {
+        "tag": "alternating_projections",
+        "C": {"type": "box", "lo": [0.0], "hi": [1.0]},
+        "D": {"type": "box", "lo": [2.0], "hi": [3.0]},
+    },
+    "best_approximation": {
+        "tag": "best_approximation",
+        "C": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "D": {"type": "halfspace", "a": [-1.0, 0.0], "b": 0.0},
+        "r": [-2.0, 2.0],
+    },
+    "denoise": {"tag": "denoise", "f": {"kind": "l1"}, "g": {"kind": "zero"}, "r": [3.0, -0.5, 1.2]},
+    "tv1d": {"tag": "tv1d", "r": [0.0, 0.1, 1.0, 0.9], "omega": 0.3},
+    "feasibility": {"tag": "feasibility", "sets": [BOX2, {"type": "halfspace", "a": [1.0, 1.0], "b": 1.0}]},
+}
 
 
 def lasso_config(tmp_path, **overrides):
@@ -163,6 +191,30 @@ class TestConfigDiagnostics:
         err = capsys.readouterr().err
         for name in COMPATIBLE_SOLVERS["lasso"]:
             assert name in err
+
+    def test_table_is_the_problems_table(self):
+        assert COMPATIBLE_SOLVERS is problems._COMPATIBLE_SOLVERS
+
+    def test_every_pair_outside_table_exits_one(self, tmp_path, capsys):
+        assert set(TAG_PROBLEMS) == set(COMPATIBLE_SOLVERS)
+        for tag, problem in TAG_PROBLEMS.items():
+            for solver in SOLVER_NAMES:
+                if solver in COMPATIBLE_SOLVERS[tag]:
+                    continue
+                path = tmp_path / f"{tag}-{solver}.json"
+                path.write_text(json.dumps({"problem": problem, "solver": solver}))
+                assert main(["solve", "--config", str(path)]) == 1, (tag, solver)
+                err = capsys.readouterr().err
+                assert "compatible solvers: " + ", ".join(COMPATIBLE_SOLVERS[tag]) in err
+                assert "Traceback" not in err
+
+    def test_one_dimensional_lasso_matrix_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"problem": {"tag": "lasso", "A": [], "y": [], "weights": [1]}, "solver": "fista"}))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "expected a matrix" in err
+        assert "Traceback" not in err
 
     def test_solver_flag_overrides(self, tmp_path):
         cfg = lasso_config(tmp_path, solver="pocs")

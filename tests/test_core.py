@@ -15,7 +15,6 @@ from proxsplit.core import (
     identity_map,
     matrix_map,
     operator_norm,
-    prox_of,
     sequence_value,
     subgradient_certificate,
 )
@@ -41,25 +40,25 @@ class TestVectors:
 class TestProxOf:
     def test_box_projection(self):
         f = sets.indicator(sets.Box([0.0], [1.0]))
-        assert prox_of(f, 1.0, [2.0])[0] == pytest.approx(1.0)
+        assert f.prox(1.0, [2.0])[0] == pytest.approx(1.0)
 
     def test_fixed_point_at_minimizer(self):
         f = cat.separable(cat.IntervalSupport(-1.0, 1.0), dim=1)  # |t|, minimized at 0
-        assert prox_of(f, 1.0, [0.0])[0] == 0.0
+        assert f.prox(1.0, [0.0])[0] == 0.0
 
     def test_soft_threshold(self):
         f = cat.separable(cat.IntervalSupport(-1.0, 1.0), dim=1)
-        assert prox_of(f, 1.0, [3.0])[0] == pytest.approx(2.0)
+        assert f.prox(1.0, [3.0])[0] == pytest.approx(2.0)
 
     def test_rejects_nonfinite_input(self):
         f = cat.zero_fn(2)
         with pytest.raises(InvalidInputError):
-            prox_of(f, 1.0, [np.nan, 0.0])
+            f.prox(1.0, [np.nan, 0.0])
 
     def test_rejects_bad_gamma(self):
         f = cat.zero_fn(1)
         with pytest.raises(InvalidInputError):
-            prox_of(f, -1.0, [0.0])
+            f.prox(-1.0, [0.0])
 
 
 class TestSubgradientCertificate:

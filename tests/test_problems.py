@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from proxsplit import catalog as cat
-from proxsplit import sets
-from proxsplit.core import InvalidInputError, SolveResult, identity_map, matrix_map
+from proxsplit import problems, sets
+from proxsplit.core import InvalidInputError, InvalidParameterError, SolveResult, identity_map, matrix_map
 from proxsplit.problems import (
     build_alternating_projections,
     build_best_approximation,
@@ -87,6 +87,11 @@ class TestLasso:
         a2 = build_lasso(rng2.standard_normal((5, 3)), rng2.standard_normal(5), [0.2])
         assert a1.components["y"].tobytes() == a2.components["y"].tobytes()
         assert a1.components["A"].to_dense().tobytes() == a2.components["A"].to_dense().tobytes()
+
+    @pytest.mark.parametrize("A", [[], [1.0, 2.0], [[[1.0]]]])
+    def test_non_matrix_rejected(self, A):
+        with pytest.raises(InvalidParameterError, match="expected a matrix"):
+            build_lasso(A, [], [1.0])
 
     def test_kkt_residual_matches_coordinate_loop(self):
         rng = np.random.default_rng(13)
@@ -334,3 +339,47 @@ class TestDispatch:
         assert D.rows == 4 and D.cols == 5
         x = np.array([1.0, 2.0, 4.0, 4.0, 3.0])
         assert np.allclose(D.apply(x), [1.0, 2.0, 0.0, -1.0])
+
+
+# the tag -> solvers table as it stands; cli_table in perfbench draws its
+# seeded inputs in this order
+EXPECTED_TABLE = {
+    "lasso": ("forward_backward", "forward_backward_const", "fista", "douglas_rachford", "ppxa", "sdmm"),
+    "constrained_least_squares": ("forward_backward", "forward_backward_const", "fista"),
+    "alternating_projections": ("forward_backward", "douglas_rachford"),
+    "best_approximation": ("dykstra_like", "parallel_dykstra"),
+    "denoise": ("dykstra_like", "parallel_dykstra"),
+    "tv1d": ("dual_forward_backward", "ppxa"),
+    "feasibility": ("pocs",),
+}
+SOLVER_NAMES = (
+    "pocs", "forward_backward", "forward_backward_const", "fista", "douglas_rachford", "dykstra_like",
+    "dual_forward_backward", "admm", "ppxa", "parallel_dykstra", "sdmm",
+)
+
+
+class TestSolverTable:
+    def test_table_literal_in_order(self):
+        assert list(problems._COMPATIBLE_SOLVERS.items()) == list(EXPECTED_TABLE.items())
+
+    def test_solver_tags_match_table_for_every_builder(self):
+        instances = _default_instances()
+        assert sorted(inst.tag for inst in instances) == sorted(EXPECTED_TABLE)
+        for inst in instances:
+            assert inst.solver_tags == EXPECTED_TABLE[inst.tag]
+            assert inst.solver_tags is problems._COMPATIBLE_SOLVERS[inst.tag]
+
+    def test_solver_tags_read_only(self):
+        inst = _default_instances()[0]
+        with pytest.raises(AttributeError):
+            inst.solver_tags = ("pocs",)
+
+    def test_every_pair_outside_table_rejected(self):
+        for inst in _default_instances():
+            for name in SOLVER_NAMES + ("bogus",):
+                if name in EXPECTED_TABLE[inst.tag]:
+                    continue
+                with pytest.raises(InvalidInputError) as err:
+                    run_instance(inst, name)
+                message = str(err.value)
+                assert "compatible solvers: " + ", ".join(EXPECTED_TABLE[inst.tag]) in message

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scalar_prox_oracle
+from helpers import InfeasibleBracketError, scalar_prox_oracle
 from proxsplit.scalar import (
     Bracket,
     BracketingError,
-    InfeasibleBracketError,
     lambert_w_exp,
     solve_monotone,
 )

@@ -177,7 +177,9 @@ class TestForwardBackwardConst:
         beta = f2.lipschitz
         r1 = forward_backward(f1, f2, Schedule(gamma=1.0 / beta, lam=1.0), stop=stop)
         r2 = forward_backward_const(f1, f2, Schedule(lam=1.0), stop=stop)
-        assert np.max(np.abs(r1.final_x - r2.final_x)) <= 1e-12
+        assert r1.final_x.tobytes() == r2.final_x.tobytes()
+        assert [r.objective for r in r1.records] == [r.objective for r in r2.records]
+        assert [r.residual for r in r1.records] == [r.residual for r in r2.records]
 
     def test_lasso_same_solution(self):
         A, y, w = lasso_fixture()
