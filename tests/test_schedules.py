@@ -47,7 +47,6 @@ class Counted:
 
 @dataclass
 class Case:
-    name: str
     run: Callable  # (schedule, stop) -> SolveResult
     counted: Counted
     eps_hi: float  # epsilon lies in ]0, eps_hi[
@@ -67,7 +66,6 @@ def _fb_case(name: str) -> Case:
     beta = f2.lipschitz
     if name == "forward_backward":
         return Case(
-            name,
             lambda s, stop: forward_backward(f1.fn, f2, s, stop=stop),
             f1,
             min(1.0, 1.0 / beta),
@@ -75,7 +73,6 @@ def _fb_case(name: str) -> Case:
             3,
         )
     return Case(
-        name,
         lambda s, stop: forward_backward_const(f1.fn, f2, s, stop=stop),
         f1,
         0.75,
@@ -89,7 +86,6 @@ def _dr_case() -> Case:
     f1 = Counted(cat.weighted_l1(np.full(3, 0.02)))
     f2 = cat.quadratic(matrix_map(A), y, 1.0)
     return Case(
-        "douglas_rachford",
         lambda s, stop: douglas_rachford(f1.fn, f2, gamma=0.5, schedule=s, stop=stop),
         f1,
         1.0,
@@ -105,7 +101,6 @@ def _dual_fb_case() -> Case:
     g = Counted(cat.weighted_l1(np.full(n - 1, 0.2)))
     bound = operator_norm(L) ** 2
     return Case(
-        "dual_forward_backward",
         lambda s, stop: dual_forward_backward(cat.zero_fn(n), g.fn, L, r, schedule=s, stop=stop),
         g,
         min(1.0, 1.0 / bound),
@@ -119,7 +114,6 @@ def _ppxa_case() -> Case:
     f1 = Counted(cat.weighted_l1(np.full(3, 0.02)))
     f_list = [cat.quadratic(matrix_map(A), y, 1.0), f1.fn]
     return Case(
-        "ppxa",
         lambda s, stop: ppxa(f_list, [0.5, 0.5], gamma=0.5, schedule=s, stop=stop),
         f1,
         1.0,
