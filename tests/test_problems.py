@@ -5,7 +5,15 @@ import pytest
 
 from proxsplit import catalog as cat
 from proxsplit import problems, sets
-from proxsplit.core import InvalidInputError, InvalidParameterError, SolveResult, identity_map, matrix_map
+from proxsplit.core import (
+    InvalidInputError,
+    InvalidParameterError,
+    SolveResult,
+    check_adjoint,
+    identity_map,
+    matrix_map,
+    operator_norm,
+)
 from proxsplit.problems import (
     build_alternating_projections,
     build_best_approximation,
@@ -339,6 +347,32 @@ class TestDispatch:
         assert D.rows == 4 and D.cols == 5
         x = np.array([1.0, 2.0, 4.0, 4.0, 3.0])
         assert np.allclose(D.apply(x), [1.0, 2.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("n", (2, 3, 9, 32, 120))
+class TestFirstDifferenceMatchesDense:
+    """first_difference(n) against the dense (n-1) x n matrix: same bytes in
+    both directions, so the step bounds derived from it cannot move."""
+
+    def test_apply_and_adjoint_bytes(self, n):
+        M = np.diff(np.eye(n), axis=0)
+        D = first_difference(n)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = rng.standard_normal(n)
+            u = rng.standard_normal(n - 1)
+            assert D.apply(x).tobytes() == (M @ x).tobytes()
+            assert D.adjoint(u).tobytes() == (M.T @ u).tobytes()
+
+    def test_to_dense_exact(self, n):
+        assert np.array_equal(first_difference(n).to_dense(), np.diff(np.eye(n), axis=0))
+
+    def test_adjoint_pair(self, n):
+        assert check_adjoint(first_difference(n)) <= 1e-10
+
+    def test_operator_norm_exact(self, n):
+        M = np.diff(np.eye(n), axis=0)
+        assert operator_norm(first_difference(n)) == operator_norm(matrix_map(M))
 
 
 # the tag -> solvers table as it stands; cli_table in perfbench draws its
