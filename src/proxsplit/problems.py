@@ -19,6 +19,7 @@ from . import catalog, sets, solvers
 from .core import (
     InvalidInputError,
     InvalidParameterError,
+    InvalidScheduleError,
     LinearMap,
     ProxFn,
     Schedule,
@@ -103,14 +104,19 @@ def set_distance_smooth(C) -> SmoothFn:
 
 
 def first_difference(n: int) -> LinearMap:
-    """The (n-1) x n forward-difference operator x |-> (x_{k+1} - x_k)_k."""
+    """The (n-1) x n forward difference x |-> (x_{k+1} - x_k)_k, in O(n) on
+    slices; both it and its adjoint give the bytes of the dense products."""
     if n < 2:
         raise InvalidParameterError("first difference needs length >= 2")
-    D = np.zeros((n - 1, n))
-    for k in range(n - 1):
-        D[k, k] = -1.0
-        D[k, k + 1] = 1.0
-    return matrix_map(D, name="first_difference")
+
+    def adjoint(u):  # (-u_0, u_0 - u_1, ..., u_{n-3} - u_{n-2}, u_{n-2})
+        out = np.empty(n)
+        out[-1] = 0.0
+        out[:-1] = -u
+        out[1:] += u
+        return out
+
+    return LinearMap(n - 1, n, lambda x: x[1:] - x[:-1], adjoint, name="first_difference")
 
 
 # ---------------------------------------------------------------------------
@@ -292,41 +298,33 @@ def build_denoise(f: ProxFn, g: ProxFn, r) -> ProblemInstance:
 
 
 def _pairwise_tv(n: int, omega: float, offset: int) -> ProxFn:
-    """omega * sum of |x_{k+1} - x_k| over disjoint pairs starting at offset,
-    expressed in an orthonormal basis of pair means and pair gaps."""
-    B = np.zeros((n, n))
-    kinds = []
-    col = 0
-    used = set()
-    s = 1.0 / np.sqrt(2.0)
-    a = np.sqrt(2.0) * omega
-    i = offset
-    while i + 1 < n:
-        B[i, col] = s
-        B[i + 1, col] = s
-        kinds.append(catalog.Interval())  # mean direction: free
-        col += 1
-        B[i, col] = -s
-        B[i + 1, col] = s
-        kinds.append(catalog.IntervalSupport(-a, a))  # gap direction: omega*|gap|
-        col += 1
-        used.update((i, i + 1))
-        i += 2
-    for j in range(n):
-        if j not in used:
-            B[j, col] = 1.0
-            kinds.append(catalog.Interval())
-            col += 1
-    return catalog.basis_separable(kinds, B)
+    """omega * sum of |x_{k+1} - x_k| over disjoint pairs starting at offset.
+    It is separable in the orthonormal basis of pair means and pair gaps, so
+    the prox keeps each pair's mean and soft-thresholds its gap to
+    [-2 gamma omega, 2 gamma omega]; an unpaired end coordinate passes through."""
+    end = offset + 2 * ((n - offset) // 2)
+    lo, hi = slice(offset, end, 2), slice(offset + 1, end, 2)
+
+    def prox(gamma, x):
+        mean = 0.5 * (x[lo] + x[hi])
+        half_gap = 0.5 * catalog._soft(x[hi] - x[lo], -2.0 * gamma * omega, 2.0 * gamma * omega)
+        p = x.copy()
+        p[lo], p[hi] = mean - half_gap, mean + half_gap
+        return p
+
+    value = lambda x: omega * float(np.sum(np.abs(x[hi] - x[lo])))
+    return ProxFn(dim=n, value=value, prox_impl=prox, name="pairwise_tv")
 
 
 def build_tv1d(r, omega: float) -> ProblemInstance:
     """min omega * sum_k |x_{k+1} - x_k| + (1/2)||x - r||^2 on a 1-D signal.
 
-    Two encodings: (a) the dual forward-backward form h(x) + g(Lx) +
+    Two O(n) encodings: (a) the dual forward-backward form h(x) + g(Lx) +
     ||x - r||^2/2 with h = 0, g = omega*||.||_1, L the first difference; and
     (b) a PPXA split over even/odd pairwise terms with closed-form pairwise
-    shrinkage plus the quadratic deviation term.
+    shrinkage plus the quadratic deviation term.  The validator's dual u is
+    the least-squares solution of D^T u = v = r - x, the partial sums
+    cumsum(mean(v) - v)[:-1]; its stationarity is |sum v| / sqrt(n).
     """
     r = as_vector(r)
     n = r.size
@@ -335,12 +333,10 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
     omega = float(omega)
     if not (np.isfinite(omega) and omega > 0):
         raise InvalidParameterError(f"omega must be > 0, got {omega}")
-    D = first_difference(n)
-    Dmat = D.to_dense()
     dual = {
         "h": catalog.zero_fn(n),
         "g": catalog.weighted_l1(np.full(n - 1, omega)),
-        "L": D,
+        "L": first_difference(n),
         "r": r,
     }
     ppxa_encoding = {
@@ -351,9 +347,9 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
     def validator(result: SolveResult) -> dict:
         x = result.final_x
         v = r - x  # must equal D^T u with u in omega * dsubdiff of ||Dx||_1
-        u, *_ = np.linalg.lstsq(Dmat.T, v, rcond=None)
-        gaps = Dmat @ x
-        stationarity = float(np.linalg.norm(Dmat.T @ u - v))
+        u = np.cumsum(np.mean(v) - v)[:-1]
+        gaps = x[1:] - x[:-1]
+        stationarity = float(abs(np.sum(v)) / np.sqrt(n))
         bound = float(max(np.max(np.abs(u)) - omega, 0.0))
         align = float(np.max(np.where(np.abs(gaps) > 1e-7, np.abs(u - omega * np.sign(gaps)), 0.0)))
         return {"stationarity": stationarity, "dual_bound": bound, "alignment": align}
@@ -417,13 +413,15 @@ def run_instance(
     stop: solvers.StoppingRule | None = None,
     gamma: float = 1.0,
 ) -> SolveResult:
-    """Dispatch an instance to one of its compatible solvers."""
+    """Dispatch an instance to a compatible solver, which must read every schedule field set."""
     if solver_tag not in instance.solver_tags:
         raise InvalidInputError(
             f"solver '{solver_tag}' is not applicable to '{instance.tag}'; "
             f"compatible solvers: {', '.join(instance.solver_tags)}"
         )
     args, kwargs = _SOLVER_ARGS[solver_tag](instance.components, schedule, gamma)
+    if "schedule" not in kwargs and any(v is not None for v in vars(schedule or Schedule()).values()):
+        raise InvalidScheduleError(f"solver '{solver_tag}' reads no schedule field; leave them null")
     # looked up on the module at call time, so that a rebinding of
     # ``solvers.<name>`` (as a tracer does) is honoured
     return getattr(solvers, solver_tag)(*args, stop=stop, **kwargs)

@@ -152,9 +152,9 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
       * ``"const"``: constant step gamma = 1/beta; eps in ]0, 3/4[,
         lambda in [eps, 3/2 - eps];
       * ``"relaxed"``: eps in ]0, 1[, lambda in [eps, 2 - eps].
-    The default eps of the last two is 0.05 and the default lambda is 1.
-    Returns the (spec, lo, hi) of gamma (None unless ``"fb"``) and of lambda;
-    the solver loop checks each emitted value against them once.
+    The default eps of the last two is 0.05 and the default lambda is 1; they
+    reject a schedule gamma.  Returns the (spec, lo, hi) of gamma (None unless
+    ``"fb"``) and of lambda; the solver loop checks each emitted value once.
     """
     sched = schedule or Schedule()
     if kind == "fb":
@@ -168,6 +168,8 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
     if kind == "fb":
         gamma = (sched.gamma if sched.gamma is not None else 1.9 / beta, eps, 2.0 / beta - eps)
         _validate_spec("gamma", *gamma)
+    elif sched.gamma is not None:
+        raise InvalidScheduleError("schedule gamma is not read here: the step is 1/beta or the gamma= argument")
     lam_hi = 1.0 if kind == "fb" else (1.5 - eps if kind == "const" else 2.0 - eps)
     lam = (sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
     _validate_spec("lambda", *lam)

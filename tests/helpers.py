@@ -1,7 +1,9 @@
 """Shared test utilities: the golden-section scalar prox oracle, randomized
 draw generators for every scalar prox kind (with oracle brackets proven to
 contain the prox), independent 2-D grid oracles for the prox and for the
-best approximation, and the calculus-rule verification suite."""
+best approximation, the calculus-rule verification suite, and two references
+for 1-D total variation: the pairwise terms in a dense orthonormal basis and
+Condat's direct algorithm."""
 
 from __future__ import annotations
 
@@ -557,3 +559,91 @@ def catalog_zoo() -> list:
         cat.zero_fn(2),
     ]
     return zoo
+
+
+def dense_pairwise_tv(n: int, omega: float, offset: int):
+    """omega * sum of |x_{k+1} - x_k| over disjoint pairs starting at offset,
+    through ``basis_separable`` in a dense orthonormal basis of pair means and
+    pair gaps (with the unpaired coordinates as free directions)."""
+    B = np.zeros((n, n))
+    kinds = []
+    col = 0
+    used = set()
+    s = 1.0 / np.sqrt(2.0)
+    a = np.sqrt(2.0) * omega
+    i = offset
+    while i + 1 < n:
+        B[i, col] = s
+        B[i + 1, col] = s
+        kinds.append(cat.Interval())  # mean direction: free
+        col += 1
+        B[i, col] = -s
+        B[i + 1, col] = s
+        kinds.append(cat.IntervalSupport(-a, a))  # gap direction: omega*|gap|
+        col += 1
+        used.update((i, i + 1))
+        i += 2
+    for j in range(n):
+        if j not in used:
+            B[j, col] = 1.0
+            kinds.append(cat.Interval())
+            col += 1
+    return cat.basis_separable(kinds, B)
+
+
+def condat_tv1d(y, lam: float) -> np.ndarray:
+    """Exact minimizer of lam * sum_k |x_{k+1} - x_k| + (1/2)||x - y||^2.
+
+    L. Condat, "A direct algorithm for 1D total variation denoising", IEEE
+    Signal Processing Letters 20(11), 2013.  One forward sweep keeps the
+    range [vmin, vmax] of values the current segment may still take and the
+    running dual values umin, umax; when the dual leaves [-lam, lam] the
+    segment is emitted up to the last point where that bound was active and
+    the sweep restarts after it.  Linear time in practice, no linear algebra.
+    """
+    y = np.asarray(y, dtype=float).tolist()
+    n = len(y)
+    x = np.empty(n)
+    k = k0 = kminus = kplus = 0
+    umin, umax = lam, -lam
+    vmin, vmax = y[0] - lam, y[0] + lam
+    while True:
+        while k == n - 1:  # the sweep reached the end: close the open segment
+            if umin < 0.0:
+                x[k0 : kminus + 1] = vmin
+                k = kminus = k0 = kminus + 1
+                vmin = y[k0]
+                umin = lam
+                umax = vmin + lam - vmax
+            elif umax > 0.0:
+                x[k0 : kplus + 1] = vmax
+                k = kplus = k0 = kplus + 1
+                vmax = y[k0]
+                umax = -lam
+                umin = vmax - lam - vmin
+            else:
+                x[k0 : k + 1] = vmin + umin / (k - k0 + 1)
+                return x
+        umin += y[k + 1] - vmin
+        if umin < -lam:  # a jump down after kminus
+            x[k0 : kminus + 1] = vmin
+            k = kminus = kplus = k0 = kminus + 1
+            vmin, vmax = y[k0], y[k0] + 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        umax += y[k + 1] - vmax
+        if umax > lam:  # a jump up after kplus
+            x[k0 : kplus + 1] = vmax
+            k = kminus = kplus = k0 = kplus + 1
+            vmin, vmax = y[k0] - 2.0 * lam, y[k0]
+            umin, umax = lam, -lam
+            continue
+        k += 1
+        if umin >= lam:
+            kminus = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= -lam:
+            kplus = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = -lam

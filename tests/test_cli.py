@@ -112,6 +112,31 @@ class TestSolveExitCodes:
         err = capsys.readouterr().err
         assert "admissible interval [" in err
 
+    @pytest.mark.parametrize(
+        "solver,schedule,message",
+        [
+            ("douglas_rachford", {"gamma": 1e6}, "schedule gamma is not read"),
+            ("fista", {"lambda": 5.0, "gamma": -3}, "solver 'fista' reads no schedule field"),
+        ],
+    )
+    def test_schedule_field_the_solver_does_not_read_exits_one(self, tmp_path, capsys, solver, schedule, message):
+        cfg = lasso_config(tmp_path, solver=solver, schedule=schedule)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_readme_config_with_null_schedule_exits_zero(self, tmp_path):
+        doc = {
+            "problem": TAG_PROBLEMS["lasso"],
+            "solver": "fista",
+            "schedule": {"gamma": None, "lambda": None, "epsilon": None},
+            "stop": {"tol": 1e-10, "max_iter": 20000},
+        }
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 0
+
     def test_infeasible_pocs_exits_two(self, tmp_path):
         doc = {
             "problem": {

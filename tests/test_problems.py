@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from proxsplit.problems import (
     lasso_kkt_residual,
     run_instance,
 )
-from helpers import grid_best_approximation_oracle, scalar_prox_oracle
+from helpers import condat_tv1d, dense_pairwise_tv, grid_best_approximation_oracle, scalar_prox_oracle
 from proxsplit.core import Schedule
 from proxsplit.scalar import Bracket
 from proxsplit.solvers import StoppingRule
@@ -266,10 +267,11 @@ class TestTv1d:
         inst = build_tv1d(r, omega)
         # flat runs, gaps just below and above the 1e-7 cut, and jumps of both signs
         x = np.array([0.2, 0.2, 0.2 + 5e-8, 0.2 + 5e-8 + 2e-7, 1.1, 1.1, -0.4, -0.4, 0.3])
-        D = first_difference(9).to_dense()
-        u, *_ = np.linalg.lstsq(D.T, r - x, rcond=None)
+        # the least-squares dual: the partial sums of r - x projected off the constants
+        v = r - x
+        u = np.cumsum(np.mean(v) - v)[:-1]
         worst = 0.0
-        for uk, gk in zip(u, D @ x):
+        for uk, gk in zip(u, np.diff(x)):
             if abs(gk) > 1e-7:
                 worst = max(worst, abs(uk - omega * np.sign(gk)))
         assert worst > 0.0
@@ -277,6 +279,92 @@ class TestTv1d:
         assert inst.validator(result)["alignment"] == worst
         flat = SolveResult(final_x=np.full(9, 0.5), converged=False, iterations=0, records=())
         assert inst.validator(flat)["alignment"] == 0.0
+
+
+    @pytest.mark.parametrize("n", (2, 3, 7, 8, 120))
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_pairwise_closed_form_matches_dense_basis(self, n, offset):
+        omega = 0.7
+        closed = problems._pairwise_tv(n, omega, offset)
+        dense = dense_pairwise_tv(n, omega, offset)
+        rng = np.random.default_rng(10 * n + offset)
+        for gamma in (1e-3, 0.25, 1.0, 4.0):
+            for _ in range(4):
+                x = 3.0 * rng.standard_normal(n)
+                gap = np.max(np.abs(closed.prox(gamma, x) - dense.prox(gamma, x)))
+                assert gap <= 1e-12 * (1.0 + np.max(np.abs(x))), (gamma, gap)
+                assert abs(closed.eval(x) - dense.eval(x)) <= 1e-12 * abs(dense.eval(x))
+
+    @pytest.mark.parametrize("n", (2, 5, 9, 40))
+    def test_validator_matches_least_squares_definition(self, n):
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal(n) + np.where(np.arange(n) < n // 2, 0.0, 1.5)
+        omega = 0.3
+        inst = build_tv1d(r, omega)
+        xs = [run_instance(inst, tag, stop=TIGHT).final_x for tag in inst.solver_tags]
+        xs += [r, np.zeros(n), r + 0.2 * rng.standard_normal(n)]
+        for x in xs:
+            got = inst.validator(SolveResult(final_x=x, converged=False, iterations=0, records=()))
+            want = _lstsq_tv_diagnostics(r, omega, x)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                # residuals on the scale of the data: relative above 1, absolute below
+                assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), (key, got[key], value)
+
+    @pytest.mark.parametrize("n", (8, 120))
+    def test_solvers_match_condat(self, n):
+        r = _piecewise_signal(np.random.default_rng(n), n)
+        inst = build_tv1d(r, 1.0)
+        x_ref = condat_tv1d(r, 1.0)
+        for tag in inst.solver_tags:
+            res = run_instance(inst, tag, stop=TIGHT)
+            assert res.converged, tag
+            assert np.max(np.abs(res.final_x - x_ref)) <= 1e-6, tag
+
+    def test_condat_at_scale_passes_validator(self):
+        n = 100_000
+        r = _piecewise_signal(np.random.default_rng(5), n)
+        inst = build_tv1d(r, 1.0)
+        x = condat_tv1d(r, 1.0)
+        diag = inst.validator(SolveResult(final_x=x, converged=True, iterations=0, records=()))
+        assert np.any(np.abs(np.diff(x)) > 1e-7)  # the answer has jumps to align
+        for key, value in diag.items():
+            assert value <= 1e-9, (key, value)
+
+    @pytest.mark.filterwarnings("ignore:operator_norm power iteration:RuntimeWarning")
+    def test_memory_linear_in_length(self):
+        # a dense (n-1) x n difference and two n x n pairwise bases would take ~96 MB
+        r = _piecewise_signal(np.random.default_rng(6), 2000)
+        tracemalloc.start()
+        try:
+            inst = build_tv1d(r, 1.0)
+            for tag in inst.solver_tags:
+                run_instance(inst, tag, stop=StoppingRule(tol=1e-12, max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+
+
+def _piecewise_signal(rng, n: int) -> np.ndarray:
+    """Pieces of 4 to 8 samples at random levels, plus small Gaussian noise."""
+    lengths = rng.integers(4, 9, size=n // 4 + 1)
+    levels = np.cumsum(rng.uniform(1.0, 2.0, lengths.size) * rng.choice([-1.0, 1.0], lengths.size))
+    return np.repeat(levels, lengths)[:n] + 0.1 * rng.standard_normal(n)
+
+
+def _lstsq_tv_diagnostics(r, omega: float, x) -> dict:
+    """The tv1d validator's keys by their dense definition: u the least-squares
+    solution of D^T u = r - x for the dense difference matrix D."""
+    D = np.diff(np.eye(r.size), axis=0)
+    v = r - x
+    u, *_ = np.linalg.lstsq(D.T, v, rcond=None)
+    gaps = D @ x
+    return {
+        "stationarity": float(np.linalg.norm(D.T @ u - v)),
+        "dual_bound": float(max(np.max(np.abs(u)) - omega, 0.0)),
+        "alignment": float(np.max(np.where(np.abs(gaps) > 1e-7, np.abs(u - omega * np.sign(gaps)), 0.0))),
+    }
 
 
 class TestFeasibility:

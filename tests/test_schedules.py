@@ -6,7 +6,8 @@ forward-backward-type solvers, step-size) value just outside either end of
 its admissible interval is rejected as a constant, as a finite sequence that
 leaves the interval at a later entry (before any prox call), and as a
 callable that leaves it at n = 3 (at that iteration); values at and just
-inside each end are accepted.
+inside each end are accepted.  A schedule field that a solver does not read
+is rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ import pytest
 
 from proxsplit import catalog as cat
 from proxsplit.core import InvalidScheduleError, ProxFn, Schedule, matrix_map, operator_norm
-from proxsplit.problems import first_difference, least_squares_smooth
+from proxsplit import sets
+from proxsplit.problems import (
+    build_denoise,
+    build_feasibility,
+    build_lasso,
+    first_difference,
+    least_squares_smooth,
+    run_instance,
+)
 from proxsplit.solvers import (
     StoppingRule,
     douglas_rachford,
@@ -222,3 +231,49 @@ class TestIntervalEdges:
             assert case.run(_schedule(param, value), RUN).iterations == RUN.max_iter
             assert case.run(_schedule(param, [0.5 * (lo + hi), value]), RUN).iterations == RUN.max_iter
             assert case.run(_schedule(param, lambda n, v=value: v), RUN).iterations == RUN.max_iter
+
+
+@pytest.mark.parametrize("name", ("forward_backward_const", "douglas_rachford", "ppxa"))
+@pytest.mark.parametrize("gamma", (0.5, 1e6, -3.0))
+def test_schedule_gamma_rejected_where_the_step_is_fixed(name, gamma):
+    # the step of these solvers is 1/beta or their gamma= argument
+    case = make_case(name)
+    with pytest.raises(InvalidScheduleError) as err:
+        case.run(Schedule(gamma=gamma), RUN)
+    assert "schedule gamma is not read" in str(err.value)
+    assert case.counted.calls == 0
+
+
+def _no_schedule_instances():
+    A, y = _lasso_data()
+    lasso = build_lasso(A, y, [0.02])
+    denoise = build_denoise(cat.weighted_l1(np.ones(3)), cat.zero_fn(3), [3.0, -0.5, 1.2])
+    feasibility = build_feasibility([sets.Box(np.zeros(2), np.ones(2))])
+    return [(lasso, "fista"), (lasso, "sdmm"), (denoise, "dykstra_like"), (denoise, "parallel_dykstra"),
+            (feasibility, "pocs")]
+
+
+class TestSolversWithoutSchedule:
+    """fista, sdmm, pocs and the two Dykstra solvers read no schedule field."""
+
+    @pytest.mark.parametrize("field", ("gamma", "lam", "epsilon"))
+    def test_any_field_rejected(self, field):
+        for inst, tag in _no_schedule_instances():
+            with pytest.raises(InvalidScheduleError, match=f"solver '{tag}' reads no schedule field"):
+                run_instance(inst, tag, Schedule(**{field: 0.5}), stop=RUN)
+
+    def test_fields_that_would_be_out_of_range_rejected(self):
+        inst, tag = _no_schedule_instances()[0]
+        with pytest.raises(InvalidScheduleError):
+            run_instance(inst, tag, Schedule(lam=5.0, gamma=-3), stop=RUN)
+
+    def test_empty_schedule_accepted(self):
+        for inst, tag in _no_schedule_instances():
+            for schedule in (None, Schedule()):
+                assert run_instance(inst, tag, schedule, stop=RUN).iterations >= 1, tag
+
+    def test_douglas_rachford_instance_rejects_schedule_gamma(self):
+        inst = _no_schedule_instances()[0][0]
+        with pytest.raises(InvalidScheduleError, match="schedule gamma is not read"):
+            run_instance(inst, "douglas_rachford", Schedule(gamma=1e6), stop=RUN)
+        assert run_instance(inst, "douglas_rachford", Schedule(lam=1.5), stop=RUN).iterations == RUN.max_iter
