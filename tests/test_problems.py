@@ -280,7 +280,6 @@ class TestTv1d:
         flat = SolveResult(final_x=np.full(9, 0.5), converged=False, iterations=0, records=())
         assert inst.validator(flat)["alignment"] == 0.0
 
-
     @pytest.mark.parametrize("n", (2, 3, 7, 8, 120))
     @pytest.mark.parametrize("offset", (0, 1))
     def test_pairwise_closed_form_matches_dense_basis(self, n, offset):
