@@ -92,6 +92,9 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-14
+# relative widening of a closed-form bracket end against its rounding
+_MARGIN = 1e-12
+_TINY = np.finfo(float).tiny
 # absolute slack on domain boundaries, matching the sets membership tolerance:
 # proxes composed with orthonormal transforms land within rounding of the
 # boundary, and evaluation must not report +inf there
@@ -121,9 +124,39 @@ def _shrink_until(ok, start, factor: float, tries: int, where: str):
     raise BracketingError(f"could not bracket the prox equation {where}")
 
 
-def _shrink_lo(r, hi):
-    """Find lo in (0, hi) with r(lo) < 0 for residuals diverging to -inf at 0+."""
-    return _shrink_until(lambda p: r(p) < 0.0, np.minimum(1.0, 0.5 * hi), 1e-6, 80, "near 0")
+def _solve_pole(r, dr, lo, hi):
+    """Solve on a closed-form bracket of a root in (0, inf), widened against
+    rounding by _MARGIN; a lower end below the normal range becomes 0, where
+    these residuals are -inf, and the upper end is at least twice the
+    smallest normal float."""
+    lo = lo * (1.0 - _MARGIN)
+    hi = np.maximum(hi * (1.0 + _MARGIN), 2.0 * _TINY)
+    return _solve_residual(r, dr, np.where(lo < _TINY, 0.0, lo), hi)
+
+
+def _inverse_root(A, a):
+    """Positive root of p - A/p = a (A > 0), finite for every finite a:
+    h + sqrt(h^2 + A) with h = a/2, written as A over the conjugate for a < 0."""
+    h = 0.5 * a
+    u = np.abs(h) + np.hypot(h, np.sqrt(A))
+    return np.where(h >= 0.0, u, A / u)
+
+
+def _pole_bracket(c, m, a):
+    """Ends of a bracket of the root p > 0 of p - c*p^(-m) = a (c, m > 0).
+
+    With s = c^(1/(1+m)), where p = c*p^(-m): for a >= 0 the root lies in
+    [max(s, a), a + c*max(s, a)^(-m)]; for a < 0 it is at most
+    hi = min(s, (c/-a)^(1/m)) and at least (c/(hi - a))^(1/m).  The 1/m powers
+    multiply the rounding of their base by 1/m, so the base is widened
+    instead of the result.
+    """
+    with _quiet():  # each branch is computed for every element and one is discarded
+        s = c ** (1.0 / (1.0 + m))
+        above = np.maximum(s, a)
+        hi = np.minimum(s, ((1.0 + _MARGIN) * c / -a) ** (1.0 / m)) * (1.0 + _MARGIN)
+        lo = ((1.0 - _MARGIN) * c / (hi - a)) ** (1.0 / m)
+        return np.where(a >= 0.0, above, lo), np.where(a >= 0.0, a + c * above**-m, hi)
 
 
 def _power_root(c, q, a):
@@ -376,7 +409,11 @@ class LinearNonneg(ScalarKind):
 
 @dataclass(frozen=True)
 class NegRoot(ScalarKind):
-    """-omega*t^(1/q) on t >= 0, +inf otherwise (q > 1)."""
+    """-omega*t^(1/q) on t >= 0, +inf otherwise (q > 1).
+
+    The prox solves p - c*p^(-m) = t with c = gamma*omega/q and m = 1 - 1/q,
+    on the bracket of ``_pole_bracket``.
+    """
 
     omega: float
     q: float
@@ -398,13 +435,16 @@ class NegRoot(ScalarKind):
         def dr(p):
             return 1.0 - c * expo * p ** (expo - 1.0)
 
-        hi = np.maximum(t, 1.0) + c + 1.0
-        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
+        return _solve_pole(r, dr, *_pole_bracket(c, -expo, t))
 
 
 @dataclass(frozen=True)
 class InversePower(ScalarKind):
-    """omega*t^(-q) on t > 0, +inf otherwise (q > 1)."""
+    """omega*t^(-q) on t > 0, +inf otherwise (q > 1).
+
+    The prox solves p - c*p^(-m) = t with c = gamma*q*omega and m = q + 1,
+    on the bracket of ``_pole_bracket``.
+    """
 
     omega: float
     q: float
@@ -426,8 +466,7 @@ class InversePower(ScalarKind):
         def dr(p):
             return 1.0 + c * (self.q + 1.0) * p ** (-self.q - 2.0)
 
-        hi = np.maximum(t, 1.0) + c + 1.0
-        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
+        return _solve_pole(r, dr, *_pole_bracket(c, self.q + 1.0, t))
 
 
 @dataclass(frozen=True)
@@ -495,7 +534,14 @@ class LogQuadratic(ScalarKind):
 
 @dataclass(frozen=True)
 class LogInverse(ScalarKind):
-    """-kappa*ln(t) + alpha*t + omega/t on t > 0."""
+    """-kappa*ln(t) + alpha*t + omega/t on t > 0.
+
+    The prox solves p - A/p - B/p^2 = a with a = t - gamma*alpha,
+    A = gamma*kappa and B = gamma*omega.  Dropping either pole term gives a
+    lower bound: lo is the larger of the root of p - A/p = a and the lower
+    end of ``_pole_bracket`` for p - B/p^2 = a, and hi = a + A/lo + B/lo^2
+    (evaluated as B/lo/lo, since lo^2 overflows for lo above 1e154).
+    """
 
     kappa: float
     alpha: float
@@ -517,13 +563,20 @@ class LogInverse(ScalarKind):
         def dr(p):
             return 1.0 + gamma * (self.kappa * p**-2.0 + 2.0 * self.omega * p**-3.0)
 
-        hi = np.maximum(t - gamma * self.alpha, 1.0) + gamma * self.kappa + gamma * self.omega + 1.0
-        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
+        a, A, B = t - gamma * self.alpha, gamma * self.kappa, gamma * self.omega
+        lo = np.maximum(_inverse_root(A, a), _pole_bracket(B, 2.0, a)[0])
+        return _solve_pole(r, dr, lo, a + A / lo + B / lo / lo)
 
 
 @dataclass(frozen=True)
 class LogPower(ScalarKind):
-    """-kappa*ln(t) + omega*t^q on t > 0 (q > 1)."""
+    """-kappa*ln(t) + omega*t^q on t > 0 (q > 1).
+
+    The prox solves p - A/p + B*p^(q-1) = t with A = gamma*kappa and
+    B = gamma*q*omega.  Without the power term the root of p - A/p = t is an
+    upper end hi, and with the power term frozen at hi, the root of
+    p - A/p = t - B*hi^(q-1) is a lower end.
+    """
 
     kappa: float
     omega: float
@@ -545,8 +598,11 @@ class LogPower(ScalarKind):
         def dr(p):
             return 1.0 + gamma * (self.q * (self.q - 1.0) * self.omega * p ** (self.q - 2.0) + self.kappa * p**-2.0)
 
-        hi = np.maximum(t, 1.0) + gamma * self.kappa + 1.0
-        return _solve_residual(r, dr, _shrink_lo(r, hi), hi)
+        A = gamma * self.kappa
+        hi = _inverse_root(A, t)
+        with _quiet():  # hi^(q-1) may overflow, and the lower end is then 0
+            lo = _inverse_root(A, t - gamma * self.q * self.omega * hi ** (self.q - 1.0))
+        return _solve_pole(r, dr, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,17 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
     ``g`` maps an array of points, one per element of the bracket, to the
     array of values there.  Bisection is the backbone.  When ``dg`` (the
     derivative of g) is given, a Newton step from the last point replaces the
-    midpoint where it lands strictly inside that element's bracket and is at
-    most half the step before the last, so the bracket still shrinks
-    geometrically.  An element stops, and its point is frozen, at the first
-    point p with |g(p)| <= tol, or once its bracket is no wider than tol or
-    holds no float strictly inside.  An element whose initial bracket shows
-    no sign change has it symmetrically doubled, up to 64 times, before
-    BracketingError is raised.  A scalar bracket gives a float.
+    midpoint where it lands strictly inside that element's bracket and is
+    less than half the step before the last, so the bracket still shrinks
+    geometrically.  A Newton point that equals p (a step below half a float
+    spacing) is replaced by the float next to p toward the far end of the
+    bracket, and is then taken or refused like any Newton point; if g changes
+    sign there, no float is left strictly inside.  An element stops, and its
+    point is frozen, at the first point p with |g(p)| <= tol, or once its
+    bracket is no wider than tol or holds no float strictly inside.  An
+    element whose initial bracket shows no sign change has it symmetrically
+    doubled, up to 64 times, before BracketingError is raised, as it is when g
+    is NaN anywhere it is evaluated.  A scalar bracket gives a float.
     """
     lo, hi = np.broadcast_arrays(bracket.lo, bracket.hi)
     shape = lo.shape
@@ -89,27 +93,30 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
             lo, hi = np.where(grow, lo - w, lo), np.where(grow, hi + w, hi)
             glo = np.where(grow, _values(g, lo, shape, "while expanding the bracket"), glo)
             ghi = np.where(grow, _values(g, hi, shape, "while expanding the bracket"), ghi)
-        done = (glo == 0.0) | (ghi == 0.0)
+        active = (glo != 0.0) & (ghi != 0.0)
         p = np.where(glo == 0.0, lo, hi)
         # orient every element so that g increases across its bracket
         sign = np.where(ghi < 0.0, -1.0, 1.0) if np.count_nonzero(ghi < 0.0) else None
         # p of an element stays put once the element has met its stopping test.
         # Step lengths for the Newton test: the first point is the midpoint,
         # and the step before it counts as the whole bracket width.
-        earlier = hi - lo
+        earlier = width = hi - lo
         last = 0.5 * earlier
-        p = np.where(done, p, lo + last)
+        p = np.where(active, lo + last, p)
+        gp = glo
         for _ in range(max_iter):
-            gp = _values(g, p, shape, "inside the bracket")
+            gp = _flat_call(g, p, shape)
             if sign is not None:
                 gp = gp * sign
-            # p on an end of its bracket: no float lies strictly inside
-            done |= (np.abs(gp) <= tol) | (hi - lo <= tol) | (p <= lo) | (p >= hi)
-            if np.count_nonzero(done) == done.size:
+            # p on an end of its bracket: no float lies strictly inside.  A NaN
+            # fails |g| > tol, so its element stops where g was NaN.
+            active &= (np.abs(gp) > tol) & (width > tol) & (p > lo) & (p < hi)
+            if not np.count_nonzero(active):
                 break
             lower = gp < 0.0
             lo, hi = np.where(lower, p, lo), np.where(lower, hi, p)
-            length = 0.5 * (hi - lo)
+            width = hi - lo
+            length = 0.5 * width
             nxt = lo + length
             if dg is not None:
                 # the step is gp/dg in either orientation
@@ -117,13 +124,18 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
                 if sign is not None:
                     step = step * sign
                 newton, newton_length = p - step, np.abs(step)
-                take = (lo < newton) & (newton < hi) & (newton_length + newton_length <= earlier)
+                # p is now an end of its bracket, so the midpoint lies toward the far end
+                np.nextafter(p, nxt, out=newton, where=(newton == p) & active)
+                take = (lo < newton) & (newton < hi) & (newton_length + newton_length < earlier)
                 np.copyto(nxt, newton, where=take)
                 np.copyto(length, newton_length, where=take)
             earlier, last = last, length
-            p = np.where(done, p, nxt)
+            p = np.where(active, nxt, p)
         else:
-            p = np.where(done, p, 0.5 * (lo + hi))
+            p = np.where(active, 0.5 * (lo + hi), p)
+        # the last values are those at the frozen points
+        if np.count_nonzero(gp != gp):
+            raise BracketingError("g evaluated to NaN inside the bracket")
     return float(p[0]) if shape == () else p.reshape(shape)
 
 

@@ -3,9 +3,12 @@ solving to the residual tolerance, elementwise errors, and the CLI table."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import KIND_NAMES, draw_case
 from proxsplit import catalog as cat
@@ -110,6 +113,142 @@ def test_root_solved_outputs_meet_the_residual_tolerance(name, gamma):
     assert ok.all(), (name, gamma, t[~ok][:3], p[~ok][:3], r[~ok][:3])
 
 
+# open or closed domain of each root-solved kind in ROOT_CASES; the others take every real
+DOMAINS = {
+    "neg_root": lambda p: p >= 0.0,
+    "inverse_power": lambda p: p > 0.0,
+    "log_inverse": lambda p: p > 0.0,
+    "log_power": lambda p: p > 0.0,
+    "interval_log_barrier": lambda p: -1.5 < p < 2.0,
+}
+EXTREME_T = (1e300, -1e300, 1e16, -1e16, 6.0, -6.0, 1e-300, -1e-300, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+@pytest.mark.parametrize("gamma", (1e-3, 1.0, 1e3))
+def test_root_solved_kinds_on_extreme_inputs(name, gamma):
+    kind, _ = ROOT_CASES[name]
+    in_domain = DOMAINS.get(name, lambda p: True)
+    for t in EXTREME_T:
+        # the prox of a decreasing function lies right of t, and so inside its domain
+        must_solve = name == "neg_root" and t >= 1e16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                p = kind.prox(t, gamma)
+            except BracketingError:
+                assert not must_solve, t
+                continue
+        assert math.isfinite(p) and in_domain(p), (t, p)
+        assert p >= t or not must_solve, (t, p)
+
+
+def test_neg_root_prox_eval_at_a_large_input(capsys):
+    assert main(["prox-eval", "--kind", "neg_root", "--params", '{"omega": 1.1, "q": 2.0}', "--x", "1e16"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["1e+16", "1e+16"]
+
+
+# the four kinds with a pole at 0 and their residuals, written independently
+# of the catalog, as functions of (p, t, gamma, q, omega, kappa, alpha)
+POLE_KINDS = {
+    "neg_root": (
+        lambda q, omega, kappa, alpha: cat.NegRoot(omega, q),
+        lambda p, t, g, q, omega, kappa, alpha: p - t - g * omega / q * p ** (1.0 / q - 1.0),
+    ),
+    "inverse_power": (
+        lambda q, omega, kappa, alpha: cat.InversePower(omega, q),
+        lambda p, t, g, q, omega, kappa, alpha: p - t - g * q * omega * p ** (-q - 1.0),
+    ),
+    "log_inverse": (
+        lambda q, omega, kappa, alpha: cat.LogInverse(kappa, alpha, omega),
+        lambda p, t, g, q, omega, kappa, alpha: p - t + g * (alpha - kappa / p - omega / p**2),
+    ),
+    "log_power": (
+        lambda q, omega, kappa, alpha: cat.LogPower(kappa, omega, q),
+        lambda p, t, g, q, omega, kappa, alpha: p - t + g * (q * omega * p ** (q - 1.0) - kappa / p),
+    ),
+}
+_MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@given(
+    name=st.sampled_from(sorted(POLE_KINDS)),
+    q=st.floats(1.0, 11.0, exclude_min=True),
+    omega=st.floats(1e-2, 1e2),
+    kappa=st.floats(1e-2, 1e2),
+    alpha=st.floats(-3.0, 3.0),
+    gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    t=st.one_of(_MAGNITUDE, _MAGNITUDE.map(lambda m: -m), st.floats(-50.0, 50.0), st.just(0.0)),
+)
+# a lower end that underflows to a subnormal float, where r(lo) rounds above 0
+@example(name="neg_root", q=1.0358, omega=4.4e-2 * 1.0358, kappa=1.0, alpha=0.0, gamma=1.0, t=-3.7e9)
+@settings(max_examples=400, deadline=None)
+def test_pole_kind_brackets_hold_the_root(name, q, omega, kappa, alpha, gamma, t):
+    make, residual = POLE_KINDS[name]
+    brackets = []
+
+    def recording(g, bracket, **kwargs):
+        brackets.append(bracket)
+        return solve_monotone(g, bracket, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cat, "solve_monotone", recording)
+        make(q, omega, kappa, alpha).prox(t, gamma)
+    (bracket,) = brackets
+    lo, hi = float(bracket.lo), float(bracket.hi)
+    assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    with np.errstate(divide="ignore", over="ignore"):
+        r_lo = residual(np.float64(lo), t, gamma, q, omega, kappa, alpha)
+        r_hi = residual(np.float64(hi), t, gamma, q, omega, kappa, alpha)
+    assert r_lo <= 0.0 <= r_hi, (lo, hi, r_lo, r_hi)
+
+
+# the prox_catalog benchmark's kind parameters, with the most residual
+# evaluations any one solve may take on 1,000 points uniform on [-6, 6]
+EVALUATION_BUDGETS = {
+    "neg_root": (cat.NegRoot(1.1, 2.0), (10, 10, 10)),
+    "inverse_power": (cat.InversePower(0.8, 2.0), (10, 10, 10)),
+    "log_power": (cat.LogPower(0.8, 0.5, 2.5), (10, 10, 10)),
+    "log_inverse": (cat.LogInverse(0.7, 0.3, 0.5), (14, 14, 14)),
+    "interval_log_barrier": (cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9), (18, 18, 18)),
+    "power_abs": (cat.PowerAbs(1.2, 2.5), (7, 8, 9)),
+    "abs_quad_power": (cat.AbsQuadPower(0.3, 0.5, 0.7, 3.0), (7, 7, 7)),
+}
+
+
+def _evaluation_counts(monkeypatch, run):
+    counts = []
+
+    def counting(g, bracket, **kwargs):
+        def counted(p):
+            counts[-1] += 1
+            return g(p)
+
+        counts.append(0)
+        return solve_monotone(counted, bracket, **kwargs)
+
+    monkeypatch.setattr(cat, "solve_monotone", counting)
+    run()
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATION_BUDGETS))
+def test_root_solves_stay_within_their_evaluation_budget(monkeypatch, name):
+    kind, budgets = EVALUATION_BUDGETS[name]
+    t = np.random.default_rng(11).uniform(-6.0, 6.0, 1000)
+    f = cat.separable(kind, dim=t.size)
+    counts = _evaluation_counts(monkeypatch, lambda: [f.prox(gamma, t) for gamma in GAMMAS])
+    assert len(counts) == len(GAMMAS)
+    assert all(n <= budget for n, budget in zip(counts, budgets)), counts
+
+
+def test_a_newton_step_that_cannot_move_p_probes_the_next_float(monkeypatch):
+    # Newton ends at |r| just above the tolerance, and its next point rounds to p
+    kind = cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9)
+    counts = _evaluation_counts(monkeypatch, lambda: kind.prox(-5.9418419056725575, 0.25))
+    assert counts[0] <= 18, counts
+
+
 def test_entropy_matches_lambert_identity_elementwise():
     t = np.random.default_rng(2).uniform(-6.0, 6.0, 1000)
     for gamma in GAMMAS:
@@ -128,6 +267,12 @@ class TestOneBadElement:
     def test_nan_in_one_element(self):
         with pytest.raises(BracketingError):
             solve_monotone(lambda p: np.array([p[0] - 1.0, math.nan, p[2]]), Bracket(np.full(3, -5.0), np.full(3, 5.0)))
+
+    def test_nan_inside_the_bracket_in_one_element(self):
+        # finite on the bracket ends, NaN at the midpoint of element 1 only
+        g = lambda p: np.where((np.arange(3) == 1) & (np.abs(p) < 1.0), math.nan, p - 0.5)
+        with pytest.raises(BracketingError, match="inside the bracket"):
+            solve_monotone(g, Bracket(np.full(3, -5.0), np.full(3, 5.0)))
 
     def test_bad_bracket_in_one_element(self):
         with pytest.raises(InvalidParameterError):

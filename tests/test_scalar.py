@@ -48,6 +48,13 @@ class TestSolveMonotone:
         with pytest.raises(BracketingError):
             solve_monotone(lambda p: p * p + 1.0, Bracket(-1.0, 1.0))
 
+    def test_infinite_derivative_still_converges(self):
+        # every Newton step is 0, so every Newton point equals p and is probed;
+        # probes of length 0 must not stand in for bisection indefinitely
+        dg = lambda p: np.full_like(p, math.inf)
+        root = solve_monotone(lambda p: p - 1.0, Bracket(0.0, 5.0), tol=1e-14, dg=dg)
+        assert root == pytest.approx(1.0, abs=1e-13)
+
     def test_decreasing_orientation(self):
         root = solve_monotone(lambda p: 3.0 - p, Bracket(0.0, 10.0))
         assert root == pytest.approx(3.0, abs=1e-11)
