@@ -37,7 +37,6 @@ __all__ = [
     "matrix_map",
     "identity_map",
     "Schedule",
-    "sequence_value",
     "IterationRecord",
     "SolveResult",
     "subgradient_certificate",
@@ -248,18 +247,6 @@ class Schedule:
     gamma: Optional[ScalarSequence] = None
     lam: Optional[ScalarSequence] = None
     epsilon: Optional[float] = None
-
-
-def sequence_value(seq: ScalarSequence, n: int) -> float:
-    """Value of a constant / sequence / callable schedule entry at index n."""
-    if callable(seq):
-        return float(seq(n))
-    if np.isscalar(seq):
-        return float(seq)
-    values = list(seq)
-    if not values:
-        raise InvalidScheduleError("empty schedule sequence")
-    return float(values[min(n, len(values) - 1)])
 
 
 @dataclass(frozen=True)

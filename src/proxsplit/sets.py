@@ -24,7 +24,6 @@ __all__ = [
     "AffineSubspace",
     "orthant",
     "point",
-    "project",
     "indicator",
 ]
 
@@ -233,11 +232,6 @@ def orthant(dim: int) -> Box:
 def point(c) -> Ball:
     """The singleton {c}."""
     return Ball(c, 0.0)
-
-
-def project(C: ConvexSet, x) -> Array:
-    """Nearest point of C to x."""
-    return C.project(x)
 
 
 def indicator(C: ConvexSet) -> ProxFn:

@@ -44,7 +44,6 @@ from .core import (
     as_vector,
     norm,
     operator_norm,
-    sequence_value,
 )
 
 __all__ = [
@@ -92,26 +91,36 @@ class StoppingRule:
                 raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
 
 
-class _Tracer:
-    def __init__(self, stop: StoppingRule, objective):
-        self._stop = stop
+class _Run:
+    """The bookkeeping of one solve: the iteration cap (``for n in run``), the
+    per-iteration record and tolerance test, and the ``SolveResult``."""
+
+    def __init__(self, stop: StoppingRule | None, objective):
+        self.stop = stop or StoppingRule()
+        self.converged = False
         self._objective = objective
         self._records = []
         self._t0 = time.perf_counter_ns()
         self._last = math.inf
 
-    def add(self, iteration: int, x: Array, residual: float) -> None:
-        dense = iteration <= self._stop.objective_dense_until
-        if dense or iteration % self._stop.objective_stride == 0:
-            self._last = float(self._objective(x))
-        self._records.append(
-            IterationRecord(iteration, self._last, float(residual), time.perf_counter_ns() - self._t0)
-        )
+    def __iter__(self):
+        return iter(range(self.stop.max_iter))
 
-    def result(self, x: Array, converged: bool, aux: dict | None = None) -> SolveResult:
+    def done(self, x: Array, change: float, measure: float) -> bool:
+        """Record iterate ``x`` and its change; true once ``measure`` is within
+        the tolerance.  The objective is re-evaluated on the stopping rule's
+        cadence and carried over in between."""
+        n = len(self._records) + 1
+        if n <= self.stop.objective_dense_until or n % self.stop.objective_stride == 0:
+            self._last = float(self._objective(x))
+        self._records.append(IterationRecord(n, self._last, float(change), time.perf_counter_ns() - self._t0))
+        self.converged = measure <= self.stop.tol
+        return self.converged
+
+    def result(self, x: Array, aux: dict | None = None) -> SolveResult:
         return SolveResult(
             final_x=np.array(x, dtype=float, copy=True),
-            converged=converged,
+            converged=self.converged,
             iterations=len(self._records),
             records=tuple(self._records),
             aux=aux or {},
@@ -130,16 +139,21 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return float(value)
 
 
-def _validate_spec(name: str, spec, lo: float, hi: float) -> None:
-    # constants and finite sequences are checked in full before iterating;
-    # callables are probed at n=0 and re-checked at every emission
+def _sequence(name: str, spec, lo: float, hi: float):
+    """The reader n -> value of a schedule entry in [lo, hi].
+
+    A constant or a finite sequence (held at its last value) is checked in
+    full here, so reading it is a list lookup; a callable is probed at n = 0
+    here and checked at every emission.
+    """
     if callable(spec):
-        _check_range(name, sequence_value(spec, 0), lo, hi)
-    elif np.isscalar(spec):
-        _check_range(name, float(spec), lo, hi)
-    else:
-        for v in spec:
-            _check_range(name, float(v), lo, hi)
+        _check_range(name, float(spec(0)), lo, hi)
+        return lambda n: _check_range(name, float(spec(n)), lo, hi)
+    values = [_check_range(name, float(v), lo, hi) for v in ([spec] if np.isscalar(spec) else spec)]
+    if not values:
+        raise InvalidScheduleError("empty schedule sequence")
+    last = len(values) - 1
+    return lambda n: values[min(n, last)]
 
 
 def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None = None):
@@ -153,8 +167,8 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
         lambda in [eps, 3/2 - eps];
       * ``"relaxed"``: eps in ]0, 1[, lambda in [eps, 2 - eps].
     The default eps of the last two is 0.05 and the default lambda is 1; they
-    reject a schedule gamma.  Returns the (spec, lo, hi) of gamma (None unless
-    ``"fb"``) and of lambda; the solver loop checks each emitted value once.
+    reject a schedule gamma.  Returns the readers n -> gamma_n (None for
+    ``"relaxed"``, whose step is an argument) and n -> lambda_n.
     """
     sched = schedule or Schedule()
     if kind == "fb":
@@ -166,14 +180,14 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
         raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, {eps_hi}[")
     gamma = None
     if kind == "fb":
-        gamma = (sched.gamma if sched.gamma is not None else 1.9 / beta, eps, 2.0 / beta - eps)
-        _validate_spec("gamma", *gamma)
+        gamma = _sequence("gamma", sched.gamma if sched.gamma is not None else 1.9 / beta, eps, 2.0 / beta - eps)
     elif sched.gamma is not None:
         raise InvalidScheduleError("schedule gamma is not read here: the step is 1/beta or the gamma= argument")
+    elif kind == "const":
+        step = 1.0 / beta
+        gamma = lambda n: step
     lam_hi = 1.0 if kind == "fb" else (1.5 - eps if kind == "const" else 2.0 - eps)
-    lam = (sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
-    _validate_spec("lambda", *lam)
-    return gamma, lam
+    return gamma, _sequence("lambda", sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
 
 
 def _positive_gamma(gamma) -> float:
@@ -219,51 +233,33 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
     sets = list(sets)
     if not sets:
         raise InvalidInputError("pocs needs at least one set")
-    stop = stop or StoppingRule()
     x = np.zeros(sets[0].dim) if x0 is None else as_vector(x0, sets[0].dim)
-
-    def objective(v: Array) -> float:
-        return 0.5 * sum(C.distance(v) ** 2 for C in sets)
-
-    tracer = _Tracer(stop, objective)
-    for n in range(stop.max_iter):
-        v = x
+    run = _Run(stop, lambda v: 0.5 * sum(C.distance(v) ** 2 for C in sets))
+    for _ in run:
+        x_prev = x
         for C in reversed(sets):
-            v = C.project(v)
-        change = norm(v - x)
-        tracer.add(n + 1, v, change)
-        done = _rel(change, norm(x)) <= stop.tol
-        x = v
-        if done:
-            feasible = all(C.contains(x) for C in sets)
-            return tracer.result(x, feasible)
-    return tracer.result(x, False)
+            x = C.project(x)
+        change = norm(x - x_prev)
+        if run.done(x, change, _rel(change, norm(x_prev))):
+            break
+    run.converged = run.converged and all(C.contains(x) for C in sets)
+    return run.result(x)
 
 
-def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_range, lam_range, x0, stop) -> SolveResult:
-    """The forward-backward loop; ``gamma_range`` is None for the constant
-    step 1/beta."""
-    stop = stop or StoppingRule()
-    gamma_spec, g_lo, g_hi = gamma_range or (None, None, None)
-    lam_spec, lam_lo, lam_hi = lam_range
-    gamma = 1.0 / f2.lipschitz
+def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_at, lam_at, x0, stop) -> SolveResult:
+    """The forward-backward loop, with the readers n -> gamma_n and n -> lambda_n."""
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
-    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in range(stop.max_iter):
-        if gamma_range is not None:
-            gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
-        y = x - gamma * f2.grad(x)
-        p = f1.prox(gamma, y)
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
+    for n in run:
+        gamma = gamma_at(n)
+        lam = lam_at(n)
+        p = f1.prox(gamma, x - gamma * f2.grad(x))
         gap = norm(p - x)
-        x_new = x + lam * (p - x)
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(max(change, gap), norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True, aux={"gamma": gamma})
-    return tracer.result(x, False, aux={"gamma": gamma})
+        x_prev, x = x, x + lam * (p - x)
+        change = norm(x - x_prev)
+        if run.done(x, change, _rel(max(change, gap), norm(x_prev))):
+            break
+    return run.result(x, {"gamma": gamma})
 
 
 def forward_backward(
@@ -292,7 +288,7 @@ def forward_backward_const(
     """Constant-step forward-backward, the preset of ``forward_backward``
     with gamma = 1/beta fixed and lambda_n in [eps, 3/2 - eps], eps in
     ]0, 3/4[."""
-    return _forward_backward(f1, f2, *_resolve_schedule("const", schedule), x0, stop)
+    return _forward_backward(f1, f2, *_resolve_schedule("const", schedule, f2.lipschitz), x0, stop)
 
 
 def fista(
@@ -307,32 +303,24 @@ def fista(
     The objective along the iterates satisfies
     f(x_n) <= f(x*) + 2*beta*||x_0 - x*||^2 / (n+1)^2 for n >= 1.
     """
-    stop = stop or StoppingRule()
-    beta = f2.lipschitz
-    gamma = 1.0 / beta
+    gamma = 1.0 / f2.lipschitz
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
     z = x.copy()
     t = 1.0
-    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in range(stop.max_iter):
-        y = z - gamma * f2.grad(z)
-        x_new = f1.prox(gamma, y)
-        t_new = 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
-        lam = 1.0 + (t - 1.0) / t_new
-        z = x + lam * (x_new - x)
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = False
-        if _rel(change, norm(x)) <= stop.tol:
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
+    for _ in run:
+        x_prev, x = x, f1.prox(gamma, z - gamma * f2.grad(z))
+        t_prev, t = t, 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
+        z = x_prev + (1.0 + (t_prev - 1.0) / t) * (x - x_prev)
+        change = norm(x - x_prev)
+        measure = _rel(change, norm(x_prev))
+        if measure <= run.stop.tol:
             # momentum makes the iterate change an unreliable optimality
             # proxy; confirm with the prox-gradient fixed-point gap
-            gap = norm(x_new - f1.prox(gamma, x_new - gamma * f2.grad(x_new)))
-            done = _rel(gap, norm(x_new)) <= stop.tol
-        x = x_new
-        t = t_new
-        if done:
-            return tracer.result(x, True, aux={"gamma": gamma})
-    return tracer.result(x, False, aux={"gamma": gamma})
+            measure = _rel(norm(x - f1.prox(gamma, x - gamma * f2.grad(x))), norm(x))
+        if run.done(x, change, measure):
+            break
+    return run.result(x, {"gamma": gamma})
 
 
 def douglas_rachford(
@@ -352,25 +340,21 @@ def douglas_rachford(
     (x_n) assumes ri(dom f1) meets ri(dom f2) and the sum is coercive
     (documented, not checked).
     """
-    stop = stop or StoppingRule()
     gamma = _positive_gamma(gamma)
-    _, (lam_spec, lam_lo, lam_hi) = _resolve_schedule("relaxed", schedule)
+    _, lam_at = _resolve_schedule("relaxed", schedule)
 
     y = np.zeros(f1.dim) if y0 is None else as_vector(y0, f1.dim)
-    tracer = _Tracer(stop, lambda v: f1.eval(v) + f2.eval(v))
-    x_prev = y
-    for n in range(stop.max_iter):
-        x = f2.prox(gamma, y)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
+    x = y
+    for n in run:
+        x_prev, x = x, f2.prox(gamma, y)
+        lam = lam_at(n)
         p = f1.prox(gamma, 2.0 * x - y)
-        two_level = norm(p - x)
         change = norm(x - x_prev)
-        tracer.add(n + 1, x, change)
-        if n > 0 and _rel(max(change, two_level), norm(x_prev)) <= stop.tol:
-            return tracer.result(x, True, aux={"y": y, "gamma": gamma})
+        if run.done(x, change, _rel(max(change, norm(p - x)), norm(x_prev)) if n else math.inf):
+            break  # on convergence y stays the driver of x; at the cap it is one step on
         y = y + lam * (p - x)
-        x_prev = x
-    return tracer.result(x_prev, False, aux={"y": y, "gamma": gamma})
+    return run.result(x, {"y": y, "gamma": gamma})
 
 
 def dykstra_like(
@@ -383,26 +367,20 @@ def dykstra_like(
     minimizer of f + g + ||. - r||^2/2, assuming dom f meets dom g
     (documented, not checked).  Starts at x_0 = r with zero correction terms.
     """
-    stop = stop or StoppingRule()
     r = as_vector(r, f.dim)
     x = r.copy()
     p = np.zeros(f.dim)
     q = np.zeros(f.dim)
-    tracer = _Tracer(
-        stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * norm(v - r) ** 2
-    )
-    for n in range(stop.max_iter):
+    run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * norm(v - r) ** 2)
+    for _ in run:
         y = g.prox(1.0, x + p)
         p = x + p - y
-        x_new = f.prox(1.0, y + q)
-        q = y + q - x_new
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(change, norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True)
-    return tracer.result(x, False)
+        x_prev, x = x, f.prox(1.0, y + q)
+        q = y + q - x
+        change = norm(x - x_prev)
+        if run.done(x, change, _rel(change, norm(x_prev))):
+            break
+    return run.result(x)
 
 
 def dual_forward_backward(
@@ -422,34 +400,26 @@ def dual_forward_backward(
     g* comes from the Moreau decomposition.  Requires ri(dom g) to meet
     ri L(dom h) (documented, not checked).
     """
-    stop = stop or StoppingRule()
     r = as_vector(r, h.dim)
     norm_l = operator_norm(L)
     if norm_l == 0.0:
         raise InvalidParameterError("dual forward-backward needs a nonzero operator")
-    (gamma_spec, g_lo, g_hi), (lam_spec, lam_lo, lam_hi) = _resolve_schedule("fb", schedule, norm_l**2)
+    gamma_at, lam_at = _resolve_schedule("fb", schedule, norm_l**2)
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
-    tracer = _Tracer(
-        stop,
-        lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * norm(v - r) ** 2,
-    )
-    x_prev = r
-    for n in range(stop.max_iter):
-        x = h.prox(1.0, r - L.adjoint(u))
-        gamma = _check_range("gamma", sequence_value(gamma_spec, n), g_lo, g_hi)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
-        u_new = u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
-        u_change = norm(u_new - u)
+    run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * norm(v - r) ** 2)
+    x = r
+    for n in run:
+        x_prev, x = x, h.prox(1.0, r - L.adjoint(u))
+        gamma = gamma_at(n)
+        lam = lam_at(n)
+        u_prev, u = u, u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
         change = norm(x - x_prev)
-        tracer.add(n + 1, x, change)
-        xnorm = norm(x_prev)
-        x_prev = x
-        u = u_new
-        if n > 0 and max(_rel(change, xnorm), _rel(u_change, norm(u))) <= stop.tol:
-            return tracer.result(x, True, aux={"u": u})
-    return tracer.result(x_prev, False, aux={"u": u})
+        measure = max(_rel(change, norm(x_prev)), _rel(norm(u - u_prev), norm(u))) if n else math.inf
+        if run.done(x, change, measure):
+            break
+    return run.result(x, {"u": u})
 
 
 @dataclass(frozen=True)
@@ -537,7 +507,6 @@ def admm(
     when f is None, and ri(dom g) meeting ri L(dom f) (documented, not
     checked).
     """
-    stop = stop or StoppingRule()
     gamma = _positive_gamma(gamma)
     if g.dim != L.rows:
         raise InvalidInputError(f"g has dimension {g.dim}, expected {L.rows}")
@@ -549,21 +518,18 @@ def admm(
         fv = f.eval(v) if f is not None else 0.0
         return fv + g.eval(A @ v)
 
-    tracer = _Tracer(stop, objective)
-    x_prev = None
-    for n in range(stop.max_iter):
+    run = _Run(stop, objective)
+    x = None
+    for _ in run:
         rhs = A.T @ (y - z) + (w * f.center if f is not None else 0.0)
-        x = M_inv @ rhs
+        x_prev, x = x, M_inv @ rhs
         s = A @ x
         y = g.prox(gamma, s + z)
         z = z + s - y
-        change = norm(x - x_prev) if x_prev is not None else math.inf
-        tracer.add(n + 1, x, change if math.isfinite(change) else norm(x))
-        done = x_prev is not None and _rel(change, norm(x_prev)) <= stop.tol
-        x_prev = x
-        if done:
-            return tracer.result(x, True)
-    return tracer.result(x_prev, False)
+        change = norm(x) if x_prev is None else norm(x - x_prev)
+        if run.done(x, change, math.inf if x_prev is None else _rel(change, norm(x_prev))):
+            break
+    return run.result(x)
 
 
 def ppxa(
@@ -584,9 +550,8 @@ def ppxa(
     relative interiors of the domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "ppxa")
-    stop = stop or StoppingRule()
     gamma = _positive_gamma(gamma)
-    _, (lam_spec, lam_lo, lam_hi) = _resolve_schedule("relaxed", schedule)
+    _, lam_at = _resolve_schedule("relaxed", schedule)
 
     ys = (
         [np.zeros(dim) for _ in f_list]
@@ -597,21 +562,18 @@ def ppxa(
         raise InvalidInputError("one starting point per function is required")
     x = _weighted_sum(w, ys, dim)
 
-    tracer = _Tracer(stop, lambda v: float(sum(f.eval(v) for f in f_list)))
-    for n in range(stop.max_iter):
+    run = _Run(stop, lambda v: float(sum(f.eval(v) for f in f_list)))
+    for n in run:
         ps = [f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, ys)]
         p = _weighted_sum(w, ps, dim)
-        lam = _check_range("lambda", sequence_value(lam_spec, n), lam_lo, lam_hi)
+        lam = lam_at(n)
         for i in range(len(ys)):
             ys[i] = ys[i] + lam * (2.0 * p - x - ps[i])
-        x_new = x + lam * (p - x)
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(change, norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True)
-    return tracer.result(x, False)
+        x_prev, x = x, x + lam * (p - x)
+        change = norm(x - x_prev)
+        if run.done(x, change, _rel(change, norm(x_prev))):
+            break
+    return run.result(x)
 
 
 def parallel_dykstra(
@@ -627,7 +589,6 @@ def parallel_dykstra(
     (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "parallel_dykstra")
-    stop = stop or StoppingRule()
     r = as_vector(r, dim)
     x = r.copy()
     zs = [r.copy() for _ in f_list]
@@ -635,19 +596,16 @@ def parallel_dykstra(
     def objective(v: Array) -> float:
         return float(sum(wi * f.eval(v) for wi, f in zip(w, f_list))) + 0.5 * norm(v - r) ** 2
 
-    tracer = _Tracer(stop, objective)
-    for n in range(stop.max_iter):
+    run = _Run(stop, objective)
+    for _ in run:
         ps = [f.prox(1.0, zi) for f, zi in zip(f_list, zs)]
-        x_new = _weighted_sum(w, ps, dim)
+        x_prev, x = x, _weighted_sum(w, ps, dim)
         for i in range(len(zs)):
-            zs[i] = x_new + zs[i] - ps[i]
-        change = norm(x_new - x)
-        tracer.add(n + 1, x_new, change)
-        done = _rel(change, norm(x)) <= stop.tol
-        x = x_new
-        if done:
-            return tracer.result(x, True)
-    return tracer.result(x, False)
+            zs[i] = x + zs[i] - ps[i]
+        change = norm(x - x_prev)
+        if run.done(x, change, _rel(change, norm(x_prev))):
+            break
+    return run.result(x)
 
 
 def sdmm(
@@ -676,7 +634,6 @@ def sdmm(
     for g, L in zip(g_list, L_list):
         if g.dim != L.rows:
             raise InvalidInputError(f"{g.name} has dimension {g.dim}, expected {L.rows}")
-    stop = stop or StoppingRule()
     gamma = _positive_gamma(gamma)
 
     mats = [L.to_dense() for L in L_list]
@@ -697,24 +654,21 @@ def sdmm(
     def objective(v: Array) -> float:
         return float(sum(g.eval(A @ v) for g, A in zip(g_list, mats)))
 
-    tracer = _Tracer(stop, objective)
-    x_prev = None
-    for n in range(stop.max_iter):
+    run = _Run(stop, objective)
+    x = None
+    for _ in run:
         rhs = np.zeros(dim)
         for A, yi, zi in zip(mats, ys, zs):
             rhs += A.T @ (yi - zi)
-        x = Q_inv @ rhs
+        x_prev, x = x, Q_inv @ rhs
         for i, (g, A) in enumerate(zip(g_list, mats)):
             s = A @ x
             ys[i] = g.prox(gamma, s + zs[i])
             zs[i] = zs[i] + s - ys[i]
-        change = norm(x - x_prev) if x_prev is not None else math.inf
-        tracer.add(n + 1, x, change if math.isfinite(change) else norm(x))
-        done = x_prev is not None and _rel(change, norm(x_prev)) <= stop.tol
-        x_prev = x
-        if done:
-            return tracer.result(x, True)
-    return tracer.result(x_prev, False)
+        change = norm(x) if x_prev is None else norm(x - x_prev)
+        if run.done(x, change, math.inf if x_prev is None else _rel(change, norm(x_prev))):
+            break
+    return run.result(x)
 
 
 def fb_fixed_point_residual(f1: ProxFn, f2: SmoothFn, gamma: float, x) -> float:

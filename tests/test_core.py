@@ -15,7 +15,6 @@ from proxsplit.core import (
     identity_map,
     matrix_map,
     operator_norm,
-    sequence_value,
     subgradient_certificate,
 )
 
@@ -195,14 +194,3 @@ class TestFirmNonexpansiveness:
             for _ in range(50):
                 x, y = rng.standard_normal(2) * 3, rng.standard_normal(2) * 3
                 assert firm_nonexpansiveness_violation(f, x, y, gamma=1.0) <= 1e-9
-
-
-class TestSchedule:
-    def test_constant(self):
-        assert sequence_value(0.5, 10) == 0.5
-
-    def test_sequence_holds_last(self):
-        assert sequence_value([0.1, 0.2], 5) == 0.2
-
-    def test_callable(self):
-        assert sequence_value(lambda n: 1.0 / (n + 1), 3) == 0.25

@@ -7,7 +7,8 @@ its admissible interval is rejected as a constant, as a finite sequence that
 leaves the interval at a later entry (before any prox call), and as a
 callable that leaves it at n = 3 (at that iteration); values at and just
 inside each end are accepted.  A schedule field that a solver does not read
-is rejected rather than ignored.
+is rejected rather than ignored.  A finite sequence is read once per solve and
+is held at its last value; an empty one is rejected before any prox call.
 """
 
 from __future__ import annotations
@@ -231,6 +232,54 @@ class TestIntervalEdges:
             assert case.run(_schedule(param, value), RUN).iterations == RUN.max_iter
             assert case.run(_schedule(param, [0.5 * (lo + hi), value]), RUN).iterations == RUN.max_iter
             assert case.run(_schedule(param, lambda n, v=value: v), RUN).iterations == RUN.max_iter
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def _params():
+    for name in CASE_NAMES:
+        for param in make_case(name).intervals(EPS):
+            yield name, param
+
+
+@pytest.mark.parametrize("name,param", list(_params()))
+class TestFiniteSequence:
+    def test_read_once_per_solve(self, name, param):
+        case = make_case(name)
+        lo, hi = case.intervals(EPS)[param]
+        values = CountingList([0.5 * (lo + hi), hi])
+        res = case.run(_schedule(param, values), StoppingRule(tol=1e-300, max_iter=200))
+        assert res.iterations > 50  # a read per iteration would show
+        assert values.reads == 1
+
+    def test_held_at_last_value(self, name, param):
+        case = make_case(name)
+        lo, hi = case.intervals(EPS)[param]
+        a, b = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+
+        def same(s, t):
+            ra, rb = case.run(_schedule(param, s), RUN), case.run(_schedule(param, t), RUN)
+            assert ra.final_x.tobytes() == rb.final_x.tobytes()
+            assert [(r.objective, r.residual) for r in ra.records] == [(r.objective, r.residual) for r in rb.records]
+            assert ra.aux.keys() == rb.aux.keys()
+
+        same([a, b], lambda n: a if n == 0 else b)
+        same([a], lambda n: a)
+        same(a, [a])
+
+    def test_empty_rejected_before_first_prox(self, name, param):
+        case = make_case(name)
+        with pytest.raises(InvalidScheduleError, match="empty schedule sequence"):
+            case.run(_schedule(param, []), RUN)
+        assert case.counted.calls == 0
 
 
 @pytest.mark.parametrize("name", ("forward_backward_const", "douglas_rachford", "ppxa"))
