@@ -166,16 +166,20 @@ def _power_root(c, q, a):
     refused and the solve bisects toward 0 where a/c is small.  There the
     bracket is tightened instead: each term alone reaches a at most at
     min(a, (a/c)^(1/(q-1))) and a/2 at least at min(a/2, (a/2c)^(1/(q-1))), so
-    the root lies between these two points (where they underflow, [0, a]
-    stays).
+    the root lies between these two points.  As in _solve_pole, both bases
+    are widened by _MARGIN against rounding, since where the power term
+    dominates r is within an ulp of 0 at these points; an upper end below the
+    normal range carries too few bits to tighten with ([0, a] stays), and a
+    lower end below it becomes 0.
     """
     e = q - 1.0
     lo, hi = np.zeros_like(a), np.where(a == 0.0, 1.0, a)  # r(0) = 0 at a = 0: the root is the left end
     if np.any(e < 1.0):
         with _quiet():
-            tight_hi = np.minimum(a, (a / c) ** (1.0 / e))
-            tight_lo = np.minimum(0.5 * a, (0.5 * a / c) ** (1.0 / e))
-        tighten = (e < 1.0) & (tight_lo < tight_hi)
+            tight_hi = np.minimum(a, ((1.0 + _MARGIN) * a / c) ** (1.0 / e))
+            tight_lo = np.minimum(0.5 * a, ((1.0 - _MARGIN) * 0.5 * a / c) ** (1.0 / e))
+        tight_lo = np.where(tight_lo < _TINY, 0.0, tight_lo)
+        tighten = (e < 1.0) & (tight_hi >= _TINY) & (tight_lo < tight_hi)
         lo, hi = np.where(tighten, tight_lo, lo), np.where(tighten, tight_hi, hi)
     return _solve_residual(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), lo, hi)
 

@@ -148,6 +148,51 @@ def test_neg_root_prox_eval_at_a_large_input(capsys):
     assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["1e+16", "1e+16"]
 
 
+# q < 2 power proxes where the power term dominates, so that the tightened
+# bracket ends lie within rounding of the root or below the normal range:
+# (kind, the right side a of p + c*p^(q-1) = a at input t and gamma = 1, t).
+# The root lies in ]0, a].
+POWER_NEAR_ZERO = [
+    ("power_abs", lambda q: cat.PowerAbs(1.0, q), lambda t: abs(t), t) for t in (1e-80, 1e-40, 1e-20)
+] + [
+    (name, make, lambda t: abs(t) - 1.0, 1.0 + d)
+    for name, make in (
+        ("abs_quad_power", lambda q: cat.AbsQuadPower(1.0, 0.0, 1.0, q)),
+        ("smooth_plus_support", lambda q: cat.SmoothPlusSupport(cat.PowerAbs(1.0, q), -1.0, 1.0)),
+    )
+    for d in (1e-12, 1e-10, 1e-8)
+]
+
+
+@pytest.mark.parametrize("q", (1.1, 1.3, 1.5, 1.7, 1.9))
+@pytest.mark.parametrize("name,make,arg,t", POWER_NEAR_ZERO, ids=[f"{c[0]}-{c[3]!r}" for c in POWER_NEAR_ZERO])
+def test_power_kinds_below_q2_near_zero(name, make, arg, t, q):
+    kind, a = make(q), arg(t)
+    for x in (t, -t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = kind.prox(x, 1.0)
+        assert math.isfinite(p) and abs(p) <= a and p * x >= 0.0, (x, p)
+
+
+@pytest.mark.parametrize(
+    "kind,params,x",
+    (
+        ("power_abs", '{"kappa": 1.0, "q": 1.3}', "1e-20"),
+        ("abs_quad_power", '{"omega": 1.0, "tau": 0.0, "kappa": 1.0, "q": 1.3}', "1.00000000001"),
+    ),
+)
+def test_power_prox_eval_near_zero(capsys, kind, params, x):
+    assert main(["prox-eval", "--kind", kind, "--params", params, "--x", x]) == 0
+    p = float(capsys.readouterr().out.splitlines()[1].split()[1])
+    assert 0.0 < p < 1e-30
+
+
+def test_smooth_plus_support_power_just_past_the_support():
+    p = cat.SmoothPlusSupport(cat.PowerAbs(1.0, 1.3), -1.0, 1.0).prox(1.0 + 1e-12)
+    assert 0.0 < p < 1e-30
+
+
 # the four kinds with a pole at 0 and their residuals, written independently
 # of the catalog, as functions of (p, t, gamma, q, omega, kappa, alpha)
 POLE_KINDS = {
