@@ -269,7 +269,6 @@ class TestFiniteSequence:
             ra, rb = case.run(_schedule(param, s), RUN), case.run(_schedule(param, t), RUN)
             assert ra.final_x.tobytes() == rb.final_x.tobytes()
             assert [(r.objective, r.residual) for r in ra.records] == [(r.objective, r.residual) for r in rb.records]
-            assert ra.aux.keys() == rb.aux.keys()
 
         same([a, b], lambda n: a if n == 0 else b)
         same([a], lambda n: a)
