@@ -214,14 +214,6 @@ def _branches(f_list, weights, solver: str):
     return f_list, dim, w
 
 
-def _weighted_sum(w: Array, vs, dim: int) -> Array:
-    """sum_i w_i v_i, accumulated from zero in ascending branch order."""
-    total = np.zeros(dim)
-    for wi, vi in zip(w, vs):
-        total = total + wi * vi
-    return total
-
-
 def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
     """Cyclic projections x_{n+1} = P_{C_1} ... P_{C_m} x_n.
 
@@ -545,30 +537,27 @@ def ppxa(
     Each branch applies p_{i,n} = prox_{gamma f_i / omega_i}(y_{i,n}); the
     weighted average p_n drives both the branch updates and the monitored
     iterate x_{n+1} = x_n + lambda_n (p_n - x_n), lambda_n in [eps, 2 - eps].
-    Branch proxes are independent (safe to dispatch concurrently); the
-    reductions run in ascending branch order for determinism.  Requires the
-    relative interiors of the domains to intersect (documented, not checked).
+    The branch states are the rows of one m x n array, and p_n is one
+    product w @ P over the stacked branch proxes, which are independent and
+    called in ascending order.  Requires the relative interiors of the
+    domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "ppxa")
     gamma = _positive_gamma(gamma)
     _, lam_at = _resolve_schedule("relaxed", schedule)
 
-    ys = (
-        [np.zeros(dim) for _ in f_list]
-        if y0_list is None
-        else [as_vector(y, dim).copy() for y in y0_list]
-    )
-    if len(ys) != len(f_list):
+    Y = np.zeros((len(f_list), dim)) if y0_list is None else np.array([as_vector(y, dim) for y in y0_list])
+    if len(Y) != len(f_list):
         raise InvalidInputError("one starting point per function is required")
-    x = _weighted_sum(w, ys, dim)
+    x = w @ Y
 
-    run = _Run(stop, lambda v: float(sum(f.eval(v) for f in f_list)))
+    run = _Run(stop, lambda v: float(np.sum([f.eval(v) for f in f_list])))
     for n in run:
-        ps = [f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, ys)]
-        p = _weighted_sum(w, ps, dim)
+        # a new array: a prox may return its argument, a row of Y
+        P = np.array([f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, Y)])
+        p = w @ P
         lam = lam_at(n)
-        for i in range(len(ys)):
-            ys[i] = ys[i] + lam * (2.0 * p - x - ps[i])
+        Y += lam * (2.0 * p - x - P)
         x_prev, x = x, x + lam * (p - x)
         change = norm(x - x_prev)
         if run.done(x, change, _rel(change, norm(x_prev))):
@@ -584,24 +573,25 @@ def parallel_dykstra(
 ) -> SolveResult:
     """Parallel Dykstra-like algorithm for min sum_i omega_i f_i + ||.-r||^2/2.
 
-    Starts at x_0 = r with branch states z_{i,0} = r; the weighted average of
-    the branch proxes is the next iterate.  Requires the domains to intersect
-    (documented, not checked).
+    Starts at x_0 = r with branch states z_{i,0} = r, the rows of one m x n
+    array; the next iterate is one product w @ P over the stacked branch
+    proxes.  Requires the domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "parallel_dykstra")
     r = as_vector(r, dim)
     x = r.copy()
-    zs = [r.copy() for _ in f_list]
+    Z = np.tile(r, (len(f_list), 1))
 
     def objective(v: Array) -> float:
-        return float(sum(wi * f.eval(v) for wi, f in zip(w, f_list))) + 0.5 * norm(v - r) ** 2
+        return float(w @ [f.eval(v) for f in f_list]) + 0.5 * norm(v - r) ** 2
 
     run = _Run(stop, objective)
     for _ in run:
-        ps = [f.prox(1.0, zi) for f, zi in zip(f_list, zs)]
-        x_prev, x = x, _weighted_sum(w, ps, dim)
-        for i in range(len(zs)):
-            zs[i] = x + zs[i] - ps[i]
+        # a new array: a prox may return its argument, a row of Z
+        P = np.array([f.prox(1.0, zi) for f, zi in zip(f_list, Z)])
+        x_prev, x = x, w @ P
+        Z += x
+        Z -= P
         change = norm(x - x_prev)
         if run.done(x, change, _rel(change, norm(x_prev))):
             break
@@ -618,11 +608,12 @@ def sdmm(
 ) -> SolveResult:
     """Simultaneous-direction method of multipliers for min sum_i g_i(L_i x).
 
-    Q = sum_i L_i^T L_i must be invertible.  On entry to the solve it is
-    checked by Cholesky and inverted through one eigendecomposition, so each
-    x-step, Q x = sum_i L_i^T (y_{i,n} - z_{i,n}), is one matrix-vector
-    product.  Each branch then applies prox_{gamma g_i} and a multiplier
-    update.  Branch updates run in ascending index order for determinism.
+    With M = [L_1; ...; L_m] and y, z single vectors over M's rows,
+    Q = M^T M must be invertible.  On entry to the solve it is checked by
+    Cholesky and inverted through one eigendecomposition, so each x-step,
+    Q x = M^T (y_n - z_n), is two matrix-vector products.  Each branch then
+    applies prox_{gamma g_i} to its block of M x + z, in ascending order, and
+    z updates by the residual.
     """
     g_list = list(g_list)
     L_list = list(L_list)
@@ -636,35 +627,25 @@ def sdmm(
             raise InvalidInputError(f"{g.name} has dimension {g.dim}, expected {L.rows}")
     gamma = _positive_gamma(gamma)
 
-    mats = [L.to_dense() for L in L_list]
-    Q = np.zeros((dim, dim))
-    for A in mats:
-        Q += A.T @ A
-    Q_inv = _spd_inverse(Q, "Q = sum_i L_i^T L_i is singular")
+    M = np.vstack([L.to_dense() for L in L_list])
+    Q_inv = _spd_inverse(M.T @ M, "Q = sum_i L_i^T L_i is singular")
+    cuts = np.cumsum([L.rows for L in L_list])[:-1]
 
-    def starts(v0s) -> list:
-        if v0s is None:
-            return [np.zeros(L.rows) for L in L_list]
-        return [as_vector(v, L.rows).copy() for v, L in zip(v0s, L_list)]
-
-    ys, zs = starts(y0s), starts(z0s)
-    if len(ys) != len(g_list) or len(zs) != len(g_list):
+    y, z = (
+        np.zeros(len(M)) if v0s is None
+        else np.concatenate([np.zeros(0)] + [as_vector(v, L.rows) for v, L in zip(v0s, L_list)])
+        for v0s in (y0s, z0s)
+    )
+    if not len(y) == len(z) == len(M):
         raise InvalidInputError("one starting pair per branch is required")
 
-    def objective(v: Array) -> float:
-        return float(sum(g.eval(A @ v) for g, A in zip(g_list, mats)))
-
-    run = _Run(stop, objective)
+    run = _Run(stop, lambda v: float(np.sum([g.eval(s) for g, s in zip(g_list, np.split(M @ v, cuts))])))
     x = None
     for _ in run:
-        rhs = np.zeros(dim)
-        for A, yi, zi in zip(mats, ys, zs):
-            rhs += A.T @ (yi - zi)
-        x_prev, x = x, Q_inv @ rhs
-        for i, (g, A) in enumerate(zip(g_list, mats)):
-            s = A @ x
-            ys[i] = g.prox(gamma, s + zs[i])
-            zs[i] = zs[i] + s - ys[i]
+        x_prev, x = x, Q_inv @ (M.T @ (y - z))
+        v = M @ x + z
+        y = np.concatenate([g.prox(gamma, vi) for g, vi in zip(g_list, np.split(v, cuts))])
+        z = v - y
         change = norm(x) if x_prev is None else norm(x - x_prev)
         if run.done(x, change, math.inf if x_prev is None else _rel(change, norm(x_prev))):
             break

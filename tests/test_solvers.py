@@ -6,7 +6,9 @@ import pytest
 from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.core import (
+    InvalidInputError,
     InvalidParameterError,
+    ProxFn,
     InvalidScheduleError,
     PreconditionError,
     Schedule,
@@ -459,6 +461,47 @@ class TestPpxa:
         with pytest.raises(InvalidParameterError):
             ppxa([f, f], [1.2, -0.2])
 
+    def _lasso_split(self):
+        A, y, w = lasso_fixture()
+        f_box = sets.indicator(sets.Box(np.full(3, -10.0), np.full(3, 10.0)))
+        return [cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w), f_box], np.full(3, 1 / 3)
+
+    def test_zero_starts_give_the_default_bytes(self):
+        f_list, w = self._lasso_split()
+        ref = ppxa(f_list, w, stop=TIGHT)
+        res = ppxa(f_list, w, y0_list=[np.zeros(3)] * 3, stop=TIGHT)
+        assert res.final_x.tobytes() == ref.final_x.tobytes()
+        assert res.iterations == ref.iterations
+        assert [r.residual for r in res.records] == [r.residual for r in ref.records]
+
+    def test_start_values_are_left_unchanged(self):
+        f_list, w = self._lasso_split()
+        y0 = [np.random.default_rng(k).standard_normal(3) for k in range(3)]
+        kept = [y.copy() for y in y0]
+        res = ppxa(f_list, w, y0_list=y0, stop=TIGHT)
+        assert all(np.array_equal(a, b) for a, b in zip(y0, kept))
+        ref = ppxa(f_list, w, stop=TIGHT)
+        assert np.max(np.abs(res.final_x - ref.final_x)) <= 1e-6
+
+    def test_start_count_and_dimension(self):
+        f_list, w = self._lasso_split()
+        for y0 in ([np.zeros(3)] * 2, [np.zeros(3)] * 4, []):
+            with pytest.raises(InvalidInputError, match="one starting point per function is required"):
+                ppxa(f_list, w, y0_list=y0)
+        with pytest.raises(InvalidInputError, match="expected a vector of dimension 3, got 2"):
+            ppxa(f_list, w, y0_list=[np.zeros(3), np.zeros(2), np.zeros(3)])
+
+    def test_branch_prox_returning_its_argument(self):
+        # zero_fn's prox returns its argument itself, a row of the branch states
+        A, y, w = lasso_fixture()
+        f_quad, f_l1 = cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w)
+        copying = ProxFn(dim=3, value=lambda x: 0.0, prox_impl=lambda gamma, x: x.copy())
+        res = ppxa([f_quad, f_l1, cat.zero_fn(3)], np.full(3, 1 / 3), stop=TIGHT)
+        ref = ppxa([f_quad, f_l1, copying], np.full(3, 1 / 3), stop=TIGHT)
+        assert res.final_x.tobytes() == ref.final_x.tobytes()
+        lasso = fista(f_l1, least_squares_smooth(matrix_map(A), y), stop=TIGHT)
+        assert np.max(np.abs(res.final_x - lasso.final_x)) <= 1e-6
+
 
 class TestParallelDykstra:
     def test_halfplane_pair(self):
@@ -478,6 +521,16 @@ class TestParallelDykstra:
         r = np.array([2.0, -4.0])
         res = parallel_dykstra([f, f], [0.5, 0.5], r, stop=TIGHT)
         assert np.allclose(res.final_x, r / 2.0, atol=1e-8)
+
+    def test_branch_prox_returning_its_argument(self):
+        # min 0 + (1/2)||x - c||^2 + (1/2)||x - r||^2 has minimizer (c + r)/2
+        r, c = np.array([2.0, -4.0]), np.array([1.0, 1.0])
+        copying = ProxFn(dim=2, value=lambda x: 0.0, prox_impl=lambda gamma, x: x.copy())
+        f = cat.quadratic_deviation(c, 2.0)
+        res = parallel_dykstra([cat.zero_fn(2), f], [0.5, 0.5], r, stop=TIGHT)
+        ref = parallel_dykstra([copying, f], [0.5, 0.5], r, stop=TIGHT)
+        assert res.final_x.tobytes() == ref.final_x.tobytes()
+        assert np.allclose(res.final_x, (c + r) / 2.0, atol=1e-8)
 
 
 class TestSdmm:
@@ -499,6 +552,106 @@ class TestSdmm:
         L = matrix_map(np.array([[1.0, 0.0]]))
         with pytest.raises(PreconditionError):
             sdmm([g], [L])
+
+    def _lasso_split(self):
+        A, y, w = lasso_fixture()
+        return [cat.quadratic_deviation(y, 1.0), cat.weighted_l1(w)], [matrix_map(A), identity_map(3)]
+
+    def test_zero_starts_give_the_default_bytes(self):
+        g_list, L_list = self._lasso_split()
+        ref = sdmm(g_list, L_list, stop=TIGHT)
+        zeros = [np.zeros(5), np.zeros(3)]
+        res = sdmm(g_list, L_list, y0s=zeros, z0s=zeros, stop=TIGHT)
+        assert res.final_x.tobytes() == ref.final_x.tobytes()
+        assert res.iterations == ref.iterations
+        assert [r.residual for r in res.records] == [r.residual for r in ref.records]
+
+    def test_start_values_are_left_unchanged(self):
+        g_list, L_list = self._lasso_split()
+        rng = np.random.default_rng(4)
+        y0s = [rng.standard_normal(5), rng.standard_normal(3)]
+        z0s = [rng.standard_normal(5), rng.standard_normal(3)]
+        kept = [v.copy() for v in y0s + z0s]
+        res = sdmm(g_list, L_list, y0s=y0s, z0s=z0s, stop=TIGHT)
+        assert all(np.array_equal(a, b) for a, b in zip(y0s + z0s, kept))
+        ref = sdmm(g_list, L_list, stop=TIGHT)
+        assert np.max(np.abs(res.final_x - ref.final_x)) <= 1e-6
+
+    def test_start_count_and_dimension(self):
+        g_list, L_list = self._lasso_split()
+        for y0s, z0s in (([np.zeros(5)], None), (None, [np.zeros(5)]), ([], [])):
+            with pytest.raises(InvalidInputError, match="one starting pair per branch is required"):
+                sdmm(g_list, L_list, y0s=y0s, z0s=z0s)
+        with pytest.raises(InvalidInputError, match="expected a vector of dimension 5, got 3"):
+            sdmm(g_list, L_list, y0s=[np.zeros(3), np.zeros(3)])
+        with pytest.raises(InvalidInputError, match="expected a vector of dimension 3, got 5"):
+            sdmm(g_list, L_list, z0s=[np.zeros(5), np.zeros(5)])
+
+
+def _loop_average(w, vs):
+    """sum_i w_i v_i accumulated branch by branch: the reference for the
+    solvers' one-product reductions."""
+    total = np.zeros_like(vs[0])
+    for wi, vi in zip(w, vs):
+        total = total + wi * vi
+    return total
+
+
+class TestStackedReductions:
+    """The stacked solvers against loop forms of the same iterations, run for
+    a fixed count.  The products sum in BLAS's order, so the iterates may move
+    in the last bits; 1e-12 is a few thousand float64 roundings at these
+    magnitudes."""
+
+    N = 30
+    CAP = StoppingRule(tol=1e-300, max_iter=N)
+
+    def test_ppxa(self):
+        A, y, w = lasso_fixture()
+        f_box = sets.indicator(sets.Box(np.full(3, -10.0), np.full(3, 10.0)))
+        f_list = [cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w), f_box]
+        weights, gamma, lam = np.array([0.5, 0.3, 0.2]), 0.7, 1.5
+        ys = [np.full(3, float(k)) for k in range(3)]
+        res = ppxa(f_list, weights, gamma=gamma, schedule=Schedule(lam=lam), y0_list=ys, stop=self.CAP)
+        x = _loop_average(weights, ys)
+        for _ in range(self.N):
+            ps = [f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, weights, ys)]
+            p = _loop_average(weights, ps)
+            ys = [yi + lam * (2.0 * p - x - pi) for yi, pi in zip(ys, ps)]
+            x = x + lam * (p - x)
+        assert res.iterations == self.N
+        assert np.max(np.abs(res.final_x - x)) <= 1e-12
+
+    def test_parallel_dykstra(self):
+        A, y, w = lasso_fixture()
+        f_list = [cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w)]
+        weights, r = np.array([0.6, 0.4]), np.array([1.0, -2.0, 0.5])
+        res = parallel_dykstra(f_list, weights, r, stop=self.CAP)
+        zs = [r.copy() for _ in f_list]
+        for _ in range(self.N):
+            ps = [f.prox(1.0, zi) for f, zi in zip(f_list, zs)]
+            x = _loop_average(weights, ps)
+            zs = [x + zi - pi for zi, pi in zip(zs, ps)]
+        assert res.iterations == self.N
+        assert np.max(np.abs(res.final_x - x)) <= 1e-12
+
+    def test_sdmm(self):
+        A, y, w = lasso_fixture()
+        B = np.random.default_rng(3).standard_normal((4, 3))
+        g_list = [cat.quadratic_deviation(y, 1.0), cat.weighted_l1(w), cat.weighted_l1(np.full(4, 0.2))]
+        mats = [A, np.eye(3), B]
+        gamma = 0.8
+        res = sdmm(g_list, [matrix_map(M) for M in mats], gamma=gamma, stop=self.CAP)
+        Q_inv = np.linalg.inv(sum(M.T @ M for M in mats))
+        ys = [np.zeros(len(M)) for M in mats]
+        zs = [np.zeros(len(M)) for M in mats]
+        for _ in range(self.N):
+            x = Q_inv @ _loop_average(np.ones(3), [M.T @ (yi - zi) for M, yi, zi in zip(mats, ys, zs)])
+            ss = [M @ x for M in mats]
+            ys = [g.prox(gamma, s + zi) for g, s, zi in zip(g_list, ss, zs)]
+            zs = [zi + s - yi for zi, s, yi in zip(zs, ss, ys)]
+        assert res.iterations == self.N
+        assert np.max(np.abs(res.final_x - x)) <= 1e-12
 
 
 class TestStoppingRule:
