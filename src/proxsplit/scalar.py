@@ -24,7 +24,7 @@ __all__ = [
 
 
 class BracketingError(RuntimeError):
-    """No sign change found after the allowed bracket expansions."""
+    """A bracket without g(lo) <= 0 <= g(hi), or g evaluated to NaN."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def _values(g, p, shape, where: str):
 
 
 def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200, dg=None):
-    """Elementwise root of a continuous monotone g with a sign change across
-    the bracket.
+    """Elementwise root of a continuous increasing g with g(lo) <= 0 <= g(hi)
+    on every element's bracket.
 
     ``g`` maps an array of points, one per element of the bracket, to the
     array of values there.  Bisection is the backbone.  When ``dg`` (the
@@ -73,30 +73,21 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
     sign there, no float is left strictly inside.  An element stops, and its
     point is frozen, at the first point p with |g(p)| <= tol, or once its
     bracket is no wider than tol or holds no float strictly inside.  An
-    element whose initial bracket shows no sign change has it symmetrically
-    doubled, up to 64 times, before BracketingError is raised, as it is when g
-    is NaN anywhere it is evaluated.  A scalar bracket gives a float.
+    element whose bracket fails g(lo) <= 0 <= g(hi) raises BracketingError
+    naming that bracket before any step, as does g evaluated to NaN anywhere.
+    A scalar bracket gives a float.
     """
     lo, hi = np.broadcast_arrays(bracket.lo, bracket.hi)
     shape = lo.shape
     lo, hi = np.array(lo, dtype=float).reshape(-1), np.array(hi, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         glo, ghi = _values(g, lo, shape, "on the bracket"), _values(g, hi, shape, "on the bracket")
-        for expansions in range(65):
-            grow = glo * ghi > 0.0
-            if not np.count_nonzero(grow):
-                break
-            if expansions == 64:
-                k = int(np.argmax(grow))
-                raise BracketingError(f"no sign change on [{lo[k]}, {hi[k]}] after 64 doublings")
-            w = 0.5 * (hi - lo)
-            lo, hi = np.where(grow, lo - w, lo), np.where(grow, hi + w, hi)
-            glo = np.where(grow, _values(g, lo, shape, "while expanding the bracket"), glo)
-            ghi = np.where(grow, _values(g, hi, shape, "while expanding the bracket"), ghi)
+        bad = (glo > 0.0) | (ghi < 0.0)
+        if np.count_nonzero(bad):
+            k = int(np.argmax(bad))
+            raise BracketingError(f"g(lo) <= 0 <= g(hi) fails on [{lo[k]}, {hi[k]}]: g = {glo[k]}, {ghi[k]}")
         active = (glo != 0.0) & (ghi != 0.0)
         p = np.where(glo == 0.0, lo, hi)
-        # orient every element so that g increases across its bracket
-        sign = np.where(ghi < 0.0, -1.0, 1.0) if np.count_nonzero(ghi < 0.0) else None
         # p of an element stays put once the element has met its stopping test.
         # Step lengths for the Newton test: the first point is the midpoint,
         # and the step before it counts as the whole bracket width.
@@ -106,8 +97,6 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
         gp = glo
         for _ in range(max_iter):
             gp = _flat_call(g, p, shape)
-            if sign is not None:
-                gp = gp * sign
             # p on an end of its bracket: no float lies strictly inside.  A NaN
             # fails |g| > tol, so its element stops where g was NaN.
             active &= (np.abs(gp) > tol) & (width > tol) & (p > lo) & (p < hi)
@@ -119,10 +108,7 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
             length = 0.5 * width
             nxt = lo + length
             if dg is not None:
-                # the step is gp/dg in either orientation
                 step = gp / _flat_call(dg, p, shape)
-                if sign is not None:
-                    step = step * sign
                 newton, newton_length = p - step, np.abs(step)
                 # p is now an end of its bracket, so the midpoint lies toward the far end
                 np.nextafter(p, nxt, out=newton, where=(newton == p) & active)

@@ -40,10 +40,6 @@ class TestSolveMonotone:
     def test_cubic(self):
         assert solve_monotone(lambda p: p**3 - 8.0, Bracket(0.0, 10.0)) == pytest.approx(2.0, abs=1e-11)
 
-    def test_expands_bracket(self):
-        root = solve_monotone(lambda p: p - 50.0, Bracket(0.0, 1.0))
-        assert root == pytest.approx(50.0, abs=1e-9)
-
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketingError):
             solve_monotone(lambda p: p * p + 1.0, Bracket(-1.0, 1.0))
@@ -56,8 +52,9 @@ class TestSolveMonotone:
         assert root == pytest.approx(1.0, abs=1e-13)
 
     def test_decreasing_orientation(self):
-        root = solve_monotone(lambda p: 3.0 - p, Bracket(0.0, 10.0))
-        assert root == pytest.approx(3.0, abs=1e-11)
+        # g must increase across the bracket: g(lo) <= 0 <= g(hi)
+        with pytest.raises(BracketingError, match=r"\[0\.0, 10\.0\]"):
+            solve_monotone(lambda p: 3.0 - p, Bracket(0.0, 10.0))
 
     @given(
         root=st.floats(-50.0, 50.0),
