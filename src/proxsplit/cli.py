@@ -273,8 +273,6 @@ def _cmd_solve(args) -> int:
         cfg = RunConfig.from_dict(json.load(fh))
     if args.solver:
         cfg = RunConfig(**{**cfg.to_dict(), "solver": args.solver})
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.to_dict(), "seed": args.seed})
     instance = build_instance(cfg)
     schedule = parse_schedule(cfg.schedule)
     stop = parse_stop(cfg.stop, tol=args.tol, max_iter=args.max_iter)
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="JSON result output path")
     p_solve.add_argument("--tol", type=float, default=None, help="override stopping tolerance")
     p_solve.add_argument("--max-iter", type=int, default=None, help="override iteration cap")
-    p_solve.add_argument("--seed", type=int, default=None, help="seed recorded with the run")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_prox = sub.add_parser("prox-eval", help="evaluate a scalar prox kind on a list of points")
@@ -389,8 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a run that did not converge
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except ConfigError as exc:

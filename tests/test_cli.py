@@ -263,6 +263,46 @@ class TestConfigDiagnostics:
         assert main(["solve", "--config", str(path)]) == 1
 
 
+class TestUsageErrors:
+    """Command-line usage errors exit 1, like every other error; 2 means a run
+    that did not converge."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--config", "cfg.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["solve"], "the following arguments are required: --config"),
+            (["solve", "--config", "cfg.json", "--tol", "abc"], "invalid float value: 'abc'"),
+            (["solve", "--config", "cfg.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["resolve", "--config", "cfg.json"], "invalid choice: 'resolve'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_one(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["check", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: proxsplit" in capsys.readouterr().out
+
+    def test_usage_error_exit_status_of_the_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(proxsplit.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "proxsplit", "solve", "--config", "cfg.json", "--bogus"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "unrecognized arguments: --bogus" in proc.stderr
+
+
 class TestProxEval:
     def test_soft_threshold_table(self, capsys):
         code = main(
