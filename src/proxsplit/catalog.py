@@ -31,6 +31,7 @@ steps from r'.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -42,6 +43,7 @@ from .core import (
     LinearMap,
     PreconditionError,
     ProxFn,
+    as_real,
     as_vector,
     norm,
 )
@@ -189,9 +191,23 @@ def _soft(t, a, b):
     return t - np.minimum(np.maximum(t, a), b)
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args) -> None:  # formats msg only on failure
     if not cond:
-        raise InvalidParameterError(msg)
+        raise InvalidParameterError(msg.format(*args))
+
+
+# (above, at_least) bounds of ``as_real`` per numeric parameter, the same in every kind
+_PARAM_RULES = {
+    **dict.fromkeys(("omega", "kappa", "k_lo", "k_hi"), (0.0, None)),
+    "q": (1.0, None),
+    "tau": (None, 0.0),
+    **dict.fromkeys(("alpha", "lo", "hi"), (None, None)),
+}
+
+
+@functools.cache
+def _checked_params(cls) -> tuple:
+    return tuple((f.name, _PARAM_RULES[f.name]) for f in fields(cls) if f.name in _PARAM_RULES)
 
 
 class ScalarKind:
@@ -202,8 +218,13 @@ class ScalarKind:
     gives an array of the same shape.  Subclasses implement ``_value`` and
     ``_prox`` on arrays, in expressions that also broadcast over the
     parameters, since ``separable`` calls them on kinds whose parameters are
-    stacked into arrays.
+    stacked into arrays.  Construction checks each numeric parameter against
+    ``_PARAM_RULES`` and stores it as a float.
     """
+
+    def __post_init__(self):
+        for name, rule in _checked_params(type(self)):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, *rule))
 
     def value(self, t):
         return _like(t, self._value(np.asarray(t, dtype=float)))
@@ -234,8 +255,10 @@ class Interval(ScalarKind):
     hi: float = math.inf
 
     def __post_init__(self):
-        _require(not math.isnan(self.lo) and not math.isnan(self.hi), "bounds must not be NaN")
-        _require(self.lo < self.hi, f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        for name in ("lo", "hi"):  # unlike the table's finite rule, a bound may be infinite
+            v = getattr(self, name)
+            object.__setattr__(self, name, v if isinstance(v, (float, np.floating)) and math.isinf(v) else as_real(v, name))
+        _require(self.lo < self.hi, "interval needs lo < hi, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         return np.where((self.lo - _DOMAIN_SLACK <= t) & (t <= self.hi + _DOMAIN_SLACK), 0.0, math.inf)
@@ -253,8 +276,8 @@ class IntervalSupport(ScalarKind):
     hi: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
-        _require(self.lo < self.hi, f"support interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        super().__post_init__()
+        _require(self.lo < self.hi, "support interval needs lo < hi, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         return np.maximum(self.lo * t, self.hi * t)
@@ -273,9 +296,9 @@ class SmoothPlusSupport(ScalarKind):
     hi: float
 
     def __post_init__(self):
+        super().__post_init__()
         _require(isinstance(self.psi, ScalarKind), "psi must be a ScalarKind")
-        _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
-        _require(self.lo < self.hi, f"support interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        _require(self.lo < self.hi, "support interval needs lo < hi, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         return self.psi._value(t) + np.maximum(self.lo * t, self.hi * t)
@@ -293,9 +316,6 @@ class Deadzone(ScalarKind):
 
     omega: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-
     def _value(self, t):
         return np.maximum(np.abs(t) - self.omega, 0.0)
 
@@ -312,10 +332,6 @@ class PowerAbs(ScalarKind):
     kappa: float
     q: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
-
     def _value(self, t):
         return self.kappa * np.abs(t) ** self.q
 
@@ -331,10 +347,6 @@ class Huber(ScalarKind):
 
     kappa: float
     omega: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
     def _value(self, t):
         a, root = np.abs(t), np.sqrt(2.0 * self.kappa)
@@ -358,12 +370,6 @@ class AbsQuadPower(ScalarKind):
     kappa: float
     q: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-        _require(math.isfinite(self.tau) and self.tau >= 0, "tau must be >= 0")
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
-
     def _value(self, t):
         a = np.abs(t)
         return self.omega * a + self.tau * t * t + self.kappa * a**self.q
@@ -380,9 +386,6 @@ class AbsMinusLog(ScalarKind):
     """omega*|t| - ln(1 + omega*|t|): sublinear near 0, linear tails."""
 
     omega: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
     def _value(self, t):
         a = self.omega * np.abs(t)
@@ -401,9 +404,6 @@ class LinearNonneg(ScalarKind):
 
     omega: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-
     def _value(self, t):
         return np.where(t < -_DOMAIN_SLACK, math.inf, self.omega * np.maximum(t, 0.0))
 
@@ -421,10 +421,6 @@ class NegRoot(ScalarKind):
 
     omega: float
     q: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-        _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
     def _value(self, t):
         return np.where(t < -_DOMAIN_SLACK, math.inf, -self.omega * np.maximum(t, 0.0) ** (1.0 / self.q))
@@ -452,10 +448,6 @@ class InversePower(ScalarKind):
 
     omega: float
     q: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-        _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
 
     def _value(self, t):
         with _quiet():
@@ -496,8 +488,8 @@ class LogThreshold(ScalarKind):
     hi: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
-        _require(self.lo < 0.0 < self.hi, f"needs lo < 0 < hi, got [{self.lo}, {self.hi}]")
+        super().__post_init__()
+        _require(self.lo < 0.0 < self.hi, "needs lo < 0 < hi, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         with _quiet():
@@ -520,11 +512,6 @@ class LogQuadratic(ScalarKind):
     kappa: float
     tau: float = 0.0
     alpha: float = 0.0
-
-    def __post_init__(self):
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.tau) and self.tau >= 0, "tau must be >= 0")
-        _require(math.isfinite(self.alpha), "alpha must be finite")
 
     def _value(self, t):
         with _quiet():
@@ -550,11 +537,6 @@ class LogInverse(ScalarKind):
     kappa: float
     alpha: float
     omega: float
-
-    def __post_init__(self):
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.alpha), "alpha must be finite")
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
 
     def _value(self, t):
         with _quiet():
@@ -586,11 +568,6 @@ class LogPower(ScalarKind):
     omega: float
     q: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(math.isfinite(self.omega) and self.omega > 0, "omega must be > 0")
-        _require(math.isfinite(self.q) and self.q > 1, "q must be > 1")
-
     def _value(self, t):
         with _quiet():
             return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + self.omega * t**self.q)
@@ -619,10 +596,8 @@ class IntervalLogBarrier(ScalarKind):
     k_hi: float
 
     def __post_init__(self):
-        _require(math.isfinite(self.lo) and math.isfinite(self.hi), "endpoints must be finite")
-        _require(self.lo < self.hi, f"barrier needs lo < hi, got [{self.lo}, {self.hi}]")
-        _require(math.isfinite(self.k_lo) and self.k_lo > 0, "k_lo must be > 0")
-        _require(math.isfinite(self.k_hi) and self.k_hi > 0, "k_hi must be > 0")
+        super().__post_init__()
+        _require(self.lo < self.hi, "barrier needs lo < hi, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         with _quiet():
@@ -668,11 +643,7 @@ SCALAR_KINDS = {
 
 def scalar_prox(kind: ScalarKind, x: float, gamma: float = 1.0) -> float:
     """Minimizer of gamma*phi(p) + 0.5*(x - p)^2 for the given scalar kind."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"prox scale must be positive, got {gamma}")
-    if not math.isfinite(x):
-        raise InvalidParameterError(f"prox input must be finite, got {x}")
-    return kind.prox(float(x), float(gamma))
+    return kind.prox(as_real(x, "x"), as_real(gamma, "gamma", above=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +768,7 @@ def zero_fn(dim: int) -> ProxFn:
 def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||x - r||^2 with its closed-form prox."""
     r = as_vector(r)
-    w = float(weight)
-    if not (np.isfinite(w) and w > 0):
-        raise InvalidParameterError(f"weight must be > 0, got {w}")
+    w = as_real(weight, "weight", above=0.0)
 
     def value(x: Array) -> float:
         return 0.5 * w * norm(x - r) ** 2
@@ -813,9 +782,7 @@ def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
 
 def scaled(base: ProxFn, coeff: float) -> ProxFn:
     """coeff * f for coeff > 0; the scale folds into the prox parameter."""
-    coeff = float(coeff)
-    if not (np.isfinite(coeff) and coeff > 0):
-        raise InvalidParameterError(f"scaling coefficient must be > 0, got {coeff}")
+    coeff = as_real(coeff, "coeff", above=0.0)
     return ProxFn(
         dim=base.dim,
         value=lambda x: coeff * base.value(x),
@@ -838,9 +805,8 @@ def translated(base: ProxFn, z) -> ProxFn:
 
 def arg_scaled(base: ProxFn, rho: float) -> ProxFn:
     """x |-> f(x / rho) for rho != 0 (negative rho allowed)."""
-    rho = float(rho)
-    if rho == 0.0 or not np.isfinite(rho):
-        raise InvalidParameterError(f"scaling needs a finite rho != 0, got {rho}")
+    rho = as_real(rho, "rho")
+    _require(rho != 0.0, "rho must be != 0")
     return ProxFn(
         dim=base.dim,
         value=lambda x: base.value(x / rho),
@@ -861,9 +827,7 @@ def reflected(base: ProxFn) -> ProxFn:
 
 def quad_perturbed(base: ProxFn, alpha: float = 0.0, u=None, offset: float = 0.0) -> ProxFn:
     """x |-> f(x) + alpha*||x||^2/2 + u^T x + offset with alpha >= 0."""
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha >= 0.0):
-        raise InvalidParameterError(f"alpha must be >= 0, got {alpha}")
+    alpha = as_real(alpha, "alpha", at_least=0.0)
     u = np.zeros(base.dim) if u is None else as_vector(u, base.dim)
     offset = float(offset)
 
@@ -964,7 +928,7 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
     if L.tight_frame_nu is None:
         raise PreconditionError("composition requires a declared tight-frame constant on L")
     # LinearMap checked L L^T = nu I on random probes when the map was built
-    nu = float(L.tight_frame_nu)
+    nu = L.tight_frame_nu
     if base.dim != L.rows:
         raise InvalidParameterError("base dimension must match the operator range")
 
@@ -993,9 +957,7 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     Eigenvalues are clipped at 0 against rounding.
     """
     y = as_vector(y, L.rows)
-    w = float(weight)
-    if not (np.isfinite(w) and w > 0):
-        raise InvalidParameterError(f"weight must be > 0, got {w}")
+    w = as_real(weight, "weight", above=0.0)
     A = L.to_dense()
     Aty = A.T @ y
     wide = L.rows < L.cols
@@ -1019,9 +981,7 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
 
 def scaled_distance(C, weight: float = 1.0) -> ProxFn:
     """weight * d_C(x); the prox moves toward the projection, by at most the scale."""
-    w = float(weight)
-    if not (np.isfinite(w) and w > 0):
-        raise InvalidParameterError(f"weight must be > 0, got {w}")
+    w = as_real(weight, "weight", above=0.0)
 
     def value(x: Array) -> float:
         return w * C.distance(x)
@@ -1081,9 +1041,7 @@ def support_plus_radial(C, phi: ScalarKind, argmin_max: float = 0.0) -> ProxFn:
     argmin of every strictly-convex-at-0 even phi.
     """
     _check_even(phi)
-    argmin_max = float(argmin_max)
-    if not (np.isfinite(argmin_max) and argmin_max >= 0.0):
-        raise InvalidParameterError("argmin_max must be finite and >= 0")
+    argmin_max = as_real(argmin_max, "argmin_max", at_least=0.0)
 
     def value(x: Array) -> float:
         return C.support(x) + phi.value(float(np.linalg.norm(x)))

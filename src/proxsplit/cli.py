@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -83,19 +83,10 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        if "problem" not in doc:
-            raise ConfigError("config missing required field 'problem'")
-        if "solver" not in doc:
-            raise ConfigError("config missing required field 'solver'")
-        known = {"problem", "solver", "schedule", "stop", "seed", "trace", "out"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"config has unknown field(s): {', '.join(sorted(unknown))}")
+        _config_object(doc, "config", {f.name for f in fields(RunConfig)})
         return RunConfig(
-            problem=doc["problem"],
-            solver=doc["solver"],
+            problem=_field(doc, "problem", "config"),
+            solver=_field(doc, "solver", "config"),
             schedule=doc.get("schedule"),
             stop=doc.get("stop"),
             seed=doc.get("seed"),
@@ -105,6 +96,15 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _config_object(doc, context: str, known: set) -> None:
+    """Require ``doc`` to be a JSON object whose fields are all in ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(doc) - known
+    if unknown:
+        raise ConfigError(f"{context} has unknown field(s): {', '.join(sorted(unknown))}")
 
 
 def _field(doc: dict, name: str, context: str):
@@ -216,14 +216,13 @@ def build_instance(cfg: RunConfig) -> problems.ProblemInstance:
 def parse_schedule(doc: Optional[dict]) -> Optional[Schedule]:
     if doc is None:
         return None
-    known = {"gamma", "lambda", "epsilon"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"schedule has unknown field(s): {', '.join(sorted(unknown))}")
+    _config_object(doc, "schedule", {"gamma", "lambda", "epsilon"})
     return Schedule(gamma=doc.get("gamma"), lam=doc.get("lambda"), epsilon=doc.get("epsilon"))
 
 
 def parse_stop(doc: Optional[dict], tol=None, max_iter=None) -> Optional[solvers.StoppingRule]:
+    if doc is not None:
+        _config_object(doc, "stop", {f.name for f in fields(solvers.StoppingRule)})
     doc = dict(doc or {})
     if tol is not None:
         doc["tol"] = tol
@@ -231,10 +230,6 @@ def parse_stop(doc: Optional[dict], tol=None, max_iter=None) -> Optional[solvers
         doc["max_iter"] = max_iter
     if not doc:
         return None
-    known = {"tol", "max_iter", "objective_dense_until", "objective_stride"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"stop has unknown field(s): {', '.join(sorted(unknown))}")
     return solvers.StoppingRule(**doc)
 
 

@@ -14,6 +14,7 @@ so all objects can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -30,6 +31,7 @@ __all__ = [
     "PreconditionError",
     "UnsupportedFunctionError",
     "as_vector",
+    "as_real",
     "norm",
     "ProxFn",
     "SmoothFn",
@@ -90,6 +92,23 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     return v
 
 
+def as_real(value, name: str, above: Optional[float] = None, at_least: Optional[float] = None) -> float:
+    """Validate ``value`` as a finite real number, optionally ``> above`` or
+    ``>= at_least``, and return it as a float: the scalar counterpart of
+    ``as_vector``.  A bool is not a number here; anything else raises
+    ``InvalidParameterError`` naming the parameter and the value."""
+    try:  # a float skips the ABC check, which costs more than the rest
+        real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        v = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
+        v = math.nan
+    if math.isfinite(v) and (above is None or v > above) and (at_least is None or v >= at_least):
+        return v
+    rule = f" > {above:g}" if above is not None else ""
+    rule += f" >= {at_least:g}" if at_least is not None else ""
+    raise InvalidParameterError(f"{name} must be a finite number{rule}, got {value!r}")
+
+
 def norm(v: Array) -> float:
     """Euclidean norm of a 1-D float64 vector, equal bit for bit to
     ``float(np.linalg.norm(v))`` at a fraction of its call cost.
@@ -139,10 +158,7 @@ class SmoothFn:
     name: str = "f"
 
     def __post_init__(self):
-        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise InvalidParameterError(
-                f"gradient Lipschitz constant must be positive, got {self.lipschitz}"
-            )
+        object.__setattr__(self, "lipschitz", as_real(self.lipschitz, "lipschitz", above=0.0))
 
     def eval(self, x) -> float:
         return float(self.value(as_vector(x, self.dim)))
@@ -177,9 +193,8 @@ class LinearMap:
                 f"matrix of shape {np.shape(self.matrix)} does not match {self.rows} x {self.cols}"
             )
         if self.tight_frame_nu is not None:
-            nu = float(self.tight_frame_nu)
-            if not (np.isfinite(nu) and nu > 0):
-                raise InvalidParameterError(f"tight frame constant must be > 0, got {nu}")
+            nu = as_real(self.tight_frame_nu, "tight_frame_nu", above=0.0)
+            object.__setattr__(self, "tight_frame_nu", nu)
             rng = np.random.default_rng(7)
             for _ in range(3):
                 u = rng.standard_normal(self.rows)
@@ -227,7 +242,9 @@ def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> Li
 
 
 def identity_map(n: int) -> LinearMap:
-    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I")
+    """The identity on R^n; it carries its matrix, so ``to_dense`` is a copy."""
+    # np.eye rejects a negative n with a bare ValueError; LinearMap names the error
+    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=np.eye(max(n, 0)))
 
 
 ScalarSequence = Union[float, Sequence[float], Callable[[int], float]]

@@ -25,6 +25,7 @@ from .core import (
     Schedule,
     SmoothFn,
     SolveResult,
+    as_real,
     as_vector,
     matrix_map,
     identity_map,
@@ -330,9 +331,7 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
     n = r.size
     if n < 2:
         raise InvalidParameterError("tv1d needs signal length >= 2")
-    omega = float(omega)
-    if not (np.isfinite(omega) and omega > 0):
-        raise InvalidParameterError(f"omega must be > 0, got {omega}")
+    omega = as_real(omega, "omega", above=0.0)
     dual = {
         "h": catalog.zero_fn(n),
         "g": catalog.weighted_l1(np.full(n - 1, omega)),

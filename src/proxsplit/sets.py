@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -158,12 +158,8 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        center = as_vector(self.center)
-        radius = float(self.radius)
-        if not (np.isfinite(radius) and radius >= 0.0):
-            raise InvalidParameterError(f"ball radius must be >= 0, got {radius}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "radius", as_real(self.radius, "radius", at_least=0.0))
 
     @property
     def dim(self) -> int:

@@ -41,6 +41,7 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    as_real,
     as_vector,
     norm,
     operator_norm,
@@ -79,10 +80,7 @@ class StoppingRule:
     objective_stride: int = 10
 
     def __post_init__(self):
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise InvalidParameterError(f"tol must be a number, got {self.tol!r}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
+        object.__setattr__(self, "tol", as_real(self.tol, "tol", above=0.0))
         for name, least in (("max_iter", 1), ("objective_dense_until", 0), ("objective_stride", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -188,13 +186,6 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
         gamma = lambda n: step
     lam_hi = 1.0 if kind == "fb" else (1.5 - eps if kind == "const" else 2.0 - eps)
     return gamma, _sequence("lambda", sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
-
-
-def _positive_gamma(gamma) -> float:
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise InvalidParameterError(f"gamma must be > 0, got {gamma}")
-    return gamma
 
 
 def _branches(f_list, weights, solver: str):
@@ -332,7 +323,7 @@ def douglas_rachford(
     (x_n) assumes ri(dom f1) meets ri(dom f2) and the sum is coercive
     (documented, not checked).
     """
-    gamma = _positive_gamma(gamma)
+    gamma = as_real(gamma, "gamma", above=0.0)
     _, lam_at = _resolve_schedule("relaxed", schedule)
 
     y = np.zeros(f1.dim) if y0 is None else as_vector(y0, f1.dim)
@@ -423,10 +414,7 @@ class QuadraticTerm:
     center: Array
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (np.isfinite(w) and w > 0):
-            raise InvalidParameterError(f"weight must be > 0, got {w}")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", as_real(self.weight, "weight", above=0.0))
         object.__setattr__(self, "center", as_vector(self.center))
 
     def eval(self, x) -> float:
@@ -472,7 +460,7 @@ def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
     or a QuadraticTerm.  Each call factors the SPD x-step matrix once (see
     ``admm``) and errors on singular systems.
     """
-    gamma = _positive_gamma(gamma)
+    gamma = as_real(gamma, "gamma", above=0.0)
     v = as_vector(v, L.rows)
     A, M_inv, w = _quadratic_step(f, L, gamma)
     rhs = A.T @ v + (w * f.center if f is not None else 0.0)
@@ -499,7 +487,7 @@ def admm(
     when f is None, and ri(dom g) meeting ri L(dom f) (documented, not
     checked).
     """
-    gamma = _positive_gamma(gamma)
+    gamma = as_real(gamma, "gamma", above=0.0)
     if g.dim != L.rows:
         raise InvalidInputError(f"g has dimension {g.dim}, expected {L.rows}")
     A, M_inv, w = _quadratic_step(f, L, gamma)
@@ -543,7 +531,7 @@ def ppxa(
     domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "ppxa")
-    gamma = _positive_gamma(gamma)
+    gamma = as_real(gamma, "gamma", above=0.0)
     _, lam_at = _resolve_schedule("relaxed", schedule)
 
     Y = np.zeros((len(f_list), dim)) if y0_list is None else np.array([as_vector(y, dim) for y in y0_list])
@@ -625,19 +613,18 @@ def sdmm(
     for g, L in zip(g_list, L_list):
         if g.dim != L.rows:
             raise InvalidInputError(f"{g.name} has dimension {g.dim}, expected {L.rows}")
-    gamma = _positive_gamma(gamma)
+    gamma = as_real(gamma, "gamma", above=0.0)
 
     M = np.vstack([L.to_dense() for L in L_list])
     Q_inv = _spd_inverse(M.T @ M, "Q = sum_i L_i^T L_i is singular")
     cuts = np.cumsum([L.rows for L in L_list])[:-1]
 
+    if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):
+        raise InvalidInputError("one starting pair per branch is required")
     y, z = (
-        np.zeros(len(M)) if v0s is None
-        else np.concatenate([np.zeros(0)] + [as_vector(v, L.rows) for v, L in zip(v0s, L_list)])
+        np.zeros(len(M)) if v0s is None else np.concatenate([as_vector(v, L.rows) for v, L in zip(v0s, L_list)])
         for v0s in (y0s, z0s)
     )
-    if not len(y) == len(z) == len(M):
-        raise InvalidInputError("one starting pair per branch is required")
 
     run = _Run(stop, lambda v: float(np.sum([g.eval(s) for g, s in zip(g_list, np.split(M @ v, cuts))])))
     x = None

@@ -257,6 +257,14 @@ class TestConfigDiagnostics:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert loose_iters < json.loads(out.read_text())["iterations"]
 
+    @pytest.mark.parametrize("field", ["schedule", "stop"])
+    def test_non_object_section_exits_one(self, tmp_path, capsys, field):
+        cfg = lasso_config(tmp_path, **{field: [1]})
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {field} must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -351,6 +359,12 @@ class TestProxEval:
 
     def test_unknown_kind(self, capsys):
         assert main(["prox-eval", "--kind", "nope", "--x", "1"]) == 1
+
+    @pytest.mark.parametrize("kappa", [None, True])
+    def test_malformed_parameter_named(self, capsys, kappa):
+        params = json.dumps({"kappa": kappa, "q": 2})
+        assert main(["prox-eval", "--kind", "power_abs", "--params", params, "--x", "1"]) == 1
+        assert f"error: kappa must be a finite number > 0, got {kappa}" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -579,7 +579,9 @@ class TestSdmm:
 
     def test_start_count_and_dimension(self):
         g_list, L_list = self._lasso_split()
-        for y0s, z0s in (([np.zeros(5)], None), (None, [np.zeros(5)]), ([], [])):
+        for y0s, z0s in (
+            ([np.zeros(5)], None), (None, [np.zeros(5)]), ([], []), ([np.zeros(5), np.zeros(3), np.zeros(7)], None),
+        ):
             with pytest.raises(InvalidInputError, match="one starting pair per branch is required"):
                 sdmm(g_list, L_list, y0s=y0s, z0s=z0s)
         with pytest.raises(InvalidInputError, match="expected a vector of dimension 5, got 3"):
