@@ -12,7 +12,10 @@ Two layers:
   reflection, quadratic perturbation, conjugation, Moreau
   envelope/complement, squared distance, orthonormal decomposition,
   semi-orthogonal composition, quadratic losses, distance penalties,
-  support functions and radial thresholding).
+  support functions and radial thresholding).  Every ``value`` broadcasts
+  over the last axis: a (k, dim) stack of points gives their k values.  The
+  values that go through a prox (the conjugate's fixed point, the Moreau
+  envelope and complement) evaluate a stack row by row.
 
 Each kind is written once, as numpy expressions that broadcast over the
 input and over the kind's parameters.  ``separable`` and ``basis_separable``
@@ -46,6 +49,7 @@ from .core import (
     as_real,
     as_vector,
     norm,
+    pow2,
 )
 from .scalar import Bracket, BracketingError, lambert_w_exp, solve_monotone
 
@@ -691,10 +695,11 @@ class _Groups:
         else:
             self.groups = [(_stack([kinds[i] for i in idx]), np.array(idx)) for idx in members.values()]
 
-    def value(self, t: Array) -> float:
+    def value(self, t: Array):
+        """The sum over the last axis: a float, or one per row of a stack."""
         if len(self.groups) == 1:
-            return float(self.groups[0][0]._value(t).sum())
-        return float(sum(k._value(t[idx]).sum() for k, idx in self.groups))
+            return self.groups[0][0]._value(t).sum(axis=-1)
+        return sum(k._value(t[..., idx]).sum(axis=-1) for k, idx in self.groups)
 
     def prox(self, gamma: float, t: Array) -> Array:
         if len(self.groups) == 1:
@@ -742,8 +747,8 @@ def basis_separable(kinds, basis) -> ProxFn:
         raise InvalidParameterError("basis columns must be orthonormal")
     groups = _Groups(kinds, len(kinds))
 
-    def value(x: Array) -> float:
-        return groups.value(B.T @ x)
+    def value(x: Array):
+        return groups.value(np.matvec(B.T, x))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return B @ groups.prox(gamma, B.T @ x)
@@ -762,7 +767,7 @@ def weighted_l1(weights) -> ProxFn:
 
 def zero_fn(dim: int) -> ProxFn:
     """The zero function; its prox is the identity."""
-    return ProxFn(dim=dim, value=lambda x: 0.0, prox_impl=lambda gamma, x: x, name="zero")
+    return ProxFn(dim=dim, value=lambda x: np.zeros(x.shape[:-1]), prox_impl=lambda gamma, x: x, name="zero")
 
 
 def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
@@ -770,8 +775,8 @@ def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
     r = as_vector(r)
     w = as_real(weight, "weight", above=0.0)
 
-    def value(x: Array) -> float:
-        return 0.5 * w * norm(x - r) ** 2
+    def value(x: Array):
+        return 0.5 * w * pow2(norm(x - r))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
@@ -829,16 +834,28 @@ def quad_perturbed(base: ProxFn, alpha: float = 0.0, u=None, offset: float = 0.0
     """x |-> f(x) + alpha*||x||^2/2 + u^T x + offset with alpha >= 0."""
     alpha = as_real(alpha, "alpha", at_least=0.0)
     u = np.zeros(base.dim) if u is None else as_vector(u, base.dim)
-    offset = float(offset)
+    offset = as_real(offset, "offset")
 
-    def value(x: Array) -> float:
-        return base.value(x) + 0.5 * alpha * float(x @ x) + float(u @ x) + offset
+    def value(x: Array):
+        return base.value(x) + 0.5 * alpha * np.vecdot(x, x) + np.vecdot(x, u) + offset
 
     def prox_impl(gamma: float, x: Array) -> Array:
         denom = 1.0 + gamma * alpha
         return base.prox(gamma / denom, (x - gamma * u) / denom)
 
     return ProxFn(dim=base.dim, value=value, prox_impl=prox_impl, name=f"quad_perturbed({base.name})")
+
+
+def _rowwise(value):
+    """A value written for one point, evaluated on each row of a stack: for
+    the values that go through a prox, which takes one vector."""
+
+    def rowwise(x: Array):
+        if x.ndim == 1:
+            return value(x)
+        return np.array([value(row) for row in x], dtype=float)
+
+    return rowwise
 
 
 def _conjugate_value(base: ProxFn, u: Array) -> float:
@@ -872,7 +889,7 @@ def conjugate(base: ProxFn, value_fn=None) -> ProxFn:
     conjugate is evaluated by an iterative subgradient inversion (accurate for
     the catalog functions but slower than a closed form).
     """
-    value = value_fn if value_fn is not None else (lambda x: _conjugate_value(base, x))
+    value = value_fn if value_fn is not None else _rowwise(lambda x: _conjugate_value(base, x))
     return ProxFn(
         dim=base.dim,
         value=value,
@@ -884,6 +901,7 @@ def conjugate(base: ProxFn, value_fn=None) -> ProxFn:
 def moreau_envelope(base: ProxFn) -> ProxFn:
     """Infimal convolution of f with ||.||^2/2; evaluated through one prox call."""
 
+    @_rowwise
     def value(x: Array) -> float:
         p = base.prox(1.0, x)
         return base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
@@ -897,6 +915,7 @@ def moreau_envelope(base: ProxFn) -> ProxFn:
 def moreau_complement(base: ProxFn) -> ProxFn:
     """||x||^2/2 minus the Moreau envelope of f."""
 
+    @_rowwise
     def value(x: Array) -> float:
         p = base.prox(1.0, x)
         env = base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
@@ -914,8 +933,8 @@ def squared_distance(ind: ProxFn) -> ProxFn:
     if C is None:
         raise InvalidParameterError("squared_distance requires an indicator function")
 
-    def value(x: Array) -> float:
-        return 0.5 * C.distance(x) ** 2
+    def value(x: Array):
+        return 0.5 * pow2(C.distance(x))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return (x + gamma * C.project(x)) / (1.0 + gamma)
@@ -932,8 +951,8 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
     if base.dim != L.rows:
         raise InvalidParameterError("base dimension must match the operator range")
 
-    def value(x: Array) -> float:
-        return base.value(L.apply(x))
+    def value(x: Array):
+        return base.value(L.apply(x))  # a matrix-free L applies a stack row by row
 
     def prox_impl(gamma: float, x: Array) -> Array:
         Lx = L.apply(x)
@@ -966,8 +985,8 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     if wide:
         W = A.T @ W
 
-    def value(x: Array) -> float:
-        return 0.5 * w * norm(A @ x - y) ** 2
+    def value(x: Array):
+        return 0.5 * w * pow2(norm(np.matvec(A, x) - y))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
@@ -983,7 +1002,7 @@ def scaled_distance(C, weight: float = 1.0) -> ProxFn:
     """weight * d_C(x); the prox moves toward the projection, by at most the scale."""
     w = as_real(weight, "weight", above=0.0)
 
-    def value(x: Array) -> float:
+    def value(x: Array):
         return w * C.distance(x)
 
     def prox_impl(gamma: float, x: Array) -> Array:
@@ -1008,7 +1027,7 @@ def distance_penalty(C, phi: ScalarKind) -> ProxFn:
     """phi(d_C(x)) for even phi, differentiable at 0 with phi'(0) = 0."""
     _check_even(phi)
 
-    def value(x: Array) -> float:
+    def value(x: Array):
         return phi.value(C.distance(x))
 
     def prox_impl(gamma: float, x: Array) -> Array:
@@ -1024,7 +1043,7 @@ def distance_penalty(C, phi: ScalarKind) -> ProxFn:
 def support_function(C) -> ProxFn:
     """Support function of C; prox via the Moreau decomposition with the projection."""
 
-    def value(x: Array) -> float:
+    def value(x: Array):
         return C.support(x)
 
     def prox_impl(gamma: float, x: Array) -> Array:
@@ -1043,8 +1062,8 @@ def support_plus_radial(C, phi: ScalarKind, argmin_max: float = 0.0) -> ProxFn:
     _check_even(phi)
     argmin_max = as_real(argmin_max, "argmin_max", at_least=0.0)
 
-    def value(x: Array) -> float:
-        return C.support(x) + phi.value(float(np.linalg.norm(x)))
+    def value(x: Array):
+        return C.support(x) + phi.value(norm(x))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         proj = gamma * C.project(x / gamma)  # projection onto gamma*C
@@ -1066,8 +1085,8 @@ def stacked(fs) -> ProxFn:
     offsets = np.cumsum([0] + dims)
     total = int(offsets[-1])
 
-    def value(x: Array) -> float:
-        return float(sum(f.eval(x[a:b]) for f, a, b in zip(fs, offsets[:-1], offsets[1:])))
+    def value(x: Array):
+        return sum(f.eval(x[..., a:b]) for f, a, b in zip(fs, offsets[:-1], offsets[1:]))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return np.concatenate([f.prox(gamma, x[a:b]) for f, a, b in zip(fs, offsets[:-1], offsets[1:])])

@@ -98,11 +98,12 @@ class RunConfig:
         return asdict(self)
 
 
-def _config_object(doc, context: str, known: set) -> None:
-    """Require ``doc`` to be a JSON object whose fields are all in ``known``."""
+def _config_object(doc, context: str, known: Optional[set] = None) -> None:
+    """Require ``doc`` to be a JSON object, with all its fields in ``known``
+    when that is given."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(doc) - known
+    unknown = set(doc) - known if known is not None else ()
     if unknown:
         raise ConfigError(f"{context} has unknown field(s): {', '.join(sorted(unknown))}")
 
@@ -113,27 +114,25 @@ def _field(doc: dict, name: str, context: str):
     return doc[name]
 
 
-def _bound(values, side: str):
-    # null -> missing bound on that side
-    out = []
-    for v in values:
-        if v is None:
-            out.append(-np.inf if side == "lo" else np.inf)
-        else:
-            out.append(float(v))
-    return np.array(out)
+def _bound(values, side: str) -> list:
+    # null -> missing bound on that side; sets.Box checks the other entries
+    if not isinstance(values, list):
+        raise ConfigError(f"box {side} must be a JSON array")
+    missing = -np.inf if side == "lo" else np.inf
+    return [missing if v is None else v for v in values]
 
 
-def parse_set(doc: dict) -> sets.ConvexSet:
-    kind = _field(doc, "type", "set spec")
+def parse_set(doc, context: str = "set spec") -> sets.ConvexSet:
+    _config_object(doc, context)
+    kind = _field(doc, "type", context)
     if kind == "box":
         return sets.Box(_bound(_field(doc, "lo", "box"), "lo"), _bound(_field(doc, "hi", "box"), "hi"))
     if kind == "halfspace":
-        return sets.Halfspace(np.array(_field(doc, "a", "halfspace"), float), float(_field(doc, "b", "halfspace")))
+        return sets.Halfspace(np.array(_field(doc, "a", "halfspace"), float), _field(doc, "b", "halfspace"))
     if kind == "hyperplane":
-        return sets.Hyperplane(np.array(_field(doc, "a", "hyperplane"), float), float(_field(doc, "b", "hyperplane")))
+        return sets.Hyperplane(np.array(_field(doc, "a", "hyperplane"), float), _field(doc, "b", "hyperplane"))
     if kind == "ball":
-        return sets.Ball(np.array(_field(doc, "center", "ball"), float), float(_field(doc, "radius", "ball")))
+        return sets.Ball(np.array(_field(doc, "center", "ball"), float), _field(doc, "radius", "ball"))
     if kind == "orthant":
         return sets.orthant(int(_field(doc, "dim", "orthant")))
     if kind == "affine":
@@ -142,6 +141,7 @@ def parse_set(doc: dict) -> sets.ConvexSet:
 
 
 def parse_scalar_kind(doc: dict) -> catalog.ScalarKind:
+    _config_object(doc, "scalar kind spec")
     doc = dict(doc)
     name = doc.pop("kind", None)
     if name is None:
@@ -156,6 +156,7 @@ def parse_scalar_kind(doc: dict) -> catalog.ScalarKind:
 
 
 def parse_prox_fn(doc: dict, dim_hint: Optional[int] = None) -> ProxFn:
+    _config_object(doc, "function spec")
     kind = _field(doc, "kind", "function spec")
     if kind == "zero":
         return catalog.zero_fn(int(doc.get("dim", dim_hint)))
@@ -174,6 +175,7 @@ def parse_prox_fn(doc: dict, dim_hint: Optional[int] = None) -> ProxFn:
 
 def build_instance(cfg: RunConfig) -> problems.ProblemInstance:
     doc = cfg.problem
+    _config_object(doc, "problem")
     tag = _field(doc, "tag", "problem")
     if tag == "lasso":
         return problems.build_lasso(
@@ -185,16 +187,16 @@ def build_instance(cfg: RunConfig) -> problems.ProblemInstance:
         return problems.build_constrained_least_squares(
             matrix_map(np.array(_field(doc, "L", tag), float)),
             np.array(_field(doc, "y", tag), float),
-            parse_set(_field(doc, "C", tag)),
+            parse_set(_field(doc, "C", tag), "problem field C"),
         )
     if tag == "alternating_projections":
         return problems.build_alternating_projections(
-            parse_set(_field(doc, "C", tag)), parse_set(_field(doc, "D", tag))
+            parse_set(_field(doc, "C", tag), "problem field C"), parse_set(_field(doc, "D", tag), "problem field D")
         )
     if tag == "best_approximation":
         return problems.build_best_approximation(
-            parse_set(_field(doc, "C", tag)),
-            parse_set(_field(doc, "D", tag)),
+            parse_set(_field(doc, "C", tag), "problem field C"),
+            parse_set(_field(doc, "D", tag), "problem field D"),
             np.array(_field(doc, "r", tag), float),
         )
     if tag == "denoise":
@@ -292,8 +294,7 @@ def _cmd_prox_eval(args) -> int:
     kind = parse_scalar_kind({"kind": args.kind, **json.loads(args.params)})
     gamma = float(args.gamma)
     print("x prox objective")
-    for xv in args.x:
-        x = float(xv)
+    for x in args.x:
         p = catalog.scalar_prox(kind, x, gamma)
         obj = gamma * kind.value(p) + 0.5 * (x - p) ** 2
         print(f"{x!r} {p!r} {obj!r}")
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prox.add_argument("--kind", required=True, help="scalar kind name")
     p_prox.add_argument("--params", default="{}", help="JSON object of kind parameters")
     p_prox.add_argument("--gamma", type=float, default=1.0, help="prox scale")
-    p_prox.add_argument("--x", nargs="+", required=True, help="evaluation points")
+    p_prox.add_argument("--x", nargs="+", type=float, required=True, help="evaluation points")
     p_prox.set_defaults(func=_cmd_prox_eval)
 
     p_check = sub.add_parser("check", help="run the invariant suite on a config's components")

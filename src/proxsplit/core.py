@@ -4,8 +4,9 @@ Vectors are plain 1-D float64 numpy arrays, validated to be finite.  Convex
 functions are carried by small immutable wrappers: ``ProxFn`` exposes an
 extended-real evaluation together with its proximity map, ``SmoothFn`` a
 real-valued evaluation, gradient and Lipschitz constant.  ``LinearMap`` wraps
-a linear operator through forward/adjoint callables.  ``Schedule``,
-``IterationRecord`` and ``SolveResult`` are the solver plumbing.
+a linear operator through forward/adjoint callables.  Evaluation and
+``LinearMap.apply`` also take a (k, dim) stack of points, one per row.
+``Schedule``, ``IterationRecord`` and ``SolveResult`` are the solver plumbing.
 
 Everything here is immutable after construction and every operation is pure,
 so all objects can be shared freely across threads.
@@ -31,8 +32,10 @@ __all__ = [
     "PreconditionError",
     "UnsupportedFunctionError",
     "as_vector",
+    "as_points",
     "as_real",
     "norm",
+    "pow2",
     "ProxFn",
     "SmoothFn",
     "LinearMap",
@@ -92,6 +95,45 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     return v
 
 
+def _is_stack(x) -> bool:
+    """Whether ``x`` is a 2-D stack of points (an ndarray's own ``ndim``
+    costs a tenth of ``np.ndim``, and vectors take this test on every call)."""
+    return (x.ndim if type(x) is np.ndarray else np.ndim(x)) == 2
+
+
+def as_points(x, dim: int) -> Array:
+    """Validate ``x`` as one finite vector of length ``dim`` (``as_vector``)
+    or as a (k, dim) stack of them, returned C-contiguous so that each row is
+    summed as the vector itself would be."""
+    if not _is_stack(x):
+        return as_vector(x, dim)
+    v = np.ascontiguousarray(x, dtype=float)
+    if np.count_nonzero(np.isfinite(v)) != v.size:
+        raise InvalidInputError("vector entries must be finite")
+    if v.shape[1] != dim:
+        raise InvalidInputError(f"expected vectors of dimension {dim}, got {v.shape[1]}")
+    return v
+
+
+def _row_values(value, X: Array) -> Array:
+    """The (k,) values of ``value`` on the stack ``X``, from one call on it.
+
+    A value written for one point, which fails on the stack (as
+    ``float(A @ x)`` does) or gives it anything but k numbers, is called on
+    each row instead.  One that indexes the first axis (``x[0]``) gives k
+    numbers when k equals the dimension, so then the last row is also
+    evaluated alone, and a stacked result that differs there is replaced.
+    """
+    k, dim = X.shape
+    try:
+        out = np.asarray(value(X), dtype=float)
+    except (TypeError, ValueError, IndexError):
+        out = None
+    if out is None or out.shape != (k,) or (k == dim and out[-1] != float(value(X[-1]))):
+        out = np.array([value(row) for row in X], dtype=float).reshape(k)
+    return out
+
+
 def as_real(value, name: str, above: Optional[float] = None, at_least: Optional[float] = None) -> float:
     """Validate ``value`` as a finite real number, optionally ``> above`` or
     ``>= at_least``, and return it as a float: the scalar counterpart of
@@ -109,16 +151,29 @@ def as_real(value, name: str, above: Optional[float] = None, at_least: Optional[
     raise InvalidParameterError(f"{name} must be a finite number{rule}, got {value!r}")
 
 
-def norm(v: Array) -> float:
+def norm(v: Array):
     """Euclidean norm of a 1-D float64 vector, equal bit for bit to
-    ``float(np.linalg.norm(v))`` at a fraction of its call cost.
+    ``float(np.linalg.norm(v))`` at a fraction of its call cost; of a 2-D
+    stack, the array of its row norms, each equal to the row's own.
 
     Like numpy, it takes sqrt(v . v) on ``v.ravel(order="K")``, so a strided
     view is first copied to contiguous memory and summed in the same order.
     """
+    if v.ndim == 2:
+        v = np.ascontiguousarray(v)
+        return np.sqrt(np.vecdot(v, v))
     if not v.flags.c_contiguous:
         v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def pow2(t):
+    """t ** 2 as C's ``pow`` rounds it: for a float, as Python's ``**``, and
+    for an array, elementwise.  numpy's array ``** 2`` is t * t instead,
+    which differs from ``pow`` in the last bit about once in a thousand, so a
+    value that squares a norm with ``pow2`` gives each row of a stack the
+    bits that the row alone gets."""
+    return np.float_power(t, 2)
 
 
 @dataclass(frozen=True)
@@ -128,6 +183,9 @@ class ProxFn:
     ``value(x)`` returns f(x) in ]-inf, +inf] and ``prox_impl(gamma, x)``
     returns the unique minimizer of gamma*f(y) + 0.5*||x - y||^2.  Indicator
     functions additionally carry the underlying set in ``convex_set``.
+    ``eval`` of a (k, dim) stack returns the (k,) values of its rows from
+    one call of ``value`` on it, so ``value`` should broadcast over the last
+    axis; one written for a single point is called on each row instead.
     """
 
     dim: int
@@ -136,12 +194,14 @@ class ProxFn:
     name: str = "f"
     convex_set: object = None
 
-    def eval(self, x) -> float:
+    def eval(self, x):
+        if _is_stack(x):
+            return _row_values(self.value, as_points(x, self.dim))
         return float(self.value(as_vector(x, self.dim)))
 
     def prox(self, gamma: float, x) -> Array:
         gamma = float(gamma)
-        if not (np.isfinite(gamma) and gamma > 0):
+        if not (math.isfinite(gamma) and gamma > 0):
             raise InvalidInputError(f"prox scale must be positive and finite, got {gamma}")
         p = self.prox_impl(gamma, as_vector(x, self.dim))
         return as_vector(p, self.dim)
@@ -160,7 +220,9 @@ class SmoothFn:
     def __post_init__(self):
         object.__setattr__(self, "lipschitz", as_real(self.lipschitz, "lipschitz", above=0.0))
 
-    def eval(self, x) -> float:
+    def eval(self, x):
+        if _is_stack(x):
+            return _row_values(self.value, as_points(x, self.dim))
         return float(self.value(as_vector(x, self.dim)))
 
     def grad(self, x) -> Array:
@@ -175,6 +237,10 @@ class LinearMap:
     L L^T = nu I; this is probed on random vectors at construction.
     ``matrix``, when given, is the operator's own rows x cols matrix (set by
     ``matrix_map``); ``to_dense`` then copies it instead of probing columns.
+    ``apply`` of a (k, cols) stack returns the (k, rows) images of its rows:
+    one ``np.matvec`` with ``matrix`` when the map carries one, whose rows
+    equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
+    ``apply_impl`` only ever sees single vectors.
     """
 
     rows: int
@@ -205,6 +271,14 @@ class LinearMap:
                     )
 
     def apply(self, x) -> Array:
+        if _is_stack(x):
+            X = as_points(x, self.cols)
+            if self.matrix is not None:
+                return as_points(np.matvec(self.matrix, X), self.rows)
+            out = np.empty((len(X), self.rows))
+            for i, row in enumerate(X):
+                out[i] = as_vector(self.apply_impl(row), self.rows)
+            return out
         return as_vector(self.apply_impl(as_vector(x, self.cols)), self.rows)
 
     def adjoint(self, u) -> Array:
@@ -322,12 +396,11 @@ def subgradient_certificate(
         scales = rng.uniform(0.0, radius, size=samples)
         dirs = rng.standard_normal((samples, f.dim))
         norms = np.maximum(np.linalg.norm(dirs, axis=1), 1e-300)
-        ys = [p + s * d / nd for s, d, nd in zip(scales, dirs, norms)]
-    worst = -np.inf
-    for y in ys:
-        y = as_vector(y, f.dim)
-        worst = max(worst, fp + float(u @ (y - p)) - f.eval(y))
-    return worst
+        Y = p + scales[:, None] * dirs / norms[:, None]
+    else:
+        Y = np.array([as_vector(y, f.dim) for y in ys]).reshape(-1, f.dim)
+    gaps = fp + np.vecdot(Y - p, u) - f.eval(Y)  # all samples in one evaluation
+    return float(np.max(gaps, initial=-np.inf))
 
 
 def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: int = 0) -> float:

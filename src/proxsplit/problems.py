@@ -28,6 +28,8 @@ from .core import (
     as_real,
     as_vector,
     matrix_map,
+    norm,
+    pow2,
     identity_map,
     operator_norm,
     subgradient_certificate,
@@ -86,7 +88,7 @@ def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
         raise InvalidParameterError("least-squares term needs a nonzero operator")
     return SmoothFn(
         dim=L.cols,
-        value=lambda x: 0.5 * float(np.linalg.norm(L.apply(x) - y) ** 2),
+        value=lambda x: 0.5 * pow2(norm(L.apply(x) - y)),
         grad_impl=lambda x: L.adjoint(L.apply(x) - y),
         lipschitz=beta,
         name="least_squares",
@@ -97,7 +99,7 @@ def set_distance_smooth(C) -> SmoothFn:
     """(1/2) d_C^2 as a smooth term: gradient x - P_C x, Lipschitz constant 1."""
     return SmoothFn(
         dim=C.dim,
-        value=lambda x: 0.5 * C.distance(x) ** 2,
+        value=lambda x: 0.5 * pow2(C.distance(x)),
         grad_impl=lambda x: x - C.project(x),
         lipschitz=1.0,
         name="half_sq_distance",
@@ -106,18 +108,19 @@ def set_distance_smooth(C) -> SmoothFn:
 
 def first_difference(n: int) -> LinearMap:
     """The (n-1) x n forward difference x |-> (x_{k+1} - x_k)_k, in O(n) on
-    slices; both it and its adjoint give the bytes of the dense products."""
+    slices of the last axis; both it and its adjoint give the bytes of the
+    dense products."""
     if n < 2:
         raise InvalidParameterError("first difference needs length >= 2")
 
     def adjoint(u):  # (-u_0, u_0 - u_1, ..., u_{n-3} - u_{n-2}, u_{n-2})
-        out = np.empty(n)
-        out[-1] = 0.0
-        out[:-1] = -u
-        out[1:] += u
+        out = np.empty(u.shape[:-1] + (n,))
+        out[..., -1] = 0.0
+        out[..., :-1] = -u
+        out[..., 1:] += u
         return out
 
-    return LinearMap(n - 1, n, lambda x: x[1:] - x[:-1], adjoint, name="first_difference")
+    return LinearMap(n - 1, n, lambda x: x[..., 1:] - x[..., :-1], adjoint, name="first_difference")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def _pairwise_tv(n: int, omega: float, offset: int) -> ProxFn:
         p[lo], p[hi] = mean - half_gap, mean + half_gap
         return p
 
-    value = lambda x: omega * float(np.sum(np.abs(x[hi] - x[lo])))
+    value = lambda x: omega * np.sum(np.abs(x[..., hi] - x[..., lo]), axis=-1)
     return ProxFn(dim=n, value=value, prox_impl=prox, name="pairwise_tv")
 
 

@@ -2,17 +2,21 @@
 
 Each set exposes membership (within an absolute tolerance), the Euclidean
 projection, the distance, and the support function value (``+inf`` where the
-supremum is unbounded).  Degenerate constructor inputs (zero normals,
-negative radii, empty affine systems) are rejected at construction.
+supremum is unbounded).  Each also takes a (k, dim) stack of points, one per
+row, and returns k projections, distances, memberships or support values.
+Degenerate constructor inputs (zero normals, negative radii, empty affine
+systems) are rejected at construction, and malformed ones raise
+``InvalidParameterError`` naming the parameter.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, as_real, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, as_points, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -41,12 +45,37 @@ class ConvexSet:
     def support(self, u) -> float:
         raise NotImplementedError
 
-    def distance(self, x) -> float:
-        x = as_vector(x, self.dim)
+    def distance(self, x):
+        x = as_points(x, self.dim)
         return norm(x - self.project(x))
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL):
         return self.distance(x) <= tol
+
+
+def _each_row(support):
+    """A support function written for one vector, applied to each row of a stack."""
+
+    @functools.wraps(support)
+    def wrapper(self, u):
+        u = as_points(u, self.dim)
+        if u.ndim == 1:
+            return support(self, u)
+        return np.array([support(self, row) for row in u], dtype=float)
+
+    return wrapper
+
+
+def _bound(value, name: str) -> Array:
+    """A box bound as a 1-D float array of real numbers; ±inf entries are
+    allowed, NaN, bools and strings are not."""
+    try:
+        v = np.atleast_1d(np.asarray(value))
+    except ValueError:  # a ragged nesting
+        v = np.array(None)
+    if v.dtype.kind not in "iuf" or v.ndim != 1 or np.any(np.isnan(v)):
+        raise InvalidParameterError(f"box bound {name} must be a vector of numbers or ±inf, got {value!r}")
+    return v.astype(float)
 
 
 @dataclass(frozen=True)
@@ -57,12 +86,9 @@ class Box(ConvexSet):
     hi: Array
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
+        lo, hi = _bound(self.lo, "lo"), _bound(self.hi, "hi")
+        if lo.shape != hi.shape:
             raise InvalidParameterError("box bounds must be 1-D vectors of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise InvalidParameterError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise InvalidParameterError("box needs lo <= hi in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -73,10 +99,10 @@ class Box(ConvexSet):
         return self.lo.size
 
     def project(self, x) -> Array:
-        return np.clip(as_vector(x, self.dim), self.lo, self.hi)
+        return np.clip(as_points(x, self.dim), self.lo, self.hi)
 
+    @_each_row
     def support(self, u) -> float:
-        u = as_vector(u, self.dim)
         total = 0.0
         for ui, lo, hi in zip(u, self.lo, self.hi):
             if ui > 0.0:
@@ -98,22 +124,22 @@ class Halfspace(ConvexSet):
         if np.linalg.norm(a) == 0.0:
             raise InvalidParameterError("halfspace normal must be nonzero")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", as_real(self.b, "b"))
 
     @property
     def dim(self) -> int:
         return self.a.size
 
     def project(self, x) -> Array:
-        x = as_vector(x, self.dim)
-        excess = float(self.a @ x) - self.b
-        if excess <= 0.0:
-            return x
-        return x - (excess / float(self.a @ self.a)) * self.a
+        x = as_points(x, self.dim)
+        excess = np.vecdot(x, self.a) - self.b
+        if x.ndim == 1:
+            return x if excess <= 0.0 else x - (excess / float(self.a @ self.a)) * self.a
+        return np.where((excess > 0.0)[:, None], x - (excess / float(self.a @ self.a))[:, None] * self.a, x)
 
+    @_each_row
     def support(self, u) -> float:
         # finite only along the outward normal direction: u = t*a with t >= 0
-        u = as_vector(u, self.dim)
         t = float(u @ self.a) / float(self.a @ self.a)
         if t < -1e-12 or np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
             return np.inf
@@ -132,18 +158,19 @@ class Hyperplane(ConvexSet):
         if np.linalg.norm(a) == 0.0:
             raise InvalidParameterError("hyperplane normal must be nonzero")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", as_real(self.b, "b"))
 
     @property
     def dim(self) -> int:
         return self.a.size
 
     def project(self, x) -> Array:
-        x = as_vector(x, self.dim)
-        return x - ((float(self.a @ x) - self.b) / float(self.a @ self.a)) * self.a
+        x = as_points(x, self.dim)
+        step = (np.vecdot(x, self.a) - self.b) / float(self.a @ self.a)
+        return x - step[..., None] * self.a
 
+    @_each_row
     def support(self, u) -> float:
-        u = as_vector(u, self.dim)
         t = float(u @ self.a) / float(self.a @ self.a)
         if np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
             return np.inf
@@ -166,16 +193,18 @@ class Ball(ConvexSet):
         return self.center.size
 
     def project(self, x) -> Array:
-        x = as_vector(x, self.dim)
+        x = as_points(x, self.dim)
         d = x - self.center
-        nd = float(np.linalg.norm(d))
-        if nd <= self.radius:
-            return x
-        return self.center + (self.radius / nd) * d
+        nd = norm(d)
+        if x.ndim == 1:
+            return x if nd <= self.radius else self.center + (self.radius / nd) * d
+        inside = nd <= self.radius
+        shrink = self.radius / np.where(inside, 1.0, nd)
+        return np.where(inside[:, None], x, self.center + shrink[:, None] * d)
 
-    def support(self, u) -> float:
-        u = as_vector(u, self.dim)
-        return float(self.center @ u) + self.radius * float(np.linalg.norm(u))
+    def support(self, u):
+        u = as_points(u, self.dim)
+        return np.vecdot(u, self.center) + self.radius * norm(u)
 
 
 @dataclass(frozen=True)
@@ -208,12 +237,12 @@ class AffineSubspace(ConvexSet):
         return self.A.shape[1]
 
     def project(self, x) -> Array:
-        x = as_vector(x, self.dim)
-        return x - self._pinv @ (self.A @ x - self.b)
+        x = as_points(x, self.dim)
+        return x - np.matvec(self._pinv, np.matvec(self.A, x) - self.b)
 
+    @_each_row
     def support(self, u) -> float:
         # finite only for u in the row space of A
-        u = as_vector(u, self.dim)
         row_part = self.A.T @ (self._pinv.T @ u)
         if np.linalg.norm(u - row_part) > 1e-10 * max(1.0, np.linalg.norm(u)):
             return np.inf
@@ -233,8 +262,8 @@ def point(c) -> Ball:
 def indicator(C: ConvexSet) -> ProxFn:
     """Indicator function of C; its prox is the projection for every scale."""
 
-    def value(x: Array) -> float:
-        return 0.0 if C.contains(x) else np.inf
+    def value(x: Array):
+        return np.where(C.contains(x), 0.0, np.inf)
 
     return ProxFn(
         dim=C.dim,

@@ -41,10 +41,12 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    as_points,
     as_real,
     as_vector,
     norm,
     operator_norm,
+    pow2,
 )
 
 __all__ = [
@@ -70,9 +72,10 @@ __all__ = [
 @dataclass(frozen=True)
 class StoppingRule:
     """Relative iterate-change threshold, iteration cap, and the cadence at
-    which the objective is re-evaluated (every iteration up to
+    which the objective is re-evaluated for the trace (every iteration up to
     ``objective_dense_until``, then every ``objective_stride``-th, carrying
-    the last computed value in between)."""
+    the last computed value in between).  Each solver's objective takes a
+    (k, n) stack of iterates and returns their k values."""
 
     tol: float = 1e-10
     max_iter: int = 100_000
@@ -89,38 +92,80 @@ class StoppingRule:
                 raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
 
 
+# the iterates awaiting their objective are held in a block of at most this
+# many rows and entries (one row for vectors longer than the entry budget)
+_BLOCK_ROWS = 128
+_BLOCK_ENTRIES = 65536
+
+
 class _Run:
     """The bookkeeping of one solve: the iteration cap (``for n in run``), the
-    per-iteration record and tolerance test, and the ``SolveResult``."""
+    per-iteration record and tolerance test, and the ``SolveResult``.
+
+    The objective plays no part in the iteration, so the iterates whose value
+    the stopping rule's cadence asks for are copied into a block and
+    evaluated with one call of ``objective`` on the (k, n) block when it is
+    full, and on what is left in ``result``.  ``elapsed_ns`` leaves out the
+    time of those calls."""
 
     def __init__(self, stop: StoppingRule | None, objective):
         self.stop = stop or StoppingRule()
         self.converged = False
         self._objective = objective
-        self._records = []
+        self._changes = []
+        self._elapsed = []
+        self._values = []  # objective of the evaluated iterates, in order
+        self._block = None
+        self._held = 0
         self._t0 = time.perf_counter_ns()
-        self._last = math.inf
+        self._eval_ns = 0
 
     def __iter__(self):
         return iter(range(self.stop.max_iter))
 
+    def _due(self, n: int) -> bool:
+        """Whether iteration n's objective is evaluated (every iteration up to
+        ``objective_dense_until``, then every ``objective_stride``-th)."""
+        return n <= self.stop.objective_dense_until or n % self.stop.objective_stride == 0
+
     def done(self, x: Array, change: float, measure: float) -> bool:
         """Record iterate ``x`` and its change; true once ``measure`` is within
-        the tolerance.  The objective is re-evaluated on the stopping rule's
-        cadence and carried over in between."""
-        n = len(self._records) + 1
-        if n <= self.stop.objective_dense_until or n % self.stop.objective_stride == 0:
-            self._last = float(self._objective(x))
-        self._records.append(IterationRecord(n, self._last, float(change), time.perf_counter_ns() - self._t0))
+        the tolerance."""
+        self._elapsed.append(time.perf_counter_ns() - self._t0 - self._eval_ns)
+        self._changes.append(float(change))
+        if self._due(len(self._changes)):
+            if self._block is None:
+                self._block = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // x.size)), x.size))
+            self._block[self._held] = x
+            self._held += 1
+            if self._held == len(self._block):
+                self._flush()
         self.converged = measure <= self.stop.tol
         return self.converged
 
+    def _flush(self) -> None:
+        if self._held:
+            t = time.perf_counter_ns()
+            values = np.asarray(self._objective(self._block[: self._held]), dtype=float)
+            self._values += values.reshape(self._held).tolist()
+            self._held = 0
+            self._eval_ns += time.perf_counter_ns() - t
+
     def result(self, x: Array, aux: dict | None = None) -> SolveResult:
+        """The result, with the objective carried over between evaluations."""
+        self._flush()
+        values = iter(self._values)
+        last = math.inf
+        records = []
+        for n, (change, elapsed) in enumerate(zip(self._changes, self._elapsed), 1):
+            if self._due(n):
+                last = next(values)
+            records.append(IterationRecord(n, last, change, elapsed))
         return SolveResult(
             final_x=np.array(x, dtype=float, copy=True),
             converged=self.converged,
-            iterations=len(self._records),
-            records=tuple(self._records),
+            iterations=len(records),
+            records=tuple(records),
             aux=aux or {},
         )
 
@@ -130,7 +175,7 @@ def _rel(delta: float, xnorm: float) -> float:
 
 
 def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    if not (np.isfinite(value) and lo <= value <= hi):
+    if not (math.isfinite(value) and lo <= value <= hi):
         raise InvalidScheduleError(
             f"{name}={value} outside the admissible interval [{lo}, {hi}]"
         )
@@ -217,7 +262,7 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
     if not sets:
         raise InvalidInputError("pocs needs at least one set")
     x = np.zeros(sets[0].dim) if x0 is None else as_vector(x0, sets[0].dim)
-    run = _Run(stop, lambda v: 0.5 * sum(C.distance(v) ** 2 for C in sets))
+    run = _Run(stop, lambda v: 0.5 * sum(pow2(C.distance(v)) for C in sets))
     for _ in run:
         x_prev = x
         for C in reversed(sets):
@@ -354,7 +399,7 @@ def dykstra_like(
     x = r.copy()
     p = np.zeros(f.dim)
     q = np.zeros(f.dim)
-    run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * norm(v - r) ** 2)
+    run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * pow2(norm(v - r)))
     for _ in run:
         y = g.prox(1.0, x + p)
         p = x + p - y
@@ -391,7 +436,7 @@ def dual_forward_backward(
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
-    run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * norm(v - r) ** 2)
+    run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * pow2(norm(v - r)))
     x = r
     for n in run:
         x_prev, x = x, h.prox(1.0, r - L.adjoint(u))
@@ -417,8 +462,9 @@ class QuadraticTerm:
         object.__setattr__(self, "weight", as_real(self.weight, "weight", above=0.0))
         object.__setattr__(self, "center", as_vector(self.center))
 
-    def eval(self, x) -> float:
-        return 0.5 * self.weight * norm(as_vector(x) - self.center) ** 2
+    def eval(self, x):
+        """The value at one vector, or the (k,) values of a (k, n) stack."""
+        return 0.5 * self.weight * pow2(norm(as_points(x, self.center.size) - self.center))
 
 
 def _spd_inverse(M: Array, singular_message: str) -> Array:
@@ -494,9 +540,9 @@ def admm(
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
 
-    def objective(v: Array) -> float:
+    def objective(v: Array) -> Array:
         fv = f.eval(v) if f is not None else 0.0
-        return fv + g.eval(A @ v)
+        return fv + g.eval(np.matvec(A, v))
 
     run = _Run(stop, objective)
     x = None
@@ -539,7 +585,7 @@ def ppxa(
         raise InvalidInputError("one starting point per function is required")
     x = w @ Y
 
-    run = _Run(stop, lambda v: float(np.sum([f.eval(v) for f in f_list])))
+    run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0))
     for n in run:
         # a new array: a prox may return its argument, a row of Y
         P = np.array([f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, Y)])
@@ -570,8 +616,9 @@ def parallel_dykstra(
     x = r.copy()
     Z = np.tile(r, (len(f_list), 1))
 
-    def objective(v: Array) -> float:
-        return float(w @ [f.eval(v) for f in f_list]) + 0.5 * norm(v - r) ** 2
+    def objective(v: Array) -> Array:
+        # each row's weighted sum is the dot product of w with its values
+        return np.vecdot(np.column_stack([f.eval(v) for f in f_list]), w) + 0.5 * pow2(norm(v - r))
 
     run = _Run(stop, objective)
     for _ in run:
@@ -626,7 +673,7 @@ def sdmm(
         for v0s in (y0s, z0s)
     )
 
-    run = _Run(stop, lambda v: float(np.sum([g.eval(s) for g, s in zip(g_list, np.split(M @ v, cuts))])))
+    run = _Run(stop, lambda v: np.sum([g.eval(s) for g, s in zip(g_list, np.split(np.matvec(M, v), cuts, axis=1))], axis=0))
     x = None
     for _ in run:
         x_prev, x = x, Q_inv @ (M.T @ (y - z))

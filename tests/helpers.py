@@ -13,7 +13,7 @@ import numpy as np
 
 from proxsplit import catalog as cat
 from proxsplit import sets
-from proxsplit.core import InvalidInputError, as_vector, matrix_map
+from proxsplit.core import InvalidInputError, as_vector, matrix_map, norm, pow2
 from proxsplit.scalar import Bracket
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
@@ -204,36 +204,34 @@ def grid_min_2d(F, center, halfwidth: float, rounds: int = 6, pts: int = 81) -> 
 
     Each round scans a pts x pts grid and re-centers a window three cells
     wide around the best point.  Intended as an independent brute-force
-    oracle for desk-scale tests; F may return +inf (infeasible cells).
+    oracle for desk-scale tests; F may return +inf (infeasible cells).  F
+    takes the round's grid as one (pts^2, 2) stack, x-major, and returns one
+    value per row; the first smallest value wins, as in an x-major loop that
+    keeps a point only when it is strictly better, and NaN never wins.
     """
     cx, cy = float(center[0]), float(center[1])
     h = float(halfwidth)
-    best = None
     for _ in range(rounds):
         xs = np.linspace(cx - h, cx + h, pts)
         ys = np.linspace(cy - h, cy + h, pts)
-        best_v = np.inf
-        for xv in xs:
-            for yv in ys:
-                v = F(np.array([xv, yv]))
-                if v < best_v:
-                    best_v = v
-                    best = (xv, yv)
-        if best is None or not np.isfinite(best_v):
+        grid = np.column_stack([np.repeat(xs, pts), np.tile(ys, pts)])
+        values = np.asarray(F(grid), dtype=float)
+        values = np.where(np.isnan(values), np.inf, values)
+        i = int(np.argmin(values))
+        if not np.isfinite(values[i]):
             raise InvalidInputError("grid oracle found no finite value")
-        cx, cy = best
+        cx, cy = grid[i]
         h = 3.0 * (2.0 * h / (pts - 1))
-    return np.array(best)
+    return np.array([cx, cy])
 
 
 def grid_best_approximation_oracle(C, D, r, center=None, halfwidth: float = 4.0) -> np.ndarray:
     """Grid-search projection of r onto C ∩ D (2-D sets only)."""
     r = as_vector(r, 2)
 
-    def F(p: np.ndarray) -> float:
-        if not (C.contains(p, tol=1e-7) and D.contains(p, tol=1e-7)):
-            return np.inf
-        return float(np.linalg.norm(p - r) ** 2)
+    def F(P: np.ndarray) -> np.ndarray:
+        feasible = C.contains(P, tol=1e-7) & D.contains(P, tol=1e-7)
+        return np.where(feasible, pow2(norm(P - r)), np.inf)
 
     return grid_min_2d(F, center if center is not None else np.zeros(2), halfwidth)
 
@@ -242,8 +240,8 @@ def grid_prox_2d(f, x, gamma: float = 1.0, halfwidth: float = 6.0) -> np.ndarray
     """Independent brute-force prox oracle on R^2 (coarse-to-fine grid)."""
     x = np.asarray(x, dtype=float)
 
-    def objective(p: np.ndarray) -> float:
-        return gamma * f.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
+    def objective(P: np.ndarray) -> np.ndarray:
+        return gamma * f.eval(P) + 0.5 * pow2(norm(x - P))
 
     return grid_min_2d(objective, x, halfwidth)
 

@@ -265,6 +265,50 @@ class TestConfigDiagnostics:
         assert f"config error: {field} must be a JSON object" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ([1], "config error: problem must be a JSON object"),
+            ("tag", "config error: problem must be a JSON object"),
+            (
+                {**TAG_PROBLEMS["best_approximation"], "C": 5},
+                "config error: problem field C must be a JSON object",
+            ),
+            (
+                {"tag": "feasibility", "sets": [{"type": "box", "lo": [0.0, "a"], "hi": [1.0, 1.0]}]},
+                "error: box bound lo must be",
+            ),
+            (
+                {"tag": "feasibility", "sets": [{"type": "box", "lo": 0.0, "hi": [1.0]}]},
+                "config error: box lo must be a JSON array",
+            ),
+            (
+                {"tag": "feasibility", "sets": [{"type": "halfspace", "a": [1.0, 0.0], "b": None}]},
+                "error: b must be a finite number, got None",
+            ),
+            (
+                {"tag": "feasibility", "sets": [{"type": "halfspace", "a": [1.0, 0.0], "b": math.nan}]},
+                "error: b must be a finite number, got nan",
+            ),
+            (
+                {"tag": "feasibility", "sets": [{"type": "hyperplane", "a": [1.0, 0.0], "b": "x"}]},
+                "error: b must be a finite number, got 'x'",
+            ),
+            (
+                {"tag": "denoise", "r": [1.0, 2.0], "f": [1], "g": {"kind": "zero"}},
+                "config error: function spec must be a JSON object",
+            ),
+        ],
+        ids=["list", "string", "set-number", "box-string", "box-number", "b-null", "b-nan", "b-string", "fn-list"],
+    )
+    def test_malformed_problem_named(self, tmp_path, capsys, problem, message):
+        solver = COMPATIBLE_SOLVERS.get(problem["tag"], ("pocs",))[0] if isinstance(problem, dict) else "pocs"
+        cfg = lasso_config(tmp_path, problem=problem, solver=solver)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -284,6 +328,7 @@ class TestUsageErrors:
             (["solve", "--config", "cfg.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
             (["resolve", "--config", "cfg.json"], "invalid choice: 'resolve'"),
             ([], "the following arguments are required: command"),
+            (["prox-eval", "--kind", "entropy", "--x", "abc"], "argument --x: invalid float value: 'abc'"),
         ],
     )
     def test_usage_error_exits_one(self, argv, message, capsys):

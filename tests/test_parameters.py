@@ -63,6 +63,13 @@ def _cases():
     yield "StoppingRule.tol", "tol", lambda v: solvers.StoppingRule(tol=v), [*MALFORMED, 0.0]
     yield "QuadraticTerm.weight", "weight", lambda v: solvers.QuadraticTerm(v, [0.0]), [*MALFORMED, 0.0]
     yield "Ball.radius", "radius", lambda v: sets.Ball([0.0], v), [*MALFORMED, -1.0]
+    yield "Halfspace.b", "b", lambda v: sets.Halfspace([1.0], v), list(MALFORMED)
+    yield "Hyperplane.b", "b", lambda v: sets.Hyperplane([1.0], v), list(MALFORMED)
+    # a box bound may be infinite, and is a vector
+    bad_bounds = [None, "1", True, math.nan, ["a"], [0.0, "a"], [[0.0]]]
+    yield "Box.lo", "lo", lambda v: sets.Box(v, [1.0]), bad_bounds
+    yield "Box.hi", "hi", lambda v: sets.Box([0.0], v), bad_bounds
+    yield "quad_perturbed.offset", "offset", lambda v: cat.quad_perturbed(zero, 0.0, None, v), list(MALFORMED)
     yield "build_tv1d.omega", "omega", lambda v: problems.build_tv1d([0.0, 1.0, 0.5], v), [*MALFORMED, 0.0]
     quad = solvers.QuadraticTerm(1.0, [1.0, 2.0])
     for solver, run in (
