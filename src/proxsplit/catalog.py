@@ -46,6 +46,7 @@ from .core import (
     LinearMap,
     PreconditionError,
     ProxFn,
+    _each_row,
     as_real,
     as_vector,
     norm,
@@ -846,18 +847,6 @@ def quad_perturbed(base: ProxFn, alpha: float = 0.0, u=None, offset: float = 0.0
     return ProxFn(dim=base.dim, value=value, prox_impl=prox_impl, name=f"quad_perturbed({base.name})")
 
 
-def _rowwise(value):
-    """A value written for one point, evaluated on each row of a stack: for
-    the values that go through a prox, which takes one vector."""
-
-    def rowwise(x: Array):
-        if x.ndim == 1:
-            return value(x)
-        return np.array([value(row) for row in x], dtype=float)
-
-    return rowwise
-
-
 def _conjugate_value(base: ProxFn, u: Array) -> float:
     """f*(u) through the fixed point w = prox_f(w) + u; exact by Fenchel-Young
     once converged.  Divergence or non-convergence of the (firmly
@@ -889,7 +878,7 @@ def conjugate(base: ProxFn, value_fn=None) -> ProxFn:
     conjugate is evaluated by an iterative subgradient inversion (accurate for
     the catalog functions but slower than a closed form).
     """
-    value = value_fn if value_fn is not None else _rowwise(lambda x: _conjugate_value(base, x))
+    value = value_fn if value_fn is not None else lambda x: _each_row(functools.partial(_conjugate_value, base), x)
     return ProxFn(
         dim=base.dim,
         value=value,
@@ -901,22 +890,22 @@ def conjugate(base: ProxFn, value_fn=None) -> ProxFn:
 def moreau_envelope(base: ProxFn) -> ProxFn:
     """Infimal convolution of f with ||.||^2/2; evaluated through one prox call."""
 
-    @_rowwise
-    def value(x: Array) -> float:
+    def value_one(x: Array) -> float:
         p = base.prox(1.0, x)
         return base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return (x + gamma * base.prox(1.0 + gamma, x)) / (1.0 + gamma)
 
-    return ProxFn(dim=base.dim, value=value, prox_impl=prox_impl, name=f"envelope({base.name})")
+    return ProxFn(
+        dim=base.dim, value=lambda x: _each_row(value_one, x), prox_impl=prox_impl, name=f"envelope({base.name})"
+    )
 
 
 def moreau_complement(base: ProxFn) -> ProxFn:
     """||x||^2/2 minus the Moreau envelope of f."""
 
-    @_rowwise
-    def value(x: Array) -> float:
+    def value_one(x: Array) -> float:
         p = base.prox(1.0, x)
         env = base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
         return 0.5 * float(x @ x) - env
@@ -924,7 +913,9 @@ def moreau_complement(base: ProxFn) -> ProxFn:
     def prox_impl(gamma: float, x: Array) -> Array:
         return x - gamma * base.prox(1.0 / (1.0 + gamma), x / (1.0 + gamma))
 
-    return ProxFn(dim=base.dim, value=value, prox_impl=prox_impl, name=f"complement({base.name})")
+    return ProxFn(
+        dim=base.dim, value=lambda x: _each_row(value_one, x), prox_impl=prox_impl, name=f"complement({base.name})"
+    )
 
 
 def squared_distance(ind: ProxFn) -> ProxFn:

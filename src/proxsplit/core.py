@@ -115,22 +115,42 @@ def as_points(x, dim: int) -> Array:
     return v
 
 
-def _row_values(value, X: Array) -> Array:
-    """The (k,) values of ``value`` on the stack ``X``, from one call on it.
+def _each_row(fn, X: Array, shape: tuple = ()) -> Array:
+    """``fn``, written for one vector, on ``X``: called once on a 1-D ``X``,
+    and on each row of a (k, dim) stack, with the results stacked to shape
+    (k, *shape)."""
+    if X.ndim == 1:
+        return fn(X)
+    return np.array([fn(row) for row in X], dtype=float).reshape((len(X), *shape))
 
-    A value written for one point, which fails on the stack (as
-    ``float(A @ x)`` does) or gives it anything but k numbers, is called on
-    each row instead.  One that indexes the first axis (``x[0]``) gives k
-    numbers when k equals the dimension, so then the last row is also
-    evaluated alone, and a stacked result that differs there is replaced.
-    """
-    k, dim = X.shape
+
+def _stacked_values(value, X: Array):
+    """The (len(X),) values of one call of ``value`` on the stack ``X``, or
+    None if the call fails (as ``float(A @ x)`` does) or gives another shape."""
     try:
         out = np.asarray(value(X), dtype=float)
     except (TypeError, ValueError, IndexError):
-        out = None
-    if out is None or out.shape != (k,) or (k == dim and out[-1] != float(value(X[-1]))):
-        out = np.array([value(row) for row in X], dtype=float).reshape(k)
+        return None
+    return out if out.shape == (len(X),) else None
+
+
+def _row_values(value, X: Array) -> Array:
+    """The (k,) values of ``value`` on the stack ``X``, from one call on it.
+
+    A value written for one point, which fails on the stack or gives it
+    anything but k numbers, is called on each row instead.  One that indexes
+    the first axis (``x[0]``) gives k numbers only when k equals the
+    dimension, so then the stack is split: on its first k - 1 rows such a
+    value gives dim != k - 1 numbers, or fails, and falls back to the rows.
+    """
+    k, dim = X.shape
+    if k == dim > 1:
+        head = _stacked_values(value, X[:-1])
+        out = None if head is None else np.append(head, value(X[-1])).astype(float)
+    else:
+        out = _stacked_values(value, X)
+    if out is None or out.shape != (k,):
+        out = _each_row(value, X)
     return out
 
 
@@ -275,10 +295,7 @@ class LinearMap:
             X = as_points(x, self.cols)
             if self.matrix is not None:
                 return as_points(np.matvec(self.matrix, X), self.rows)
-            out = np.empty((len(X), self.rows))
-            for i, row in enumerate(X):
-                out[i] = as_vector(self.apply_impl(row), self.rows)
-            return out
+            return _each_row(lambda v: as_vector(self.apply_impl(v), self.rows), X, (self.rows,))
         return as_vector(self.apply_impl(as_vector(x, self.cols)), self.rows)
 
     def adjoint(self, u) -> Array:

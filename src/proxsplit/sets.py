@@ -11,12 +11,11 @@ systems) are rejected at construction, and malformed ones raise
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, as_points, as_real, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, _each_row, as_points, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -42,7 +41,10 @@ class ConvexSet:
     def project(self, x) -> Array:
         raise NotImplementedError
 
-    def support(self, u) -> float:
+    def support(self, u):
+        return _each_row(self._row_support, as_points(u, self.dim))
+
+    def _row_support(self, u) -> float:
         raise NotImplementedError
 
     def distance(self, x):
@@ -53,24 +55,15 @@ class ConvexSet:
         return self.distance(x) <= tol
 
 
-def _each_row(support):
-    """A support function written for one vector, applied to each row of a stack."""
-
-    @functools.wraps(support)
-    def wrapper(self, u):
-        u = as_points(u, self.dim)
-        if u.ndim == 1:
-            return support(self, u)
-        return np.array([support(self, row) for row in u], dtype=float)
-
-    return wrapper
-
-
 def _bound(value, name: str) -> Array:
     """A box bound as a 1-D float array of real numbers; ±inf entries are
     allowed, NaN, bools and strings are not."""
     try:
         v = np.atleast_1d(np.asarray(value))
+        # a list mixing bools with numbers converts to floats, so look at its entries
+        mixed = not isinstance(value, np.ndarray) or value.dtype == object
+        if mixed and any(isinstance(e, (bool, np.bool_)) for e in np.ravel(np.asarray(value, dtype=object))):
+            v = np.array(None)
     except ValueError:  # a ragged nesting
         v = np.array(None)
     if v.dtype.kind not in "iuf" or v.ndim != 1 or np.any(np.isnan(v)):
@@ -101,8 +94,7 @@ class Box(ConvexSet):
     def project(self, x) -> Array:
         return np.clip(as_points(x, self.dim), self.lo, self.hi)
 
-    @_each_row
-    def support(self, u) -> float:
+    def _row_support(self, u) -> float:
         total = 0.0
         for ui, lo, hi in zip(u, self.lo, self.hi):
             if ui > 0.0:
@@ -137,8 +129,7 @@ class Halfspace(ConvexSet):
             return x if excess <= 0.0 else x - (excess / float(self.a @ self.a)) * self.a
         return np.where((excess > 0.0)[:, None], x - (excess / float(self.a @ self.a))[:, None] * self.a, x)
 
-    @_each_row
-    def support(self, u) -> float:
+    def _row_support(self, u) -> float:
         # finite only along the outward normal direction: u = t*a with t >= 0
         t = float(u @ self.a) / float(self.a @ self.a)
         if t < -1e-12 or np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
@@ -169,8 +160,7 @@ class Hyperplane(ConvexSet):
         step = (np.vecdot(x, self.a) - self.b) / float(self.a @ self.a)
         return x - step[..., None] * self.a
 
-    @_each_row
-    def support(self, u) -> float:
+    def _row_support(self, u) -> float:
         t = float(u @ self.a) / float(self.a @ self.a)
         if np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
             return np.inf
@@ -240,8 +230,7 @@ class AffineSubspace(ConvexSet):
         x = as_points(x, self.dim)
         return x - np.matvec(self._pinv, np.matvec(self.A, x) - self.b)
 
-    @_each_row
-    def support(self, u) -> float:
+    def _row_support(self, u) -> float:
         # finite only for u in the row space of A
         row_part = self.A.T @ (self._pinv.T @ u)
         if np.linalg.norm(u - row_part) > 1e-10 * max(1.0, np.linalg.norm(u)):

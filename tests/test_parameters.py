@@ -66,7 +66,7 @@ def _cases():
     yield "Halfspace.b", "b", lambda v: sets.Halfspace([1.0], v), list(MALFORMED)
     yield "Hyperplane.b", "b", lambda v: sets.Hyperplane([1.0], v), list(MALFORMED)
     # a box bound may be infinite, and is a vector
-    bad_bounds = [None, "1", True, math.nan, ["a"], [0.0, "a"], [[0.0]]]
+    bad_bounds = [None, "1", True, math.nan, ["a"], [0.0, "a"], [0.0, True], [[0.0]]]
     yield "Box.lo", "lo", lambda v: sets.Box(v, [1.0]), bad_bounds
     yield "Box.hi", "hi", lambda v: sets.Box([0.0], v), bad_bounds
     yield "quad_perturbed.offset", "offset", lambda v: cat.quad_perturbed(zero, 0.0, None, v), list(MALFORMED)

@@ -201,6 +201,13 @@ def test_value_written_for_one_point_is_called_per_row():
     first_axis = ProxFn(dim=2, value=lambda x: x[0] ** 2 + 10.0 * x[1], prox_impl=lambda gamma, x: x)
     for Y in (X, X[:2], X[:1]):
         _rows_equal(first_axis.eval(Y), [x[0] ** 2 + 10.0 * x[1] for x in Y])
+    # on a k == dim stack, a first-axis value gives k numbers: the columns' values
+    columns = ProxFn(dim=3, value=lambda x: x[0] + x[1] + x[2], prox_impl=lambda gamma, x: x)
+    assert columns.eval([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]).tolist() == [1.0, 0.0, 0.0]
+    c = np.array([1.0, -2.0, 0.5])
+    transposed = SmoothFn(dim=3, value=lambda x: np.dot(c, x), grad_impl=lambda x: c, lipschitz=1.0)
+    Y = _points(3, k=3)
+    _rows_equal(transposed.eval(Y), [np.dot(c, y) for y in Y])
     failing = ProxFn(dim=2, value=lambda x: 1.0 / float(x[..., 1]), prox_impl=lambda gamma, x: x)
     with pytest.raises(ZeroDivisionError):  # the error of the row, not the stack's TypeError
         failing.eval([[1.0, 2.0], [1.0, 0.0]])
@@ -219,6 +226,24 @@ def test_solve_with_a_value_written_for_one_point():
     res = solvers.forward_backward(f1, one_point, stop=solvers.StoppingRule(tol=1e-12))
     assert res.converged and res.iterations < 1000  # every iterate's objective is evaluated
     assert res.records[-1].objective == f1.eval(res.final_x) + one_point.eval(res.final_x)
+
+
+def test_solve_whose_last_block_holds_as_many_rows_as_the_dimension(monkeypatch):
+    # a value that indexes the first axis; 128 + 3 iterates leave a 3-row block
+    first_axis = SmoothFn(
+        dim=3,
+        value=lambda x: 0.5 * (x[0] ** 2 + 2.0 * x[1] ** 2 + 3.0 * x[2] ** 2),
+        grad_impl=lambda x: np.array([1.0, 2.0, 3.0]) * x,
+        lipschitz=300.0,  # small steps: no fixed point within 131 iterations
+    )
+    f1 = cat.zero_fn(3)
+    stop = solvers.StoppingRule(tol=1e-300, max_iter=131)
+    iterates, res = _iterates_and_records(
+        lambda: solvers.forward_backward(f1, first_axis, x0=[1.0, -2.0, 3.0], stop=stop), monkeypatch
+    )
+    assert res.iterations == 131
+    column = [r.objective for r in res.records]
+    assert column == _reference_column(iterates, lambda x: f1.eval(x) + first_axis.eval(x), stop)
 
 
 def _iterates_and_records(solve, monkeypatch):
