@@ -47,6 +47,7 @@ from .core import (
     PreconditionError,
     ProxFn,
     _each_row,
+    as_count,
     as_real,
     as_vector,
     norm,
@@ -722,6 +723,7 @@ def separable(kinds, dim: int | None = None) -> ProxFn:
     if isinstance(kinds, ScalarKind):
         if dim is None:
             raise InvalidParameterError("broadcasting a single kind requires dim")
+        dim = as_count(dim, "dim", 1)
     else:
         kinds = list(kinds)
         if not kinds or not all(isinstance(k, ScalarKind) for k in kinds):
@@ -768,6 +770,7 @@ def weighted_l1(weights) -> ProxFn:
 
 def zero_fn(dim: int) -> ProxFn:
     """The zero function; its prox is the identity."""
+    dim = as_count(dim, "dim", 1)
     return ProxFn(dim=dim, value=lambda x: np.zeros(x.shape[:-1]), prox_impl=lambda gamma, x: x, name="zero")
 
 

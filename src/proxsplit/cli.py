@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,8 +31,6 @@ import numpy as np
 from . import catalog, problems, sets, solvers
 from .core import (
     InvalidInputError,
-    InvalidParameterError,
-    InvalidScheduleError,
     IterationRecord,
     PreconditionError,
     Schedule,
@@ -40,7 +38,9 @@ from .core import (
     ProxFn,
     LinearMap,
     SolveResult,
-    UnsupportedFunctionError,
+    as_count,
+    as_real,
+    as_vector,
     check_adjoint,
     firm_nonexpansiveness_violation,
     gradient_check_error,
@@ -55,18 +55,53 @@ TRACE_HEADER = "iter,objective,residual,elapsed_ns"
 
 COMPATIBLE_SOLVERS = problems._COMPATIBLE_SOLVERS
 
-_TOOLKIT_ERRORS = (
-    InvalidInputError,
-    InvalidParameterError,
-    InvalidScheduleError,
-    PreconditionError,
-    UnsupportedFunctionError,
-    BracketingError,
-)
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _json(value, kind: type, context: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{context} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _fields(doc, context: str, table: dict, key: Optional[str] = None) -> list:
+    """The value of each field of ``table`` (name -> default, MISSING for a
+    required field) in the JSON object ``doc``, in table order; ``key`` names
+    one more known field.  A missing required field or an unknown one is a
+    ConfigError naming it."""
+    unknown = _json(doc, dict, context).keys() - table.keys() - {key}
+    if unknown:
+        raise ConfigError(f"{context} has unknown field(s): {', '.join(sorted(unknown))}")
+    values = [doc.get(name, default) for name, default in table.items()]
+    missing = [name for name, value in zip(table, values) if value is MISSING]
+    if missing:
+        raise ConfigError(f"{context} missing required field '{missing[0]}'")
+    return values
+
+
+def _entry(table: dict, name, context: str, key: str) -> tuple:
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{context}: unknown {key} {name!r} (known: {', '.join(sorted(table))})")
+    return table[name]
+
+
+def _spec(doc, context: str, key: str, table: dict, **defaults):
+    """The library object that ``doc`` names by its field ``key`` in
+    ``table``, called with the other fields; ``defaults`` replace the table's."""
+    if key not in _json(doc, dict, context):
+        raise ConfigError(f"{context} missing required field '{key}'")
+    build, fields_ = _entry(table, doc[key], context, key)
+    return build(*_fields(doc, context, {name: defaults.get(name, d) for name, d in fields_.items()}, key))
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _required(*names) -> dict:
+    return dict.fromkeys(names, MISSING)
 
 
 @dataclass(frozen=True)
@@ -81,158 +116,119 @@ class RunConfig:
     trace: Optional[str] = None
     out: Optional[str] = None
 
+    def __post_init__(self):
+        for name, value in (("solver", self.solver), ("trace", self.trace), ("out", self.out)):
+            if not isinstance(value, str) and (name == "solver" or value is not None):
+                raise ConfigError(f"{name} must be a string{'' if name == 'solver' else ' or null'}, got {value!r}")
+        if self.seed is not None:
+            as_count(self.seed, "seed")
+
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        _config_object(doc, "config", {f.name for f in fields(RunConfig)})
-        return RunConfig(
-            problem=_field(doc, "problem", "config"),
-            solver=_field(doc, "solver", "config"),
-            schedule=doc.get("schedule"),
-            stop=doc.get("stop"),
-            seed=doc.get("seed"),
-            trace=doc.get("trace"),
-            out=doc.get("out"),
-        )
+        return RunConfig(*_fields(doc, "config", _CONFIG_FIELDS))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _config_object(doc, context: str, known: Optional[set] = None) -> None:
-    """Require ``doc`` to be a JSON object, with all its fields in ``known``
-    when that is given."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(doc) - known if known is not None else ()
-    if unknown:
-        raise ConfigError(f"{context} has unknown field(s): {', '.join(sorted(unknown))}")
-
-
-def _field(doc: dict, name: str, context: str):
-    if name not in doc:
-        raise ConfigError(f"{context} missing required field '{name}'")
-    return doc[name]
+_CONFIG_FIELDS = _defaults(RunConfig)
 
 
 def _bound(values, side: str) -> list:
     # null -> missing bound on that side; sets.Box checks the other entries
-    if not isinstance(values, list):
-        raise ConfigError(f"box {side} must be a JSON array")
     missing = -np.inf if side == "lo" else np.inf
-    return [missing if v is None else v for v in values]
+    return [missing if v is None else v for v in _json(values, list, f"box {side}")]
+
+
+def _sets(**specs) -> list:
+    return [parse_set(doc, f"problem field {name}") for name, doc in specs.items()]
+
+
+def _l1(dim, weight) -> ProxFn:
+    return catalog.weighted_l1(np.full(as_count(dim, "dim", 1), as_real(weight, "weight", above=0.0)))
+
+
+def _scalar_kind(cls):
+    # a JSON object in place of a value is a nested kind spec (SmoothPlusSupport's psi)
+    return lambda *values: cls(*(parse_scalar_kind(v) if isinstance(v, dict) else v for v in values))
+
+
+def _denoise(f, g, r):
+    r = as_vector(r, name="r")
+    return problems.build_denoise(parse_prox_fn(f, r.size), parse_prox_fn(g, r.size), r)
+
+
+# One table per spec family: name -> (library callable, {field: default}).  The
+# callable takes the field values in table order, as the JSON document holds
+# them, and the library checks them.  problems.build_<tag> and
+# catalog.separable are looked up at call time, so that a tracer's rebinding
+# of them is honoured.
+_PROBLEM_TAGS = {
+    "lasso": (lambda *values: problems.build_lasso(*values), _required("A", "y", "weights")),
+    "constrained_least_squares": (
+        lambda L, y, C: problems.build_constrained_least_squares(matrix_map(L), y, *_sets(C=C)),
+        _required("L", "y", "C"),
+    ),
+    "alternating_projections": (
+        lambda C, D: problems.build_alternating_projections(*_sets(C=C, D=D)), _required("C", "D"),
+    ),
+    "best_approximation": (
+        lambda C, D, r: problems.build_best_approximation(*_sets(C=C, D=D), r), _required("C", "D", "r"),
+    ),
+    "denoise": (_denoise, _required("f", "g", "r")),
+    "tv1d": (lambda *values: problems.build_tv1d(*values), _required("r", "omega")),
+    "feasibility": (
+        lambda specs: problems.build_feasibility([parse_set(s) for s in _json(specs, list, "problem field sets")]),
+        _required("sets"),
+    ),
+}
+_SET_TYPES = {
+    "box": (lambda lo, hi: sets.Box(_bound(lo, "lo"), _bound(hi, "hi")), _required("lo", "hi")),
+    "halfspace": (sets.Halfspace, _required("a", "b")),
+    "hyperplane": (sets.Hyperplane, _required("a", "b")),
+    "ball": (sets.Ball, _required("center", "radius")),
+    "orthant": (sets.orthant, _required("dim")),
+    "affine": (sets.AffineSubspace, _required("A", "b")),
+}
+# a dim of None is the length of the problem's r
+_FUNCTION_KINDS = {
+    "zero": (catalog.zero_fn, {"dim": None}),
+    "l1": (_l1, {"dim": None, "weight": 1.0}),
+    "nonneg": (lambda dim: sets.indicator(sets.orthant(dim)), {"dim": None}),
+    "indicator": (lambda spec: sets.indicator(parse_set(spec)), _required("set")),
+    "separable": (lambda spec, dim: catalog.separable(parse_scalar_kind(spec), dim), {**_required("scalar"), "dim": None}),
+}
+# a scalar kind's fields are its dataclass fields
+_SCALAR_KINDS = {name: (_scalar_kind(cls), _defaults(cls)) for name, cls in catalog.SCALAR_KINDS.items()}
 
 
 def parse_set(doc, context: str = "set spec") -> sets.ConvexSet:
-    _config_object(doc, context)
-    kind = _field(doc, "type", context)
-    if kind == "box":
-        return sets.Box(_bound(_field(doc, "lo", "box"), "lo"), _bound(_field(doc, "hi", "box"), "hi"))
-    if kind == "halfspace":
-        return sets.Halfspace(np.array(_field(doc, "a", "halfspace"), float), _field(doc, "b", "halfspace"))
-    if kind == "hyperplane":
-        return sets.Hyperplane(np.array(_field(doc, "a", "hyperplane"), float), _field(doc, "b", "hyperplane"))
-    if kind == "ball":
-        return sets.Ball(np.array(_field(doc, "center", "ball"), float), _field(doc, "radius", "ball"))
-    if kind == "orthant":
-        return sets.orthant(int(_field(doc, "dim", "orthant")))
-    if kind == "affine":
-        return sets.AffineSubspace(np.array(_field(doc, "A", "affine"), float), np.array(_field(doc, "b", "affine"), float))
-    raise ConfigError(f"unknown set type '{kind}'")
+    return _spec(doc, context, "type", _SET_TYPES)
 
 
-def parse_scalar_kind(doc: dict) -> catalog.ScalarKind:
-    _config_object(doc, "scalar kind spec")
-    doc = dict(doc)
-    name = doc.pop("kind", None)
-    if name is None:
-        raise ConfigError("scalar kind spec missing required field 'kind'")
-    cls = catalog.SCALAR_KINDS.get(name)
-    if cls is None:
-        raise ConfigError(f"unknown scalar kind '{name}' (known: {', '.join(sorted(catalog.SCALAR_KINDS))})")
-    for key, value in doc.items():
-        if isinstance(value, dict) and "kind" in value:
-            doc[key] = parse_scalar_kind(value)
-    return cls(**doc)
+def parse_scalar_kind(doc) -> catalog.ScalarKind:
+    return _spec(doc, "scalar kind spec", "kind", _SCALAR_KINDS)
 
 
-def parse_prox_fn(doc: dict, dim_hint: Optional[int] = None) -> ProxFn:
-    _config_object(doc, "function spec")
-    kind = _field(doc, "kind", "function spec")
-    if kind == "zero":
-        return catalog.zero_fn(int(doc.get("dim", dim_hint)))
-    if kind == "l1":
-        n = int(doc.get("dim", dim_hint))
-        return catalog.weighted_l1(np.full(n, float(doc.get("weight", 1.0))))
-    if kind == "nonneg":
-        return sets.indicator(sets.orthant(int(doc.get("dim", dim_hint))))
-    if kind == "indicator":
-        return sets.indicator(parse_set(_field(doc, "set", "indicator spec")))
-    if kind == "separable":
-        scalar = parse_scalar_kind(_field(doc, "scalar", "separable spec"))
-        return catalog.separable(scalar, dim=int(doc.get("dim", dim_hint)))
-    raise ConfigError(f"unknown function kind '{kind}'")
+def parse_prox_fn(doc, dim_hint: Optional[int] = None) -> ProxFn:
+    return _spec(doc, "function spec", "kind", _FUNCTION_KINDS, dim=dim_hint)
 
 
 def build_instance(cfg: RunConfig) -> problems.ProblemInstance:
-    doc = cfg.problem
-    _config_object(doc, "problem")
-    tag = _field(doc, "tag", "problem")
-    if tag == "lasso":
-        return problems.build_lasso(
-            np.array(_field(doc, "A", "lasso"), float),
-            np.array(_field(doc, "y", "lasso"), float),
-            np.atleast_1d(np.array(_field(doc, "weights", "lasso"), float)),
-        )
-    if tag == "constrained_least_squares":
-        return problems.build_constrained_least_squares(
-            matrix_map(np.array(_field(doc, "L", tag), float)),
-            np.array(_field(doc, "y", tag), float),
-            parse_set(_field(doc, "C", tag), "problem field C"),
-        )
-    if tag == "alternating_projections":
-        return problems.build_alternating_projections(
-            parse_set(_field(doc, "C", tag), "problem field C"), parse_set(_field(doc, "D", tag), "problem field D")
-        )
-    if tag == "best_approximation":
-        return problems.build_best_approximation(
-            parse_set(_field(doc, "C", tag), "problem field C"),
-            parse_set(_field(doc, "D", tag), "problem field D"),
-            np.array(_field(doc, "r", tag), float),
-        )
-    if tag == "denoise":
-        r = np.array(_field(doc, "r", tag), float)
-        return problems.build_denoise(
-            parse_prox_fn(_field(doc, "f", tag), dim_hint=r.size),
-            parse_prox_fn(_field(doc, "g", tag), dim_hint=r.size),
-            r,
-        )
-    if tag == "tv1d":
-        return problems.build_tv1d(
-            np.array(_field(doc, "r", tag), float), float(_field(doc, "omega", tag))
-        )
-    if tag == "feasibility":
-        return problems.build_feasibility([parse_set(s) for s in _field(doc, "sets", tag)])
-    raise ConfigError(f"unknown problem tag '{tag}'")
+    return _spec(cfg.problem, "problem", "tag", _PROBLEM_TAGS)
 
 
 def parse_schedule(doc: Optional[dict]) -> Optional[Schedule]:
     if doc is None:
         return None
-    _config_object(doc, "schedule", {"gamma", "lambda", "epsilon"})
-    return Schedule(gamma=doc.get("gamma"), lam=doc.get("lambda"), epsilon=doc.get("epsilon"))
+    return Schedule(*_fields(doc, "schedule", dict.fromkeys(("gamma", "lambda", "epsilon"))))
 
 
-def parse_stop(doc: Optional[dict], tol=None, max_iter=None) -> Optional[solvers.StoppingRule]:
-    if doc is not None:
-        _config_object(doc, "stop", {f.name for f in fields(solvers.StoppingRule)})
-    doc = dict(doc or {})
-    if tol is not None:
-        doc["tol"] = tol
-    if max_iter is not None:
-        doc["max_iter"] = max_iter
-    if not doc:
-        return None
-    return solvers.StoppingRule(**doc)
+def parse_stop(doc: Optional[dict], tol=None, max_iter=None) -> solvers.StoppingRule:
+    table = _defaults(solvers.StoppingRule)
+    values = dict(zip(table, _fields({} if doc is None else doc, "stop", table)))
+    values.update((name, v) for name, v in (("tol", tol), ("max_iter", max_iter)) if v is not None)
+    return solvers.StoppingRule(**values)
 
 
 def write_trace(path: str, result: SolveResult) -> None:
@@ -247,11 +243,8 @@ def read_trace(path: str) -> list:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise InvalidInputError(f"unexpected trace header: {header!r}")
-        records = []
-        for line in fh:
-            it, obj, res, ns = line.rstrip("\n").split(",")
-            records.append(IterationRecord(int(it), float(obj), float(res), int(ns)))
-    return records
+        rows = (line.rstrip("\n").split(",") for line in fh)
+        return [IterationRecord(int(it), float(obj), float(res), int(ns)) for it, obj, res, ns in rows]
 
 
 def write_result(path: str, result: SolveResult) -> None:
@@ -282,7 +275,7 @@ def _cmd_solve(args) -> int:
         write_result(out_path, result)
     if result.converged:
         status = "converged"
-    elif result.iterations == (stop or solvers.StoppingRule()).max_iter:
+    elif result.iterations == stop.max_iter:
         status = "max_iter reached"
     else:
         status = "stopped without converging"
@@ -291,12 +284,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_prox_eval(args) -> int:
-    kind = parse_scalar_kind({"kind": args.kind, **json.loads(args.params)})
-    gamma = float(args.gamma)
+    build, table = _entry(_SCALAR_KINDS, args.kind, "prox-eval", "--kind")
+    kind = build(*_fields(json.loads(args.params), "--params", table))
     print("x prox objective")
     for x in args.x:
-        p = catalog.scalar_prox(kind, x, gamma)
-        obj = gamma * kind.value(p) + 0.5 * (x - p) ** 2
+        p = catalog.scalar_prox(kind, x, args.gamma)
+        obj = args.gamma * kind.value(p) + 0.5 * (x - p) ** 2
         print(f"{x!r} {p!r} {obj!r}")
     return 0
 
@@ -317,36 +310,26 @@ def _cmd_check(args) -> int:
         cfg = RunConfig.from_dict(json.load(fh))
     instance = build_instance(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed or 0)
+    draw = lambda n: rng.standard_normal(n) * 2.0  # noqa: E731
     failures = 0
     for name, obj in _walk_components(instance.components, instance.tag):
         if isinstance(obj, LinearMap):
             gap = check_adjoint(obj, trials=16, seed=int(rng.integers(2**31)))
-            ok = gap <= 1e-10
-            print(f"{name}: adjoint gap {gap:.3e} {'ok' if ok else 'FAIL'}")
+            report, ok = f"adjoint gap {gap:.3e}", gap <= 1e-10
         elif isinstance(obj, SmoothFn):
-            err = max(
-                gradient_check_error(obj, rng.standard_normal(obj.dim) * 2.0) for _ in range(10)
-            )
-            ok = err <= 1e-5
-            print(f"{name}: gradient check {err:.3e} {'ok' if ok else 'FAIL'}")
+            err = max(gradient_check_error(obj, draw(obj.dim)) for _ in range(10))
+            report, ok = f"gradient check {err:.3e}", err <= 1e-5
         elif isinstance(obj, ProxFn):
-            firm = max(
-                firm_nonexpansiveness_violation(
-                    obj, rng.standard_normal(obj.dim) * 2.0, rng.standard_normal(obj.dim) * 2.0
-                )
-                for _ in range(50)
-            )
+            firm = max(firm_nonexpansiveness_violation(obj, draw(obj.dim), draw(obj.dim)) for _ in range(50))
             cert = -np.inf
             for _ in range(20):
-                x = rng.standard_normal(obj.dim) * 2.0
-                p = obj.prox(1.0, x)
-                cert = max(cert, subgradient_certificate(obj, x, p, samples=32, radius=0.5, seed=int(rng.integers(2**31))))
-            ok = firm <= 1e-9 and cert <= 1e-9
-            print(f"{name}: firm nonexpansiveness {firm:.3e}, prox certificate {cert:.3e} {'ok' if ok else 'FAIL'}")
+                x, seed = draw(obj.dim), int(rng.integers(2**31))
+                cert = max(cert, subgradient_certificate(obj, x, obj.prox(1.0, x), samples=32, radius=0.5, seed=seed))
+            report, ok = f"firm nonexpansiveness {firm:.3e}, prox certificate {cert:.3e}", firm <= 1e-9 and cert <= 1e-9
         else:
             continue
-        if not ok:
-            failures += 1
+        print(f"{name}: {report} {'ok' if ok else 'FAIL'}")
+        failures += not ok
     if failures:
         print(f"{failures} component(s) failed")
         return 1
@@ -392,7 +375,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (*_TOOLKIT_ERRORS, OSError, TypeError, ValueError, KeyError) as exc:
+    # the toolkit's errors are ValueErrors or TypeErrors, but for these two
+    except (PreconditionError, BracketingError, OSError, TypeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ __all__ = [
     "as_vector",
     "as_points",
     "as_real",
+    "as_count",
     "norm",
     "pow2",
     "ProxFn",
@@ -75,21 +76,39 @@ class UnsupportedFunctionError(TypeError):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def as_vector(x, dim: Optional[int] = None) -> Array:
+def _real_array(x) -> Optional[Array]:
+    """``x`` as a float array, or None if it holds a bool or a string (which numpy
+    would convert) or is ragged; a flat list of floats and ints converts as is."""
+    plain = type(x) is list and {float, int}.issuperset(map(type, x))
+    a = x if plain or isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if not plain and (a.dtype.kind in "US" or a.dtype == object and any(
+            issubclass(t, (bool, np.bool_, str, bytes)) for t in set(map(type, a.flat)))):
+        return None
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     """Validate ``x`` as a finite 1-D float vector, optionally of length ``dim``.
 
     A plain 1-D float64 ndarray is returned as it is (``asarray`` would return
-    that same object); anything else is converted.  The finiteness test counts
-    the finite entries, which is exact and cannot overflow.
+    that same object); anything else is converted, and one holding a bool or a
+    string raises ``InvalidInputError`` naming ``name``.  The finiteness test
+    counts the finite entries, which is exact and cannot overflow.
     """
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1:
         v = x
     else:
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v = _real_array(x)
+        if v is None:
+            raise InvalidInputError(f"{name} entries must be real numbers")
+        v = np.atleast_1d(v)
         if v.ndim != 1:
             raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
     if np.count_nonzero(np.isfinite(v)) != v.size:
-        raise InvalidInputError("vector entries must be finite")
+        raise InvalidInputError(f"{name} entries must be finite")
     if dim is not None and v.size != dim:
         raise InvalidInputError(f"expected a vector of dimension {dim}, got {v.size}")
     return v
@@ -169,6 +188,15 @@ def as_real(value, name: str, above: Optional[float] = None, at_least: Optional[
     rule = f" > {above:g}" if above is not None else ""
     rule += f" >= {at_least:g}" if at_least is not None else ""
     raise InvalidParameterError(f"{name} must be a finite number{rule}, got {value!r}")
+
+
+def as_count(value, name: str, at_least: int = 0) -> int:
+    """``value`` as an int >= ``at_least``: the integer counterpart of ``as_real``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < at_least:
+        raise InvalidParameterError(f"{name} must be >= {at_least}, got {value}")
+    return int(value)
 
 
 def norm(v: Array):
@@ -316,7 +344,9 @@ class LinearMap:
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
-    A = np.asarray(A, dtype=float)
+    A = _real_array(A)
+    if A is None:
+        raise InvalidParameterError(f"{name} entries must be real numbers")
     if A.ndim != 2:
         raise InvalidParameterError(f"expected a matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):

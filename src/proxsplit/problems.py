@@ -167,7 +167,7 @@ def _feasible_probes(sets_list, dim: int, count: int, seed: int) -> list:
 
 def build_constrained_least_squares(L: LinearMap, y, C) -> ProblemInstance:
     """min (1/2)||L x - y||^2 over x in C (projected Landweber family)."""
-    y = as_vector(y, L.rows)
+    y = as_vector(y, L.rows, name="y")
     f2 = least_squares_smooth(L, y)
     f1 = sets.indicator(C)
     if C.dim != L.cols:
@@ -196,9 +196,9 @@ def build_lasso(A, y, weights) -> ProblemInstance:
     """
     Lmap = matrix_map(A, name="A")
     A = Lmap.matrix
-    y = as_vector(y, Lmap.rows)
+    y = as_vector(y, Lmap.rows, name="y")
     n = Lmap.cols
-    w = as_vector(weights)
+    w = as_vector(weights, name="weights")
     if w.size == 1:
         w = np.full(n, float(w[0]))
     if w.size != n or np.any(w <= 0):
@@ -257,7 +257,7 @@ def build_best_approximation(C, D, r) -> ProblemInstance:
     """Projection of r onto C ∩ D through the Dykstra-like algorithm."""
     if C.dim != D.dim:
         raise InvalidInputError("both sets must share one dimension")
-    r = as_vector(r, C.dim)
+    r = as_vector(r, C.dim, name="r")
 
     def validator(result: SolveResult) -> dict:
         x = result.final_x
@@ -281,7 +281,7 @@ def build_denoise(f: ProxFn, g: ProxFn, r) -> ProblemInstance:
     """min f(x) + g(x) + (1/2)||x - r||^2, i.e. prox_{f+g}(r)."""
     if f.dim != g.dim:
         raise InvalidInputError("f and g must share one dimension")
-    r = as_vector(r, f.dim)
+    r = as_vector(r, f.dim, name="r")
 
     def validator(result: SolveResult) -> dict:
         x = result.final_x
@@ -330,7 +330,7 @@ def build_tv1d(r, omega: float) -> ProblemInstance:
     the least-squares solution of D^T u = v = r - x, the partial sums
     cumsum(mean(v) - v)[:-1]; its stationarity is |sum v| / sqrt(n).
     """
-    r = as_vector(r)
+    r = as_vector(r, name="r")
     n = r.size
     if n < 2:
         raise InvalidParameterError("tv1d needs signal length >= 2")

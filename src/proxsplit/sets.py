@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, _each_row, as_points, as_real, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, _each_row, _real_array, as_count, as_points, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -58,17 +58,10 @@ class ConvexSet:
 def _bound(value, name: str) -> Array:
     """A box bound as a 1-D float array of real numbers; ±inf entries are
     allowed, NaN, bools and strings are not."""
-    try:
-        v = np.atleast_1d(np.asarray(value))
-        # a list mixing bools with numbers converts to floats, so look at its entries
-        mixed = not isinstance(value, np.ndarray) or value.dtype == object
-        if mixed and any(isinstance(e, (bool, np.bool_)) for e in np.ravel(np.asarray(value, dtype=object))):
-            v = np.array(None)
-    except ValueError:  # a ragged nesting
-        v = np.array(None)
-    if v.dtype.kind not in "iuf" or v.ndim != 1 or np.any(np.isnan(v)):
+    v = _real_array(value)
+    if v is None or v.ndim > 1 or np.any(np.isnan(v)):
         raise InvalidParameterError(f"box bound {name} must be a vector of numbers or ±inf, got {value!r}")
-    return v.astype(float)
+    return np.atleast_1d(v)
 
 
 @dataclass(frozen=True)
@@ -105,22 +98,32 @@ class Box(ConvexSet):
 
 
 @dataclass(frozen=True)
-class Halfspace(ConvexSet):
-    """{x : a^T x <= b} with a != 0."""
+class _Plane(ConvexSet):
+    """A set bounded by the hyperplane {x : a^T x = b}, a != 0."""
 
     a: Array
     b: float
 
     def __post_init__(self):
-        a = as_vector(self.a)
+        a = as_vector(self.a, name="a")
         if np.linalg.norm(a) == 0.0:
-            raise InvalidParameterError("halfspace normal must be nonzero")
+            raise InvalidParameterError(f"{type(self).__name__.lower()} normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_real(self.b, "b"))
 
     @property
     def dim(self) -> int:
         return self.a.size
+
+    def _normal_part(self, u) -> float | None:
+        """t with u = t*a, or None when u is not along the normal."""
+        t = float(u @ self.a) / float(self.a @ self.a)
+        return None if np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)) else t
+
+
+@dataclass(frozen=True)
+class Halfspace(_Plane):
+    """{x : a^T x <= b} with a != 0."""
 
     def project(self, x) -> Array:
         x = as_points(x, self.dim)
@@ -130,30 +133,13 @@ class Halfspace(ConvexSet):
         return np.where((excess > 0.0)[:, None], x - (excess / float(self.a @ self.a))[:, None] * self.a, x)
 
     def _row_support(self, u) -> float:
-        # finite only along the outward normal direction: u = t*a with t >= 0
-        t = float(u @ self.a) / float(self.a @ self.a)
-        if t < -1e-12 or np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
-            return np.inf
-        return max(t, 0.0) * self.b
+        t = self._normal_part(u)  # finite only along the outward normal: t >= 0
+        return np.inf if t is None or t < -1e-12 else max(t, 0.0) * self.b
 
 
 @dataclass(frozen=True)
-class Hyperplane(ConvexSet):
+class Hyperplane(_Plane):
     """{x : a^T x = b} with a != 0."""
-
-    a: Array
-    b: float
-
-    def __post_init__(self):
-        a = as_vector(self.a)
-        if np.linalg.norm(a) == 0.0:
-            raise InvalidParameterError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", as_real(self.b, "b"))
-
-    @property
-    def dim(self) -> int:
-        return self.a.size
 
     def project(self, x) -> Array:
         x = as_points(x, self.dim)
@@ -161,10 +147,8 @@ class Hyperplane(ConvexSet):
         return x - step[..., None] * self.a
 
     def _row_support(self, u) -> float:
-        t = float(u @ self.a) / float(self.a @ self.a)
-        if np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)):
-            return np.inf
-        return t * self.b
+        t = self._normal_part(u)
+        return np.inf if t is None else t * self.b
 
 
 @dataclass(frozen=True)
@@ -175,7 +159,7 @@ class Ball(ConvexSet):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        object.__setattr__(self, "center", as_vector(self.center, name="center"))
         object.__setattr__(self, "radius", as_real(self.radius, "radius", at_least=0.0))
 
     @property
@@ -207,9 +191,9 @@ class AffineSubspace(ConvexSet):
     _x0: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = as_vector(self.b)
-        if A.ndim != 2 or A.shape[0] != b.size:
+        A = _real_array(self.A)
+        b = as_vector(self.b, name="b")
+        if A is None or A.ndim != 2 or A.shape[0] != b.size:
             raise InvalidParameterError("affine system needs A (m x n) and b (m)")
         if not np.all(np.isfinite(A)):
             raise InvalidParameterError("affine system entries must be finite")
@@ -240,6 +224,7 @@ class AffineSubspace(ConvexSet):
 
 def orthant(dim: int) -> Box:
     """Nonnegative orthant {x >= 0}."""
+    dim = as_count(dim, "dim", 1)
     return Box(np.zeros(dim), np.full(dim, np.inf))
 
 

@@ -21,7 +21,6 @@ are documented with each solver; their violation surfaces as
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    as_count,
     as_points,
     as_real,
     as_vector,
@@ -85,11 +85,7 @@ class StoppingRule:
     def __post_init__(self):
         object.__setattr__(self, "tol", as_real(self.tol, "tol", above=0.0))
         for name, least in (("max_iter", 1), ("objective_dense_until", 0), ("objective_stride", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
 
 
 # the iterates awaiting their objective are held in a block of at most this

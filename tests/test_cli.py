@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -9,6 +10,10 @@ import pytest
 
 import proxsplit
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from proxsplit import catalog, cli
 from proxsplit.cli import (
     COMPATIBLE_SOLVERS,
     RunConfig,
@@ -445,3 +450,177 @@ def test_module_entry_points_run_without_runtime_warning(module):
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == ["x prox objective", "-2.0 -1.0 1.5", "3.0 2.0 2.5"]
 
+
+
+# each case exits 1 with an error naming the field
+_DENOISE = {"tag": "denoise", "f": {"kind": "l1"}, "g": {"kind": "zero"}, "r": [3.0, -0.5, 1.2]}
+_TV = TAG_PROBLEMS["tv1d"]
+
+
+def _feasibility(spec):
+    return {"tag": "feasibility", "sets": [spec]}
+
+
+MALFORMED_FIELDS = {
+    "l1-misspelt-weight": (
+        {"problem": {**_DENOISE, "f": {"kind": "l1", "wieght": 2}}, "solver": "dykstra_like"},
+        "config error: function spec has unknown field(s): wieght",
+    ),
+    "problem-unknown-field": (
+        {"problem": {**TAG_PROBLEMS["lasso"], "lambda": 0.1}, "solver": "fista"},
+        "config error: problem has unknown field(s): lambda",
+    ),
+    "set-unknown-field": (
+        {"problem": _feasibility({**BOX2, "center": [0.0, 0.0]}), "solver": "pocs"},
+        "config error: set spec has unknown field(s): center",
+    ),
+    "omega-string": ({"problem": {**_TV, "omega": "0.5"}, "solver": "ppxa"}, "error: omega must be a finite number > 0"),
+    "r-strings": ({"problem": {**_TV, "r": ["1", "2", "3"]}, "solver": "ppxa"}, "error: r entries must be real numbers"),
+    "weights-string": (
+        {"problem": {**TAG_PROBLEMS["lasso"], "weights": "1"}, "solver": "fista"},
+        "error: weights entries must be real numbers",
+    ),
+    "orthant-fractional-dim": (
+        {"problem": _feasibility({"type": "orthant", "dim": 2.9}), "solver": "pocs"},
+        "error: dim must be an integer, got 2.9",
+    ),
+    "orthant-bool-dim": (
+        {"problem": _feasibility({"type": "orthant", "dim": True}), "solver": "pocs"},
+        "error: dim must be an integer, got True",
+    ),
+    "l1-bool-weight": (
+        {"problem": {**_DENOISE, "f": {"kind": "l1", "weight": True}}, "solver": "dykstra_like"},
+        "error: weight must be a finite number > 0, got True",
+    ),
+    "solver-number": ({"problem": TAG_PROBLEMS["lasso"], "solver": 3}, "config error: solver must be a string, got 3"),
+    "trace-number": (
+        {"problem": TAG_PROBLEMS["lasso"], "solver": "fista", "trace": 1},
+        "config error: trace must be a string or null, got 1",
+    ),
+    "out-number": (
+        {"problem": TAG_PROBLEMS["lasso"], "solver": "fista", "out": 2},
+        "config error: out must be a string or null, got 2",
+    ),
+    "seed-fractional": (
+        {"problem": TAG_PROBLEMS["lasso"], "solver": "fista", "seed": 1.5},
+        "error: seed must be an integer, got 1.5",
+    ),
+    "seed-negative": ({"problem": TAG_PROBLEMS["lasso"], "solver": "fista", "seed": -1}, "error: seed must be >= 0, got -1"),
+    "prox-eval-kind-in-params": (
+        ["prox-eval", "--kind", "huber", "--params", '{"kind": "entropy"}', "--x", "1"],
+        "config error: --params has unknown field(s): kind",
+    ),
+    "prox-eval-unknown-param": (
+        ["prox-eval", "--kind", "power_abs", "--params", '{"kappa": 1, "q": 2, "omega": 0.5}', "--x", "1"],
+        "config error: --params has unknown field(s): omega",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_field_exits_one_naming_it(tmp_path, capsys, case):
+    config, message = MALFORMED_FIELDS[case]
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        config = ["solve", "--config", str(path)]
+    assert main(config) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# one valid spec of dimension 2 per set type and function kind, and valid
+# values of every scalar kind parameter
+VALID_SETS = {
+    "box": {"type": "box", "lo": [0.0, None], "hi": [1.0, 2.0]},
+    "halfspace": {"type": "halfspace", "a": [1.0, 1.0], "b": 1.0},
+    "hyperplane": {"type": "hyperplane", "a": [1.0, -1.0], "b": 0.0},
+    "ball": {"type": "ball", "center": [0.0, 0.5], "radius": 1.0},
+    "orthant": {"type": "orthant", "dim": 2},
+    "affine": {"type": "affine", "A": [[1.0, 1.0]], "b": [1.0]},
+}
+KIND_PARAMS = {"omega": 1.0, "kappa": 1.0, "k_lo": 1.0, "k_hi": 1.0, "q": 2.0, "tau": 0.5, "alpha": 0.5, "lo": -1.0, "hi": 1.0}
+
+
+def _scalar_spec(kind: str) -> dict:
+    psi = {"kind": "huber", "kappa": 1.0, "omega": 1.0}
+    params = {f: psi if f == "psi" else KIND_PARAMS[f] for f in cli._defaults(catalog.SCALAR_KINDS[kind])}
+    return {"kind": kind, **params}
+
+
+@st.composite
+def _valid_configs(draw):
+    def a_set():
+        return VALID_SETS[draw(st.sampled_from(sorted(VALID_SETS)))]
+
+    def a_function():
+        kind = draw(st.sampled_from(sorted(cli._FUNCTION_KINDS)))
+        spec = {
+            "zero": {}, "l1": {"weight": 0.5}, "nonneg": {"dim": 2}, "indicator": {"set": a_set()},
+            "separable": {"scalar": _scalar_spec(draw(st.sampled_from(sorted(catalog.SCALAR_KINDS))))},
+        }[kind]
+        return {"kind": kind, **spec}
+
+    tag = draw(st.sampled_from(sorted(COMPATIBLE_SOLVERS)))
+    fields = {
+        "lasso": lambda: {"A": [[1.0, 0.5], [0.0, 1.0]], "y": [3.0, 0.5], "weights": [1.0, 0.5]},
+        "constrained_least_squares": lambda: {"L": [[1.0, 0.0], [0.5, 1.0]], "y": [2.0, -1.0], "C": a_set()},
+        "alternating_projections": lambda: {"C": a_set(), "D": a_set()},
+        "best_approximation": lambda: {"C": a_set(), "D": a_set(), "r": [-2.0, 2.0]},
+        "denoise": lambda: {"f": a_function(), "g": a_function(), "r": [1.5, -0.5]},
+        "tv1d": lambda: {"r": [0.0, 0.1, 1.0, 0.9], "omega": 0.3},
+        "feasibility": lambda: {"sets": [a_set() for _ in range(draw(st.integers(1, 3)))]},
+    }[tag]()
+    return {
+        "problem": {"tag": tag, **fields},
+        "solver": draw(st.sampled_from(COMPATIBLE_SOLVERS[tag])),
+        "schedule": {"gamma": None, "lambda": None, "epsilon": None},
+        "stop": {"tol": 1e-8, "max_iter": 5, "objective_stride": 1},
+        "seed": 0,
+    }
+
+
+def _paths(node, path=()):
+    """The path of every value below ``node``, and whether its parent is a JSON object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), isinstance(node, dict)
+        yield from _paths(value, path + (key,))
+
+
+BAD_VALUES = (None, True, False, "x", "1", 0.5, 2.5, -1.5, [[1.0, 2.0]], [])
+
+
+@st.composite
+def _mutated_configs(draw):
+    doc = copy.deepcopy(draw(_valid_configs()))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        path, in_object = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["drop", "add", "replace"] if in_object else ["add", "replace"]))
+        value = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "add":
+            (parent if in_object else doc)["bogus"] = value
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def test_examples_cover_the_tables():
+    assert set(VALID_SETS) == set(cli._SET_TYPES)
+    assert set(cli._PROBLEM_TAGS) == set(COMPATIBLE_SOLVERS)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.one_of(_valid_configs(), _mutated_configs()))
+def test_any_config_exits_zero_one_or_two(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--config", str(path), "--max-iter", "5"]) in (0, 1, 2)
