@@ -47,6 +47,7 @@ from .core import (
     PreconditionError,
     ProxFn,
     _each_row,
+    _matrix,
     as_count,
     as_real,
     as_vector,
@@ -236,7 +237,7 @@ class ScalarKind:
         return _like(t, self._value(np.asarray(t, dtype=float)))
 
     def prox(self, t, gamma: float = 1.0):
-        return _like(t, self._prox(np.asarray(t, dtype=float), float(gamma)))
+        return _like(t, self._prox(np.asarray(t, dtype=float), as_real(gamma, "gamma", above=0.0)))
 
     def _value(self, t: Array) -> Array:
         raise NotImplementedError
@@ -649,7 +650,7 @@ SCALAR_KINDS = {
 
 def scalar_prox(kind: ScalarKind, x: float, gamma: float = 1.0) -> float:
     """Minimizer of gamma*phi(p) + 0.5*(x - p)^2 for the given scalar kind."""
-    return kind.prox(as_real(x, "x"), as_real(gamma, "gamma", above=0.0))
+    return kind.prox(as_real(x, "x"), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +729,7 @@ def separable(kinds, dim: int | None = None) -> ProxFn:
         kinds = list(kinds)
         if not kinds or not all(isinstance(k, ScalarKind) for k in kinds):
             raise InvalidParameterError("kinds must be a nonempty sequence of ScalarKind")
-        if dim is not None and dim != len(kinds):
+        if dim is not None and as_count(dim, "dim", 1) != len(kinds):
             raise InvalidParameterError(f"{len(kinds)} kinds for dimension {dim}")
         dim = len(kinds)
     groups = _Groups(kinds, dim)
@@ -742,9 +743,9 @@ def basis_separable(kinds, basis) -> ProxFn:
     construction.  The prox maps to coordinates, applies the scalar proxes and
     maps back.
     """
-    B = np.asarray(basis, dtype=float)
+    B = _matrix(basis, "basis")
     kinds = list(kinds)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[1] != len(kinds):
+    if B.shape[0] != B.shape[1] or B.shape[1] != len(kinds):
         raise InvalidParameterError("basis must be square with one column per kind")
     if np.linalg.norm(B.T @ B - np.eye(B.shape[1])) > 1e-10:
         raise InvalidParameterError("basis columns must be orthonormal")
@@ -776,7 +777,8 @@ def zero_fn(dim: int) -> ProxFn:
 
 def quadratic_deviation(r, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||x - r||^2 with its closed-form prox."""
-    r = as_vector(r)
+    r = as_vector(r, name="r")
+    as_count(r.size, "r dimension", 1)
     w = as_real(weight, "weight", above=0.0)
 
     def value(x: Array):

@@ -126,7 +126,10 @@ def as_points(x, dim: int) -> Array:
     summed as the vector itself would be."""
     if not _is_stack(x):
         return as_vector(x, dim)
-    v = np.ascontiguousarray(x, dtype=float)
+    v = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else _real_array(x)
+    if v is None:
+        raise InvalidInputError("vector entries must be real numbers")
+    v = np.ascontiguousarray(v)
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise InvalidInputError("vector entries must be finite")
     if v.shape[1] != dim:
@@ -188,6 +191,21 @@ def as_real(value, name: str, above: Optional[float] = None, at_least: Optional[
     rule = f" > {above:g}" if above is not None else ""
     rule += f" >= {at_least:g}" if at_least is not None else ""
     raise InvalidParameterError(f"{name} must be a finite number{rule}, got {value!r}")
+
+
+def _matrix(A, name: str) -> Array:
+    """``A`` as a finite 2-D float array with at least one row and one column,
+    or ``InvalidParameterError`` naming ``name``."""
+    M = _real_array(A)
+    if M is None:
+        raise InvalidParameterError(f"{name} entries must be real numbers")
+    if M.ndim != 2:
+        raise InvalidParameterError(f"{name}: expected a matrix, got shape {M.shape}")
+    as_count(M.shape[0], f"{name} rows", 1)
+    as_count(M.shape[1], f"{name} columns", 1)
+    if not np.all(np.isfinite(M)):
+        raise InvalidParameterError(f"{name} entries must be finite")
+    return M
 
 
 def as_count(value, name: str, at_least: int = 0) -> int:
@@ -300,8 +318,8 @@ class LinearMap:
     matrix: Optional[Array] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidParameterError("operator dimensions must be >= 1")
+        object.__setattr__(self, "rows", as_count(self.rows, "rows", 1))
+        object.__setattr__(self, "cols", as_count(self.cols, "cols", 1))
         if self.matrix is not None and np.shape(self.matrix) != (self.rows, self.cols):
             raise InvalidParameterError(
                 f"matrix of shape {np.shape(self.matrix)} does not match {self.rows} x {self.cols}"
@@ -344,13 +362,7 @@ class LinearMap:
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
-    A = _real_array(A)
-    if A is None:
-        raise InvalidParameterError(f"{name} entries must be real numbers")
-    if A.ndim != 2:
-        raise InvalidParameterError(f"expected a matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidParameterError("matrix entries must be finite")
+    A = _matrix(A, name)
     return LinearMap(
         rows=A.shape[0],
         cols=A.shape[1],
@@ -364,8 +376,8 @@ def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> Li
 
 def identity_map(n: int) -> LinearMap:
     """The identity on R^n; it carries its matrix, so ``to_dense`` is a copy."""
-    # np.eye rejects a negative n with a bare ValueError; LinearMap names the error
-    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=np.eye(max(n, 0)))
+    n = as_count(n, "n", 1)
+    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=np.eye(n))
 
 
 ScalarSequence = Union[float, Sequence[float], Callable[[int], float]]

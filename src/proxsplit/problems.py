@@ -25,6 +25,7 @@ from .core import (
     Schedule,
     SmoothFn,
     SolveResult,
+    as_count,
     as_real,
     as_vector,
     matrix_map,
@@ -110,8 +111,7 @@ def first_difference(n: int) -> LinearMap:
     """The (n-1) x n forward difference x |-> (x_{k+1} - x_k)_k, in O(n) on
     slices of the last axis; both it and its adjoint give the bytes of the
     dense products."""
-    if n < 2:
-        raise InvalidParameterError("first difference needs length >= 2")
+    n = as_count(n, "n", 2)
 
     def adjoint(u):  # (-u_0, u_0 - u_1, ..., u_{n-3} - u_{n-2}, u_{n-2})
         out = np.empty(u.shape[:-1] + (n,))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, _each_row, _real_array, as_count, as_points, as_real, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, _each_row, _matrix, _real_array, as_count, as_points, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -75,6 +75,7 @@ class Box(ConvexSet):
         lo, hi = _bound(self.lo, "lo"), _bound(self.hi, "hi")
         if lo.shape != hi.shape:
             raise InvalidParameterError("box bounds must be 1-D vectors of equal length")
+        as_count(lo.size, "box dimension", 1)
         if np.any(lo > hi):
             raise InvalidParameterError("box needs lo <= hi in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -160,6 +161,7 @@ class Ball(ConvexSet):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, name="center"))
+        as_count(self.center.size, "center dimension", 1)
         object.__setattr__(self, "radius", as_real(self.radius, "radius", at_least=0.0))
 
     @property
@@ -191,12 +193,10 @@ class AffineSubspace(ConvexSet):
     _x0: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = _real_array(self.A)
+        A = _matrix(self.A, "A")
         b = as_vector(self.b, name="b")
-        if A is None or A.ndim != 2 or A.shape[0] != b.size:
-            raise InvalidParameterError("affine system needs A (m x n) and b (m)")
-        if not np.all(np.isfinite(A)):
-            raise InvalidParameterError("affine system entries must be finite")
+        if A.shape[0] != b.size:
+            raise InvalidParameterError(f"affine system needs b of length {A.shape[0]}, got {b.size}")
         pinv = np.linalg.pinv(A)
         x0 = pinv @ b
         if np.linalg.norm(A @ x0 - b) > 1e-8 * max(1.0, float(np.linalg.norm(b))):

@@ -4,12 +4,12 @@ Every solver consumes function/operator objects plus an optional ``Schedule``
 and ``StoppingRule`` and returns a ``SolveResult`` with a per-iteration trace
 (objective, iterate-change residual, elapsed nanoseconds).
 
-Stopping is based on the relative iterate change
-||x_{n+1} - x_n|| / max(1, ||x_n||); solvers whose convergence theory rests on
-a fixed-point identity (forward-backward family, Douglas-Rachford) also
-require the corresponding relative fixed-point gap to fall below the same
-tolerance, so the identity holds at termination up to a small multiple of the
-tolerance.  Initial points default to the zero vector (or to the reference
+Stopping, decided for every loop by ``_Run.done``, is based on the relative
+iterate change ||x_{n+1} - x_n|| / max(1, ||x_n||); solvers whose convergence
+theory rests on a fixed-point identity (forward-backward family,
+Douglas-Rachford) also require the corresponding relative fixed-point gap to
+fall below the same tolerance, so the identity holds at termination up to a
+small multiple of the tolerance.  Initial points default to the zero vector (or to the reference
 point where the algorithm prescribes it).
 
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
@@ -124,11 +124,14 @@ class _Run:
         ``objective_dense_until``, then every ``objective_stride``-th)."""
         return n <= self.stop.objective_dense_until or n % self.stop.objective_stride == 0
 
-    def done(self, x: Array, change: float, measure: float) -> bool:
-        """Record iterate ``x`` and its change; true once ``measure`` is within
-        the tolerance."""
+    def done(self, x: Array, x_prev: Array | None, gap: float = 0.0) -> bool:
+        """Record iterate ``x`` and its change ||x - x_prev|| (||x|| when
+        there is no previous iterate); true once max(change, gap) /
+        max(1, ||x_prev||) is within the tolerance, which it never is without
+        a previous iterate.  ``gap`` is the loop's fixed-point gap, if any."""
         self._elapsed.append(time.perf_counter_ns() - self._t0 - self._eval_ns)
-        self._changes.append(float(change))
+        change = norm(x) if x_prev is None else norm(x - x_prev)
+        self._changes.append(change)
         if self._due(len(self._changes)):
             if self._block is None:
                 self._block = np.empty((max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // x.size)), x.size))
@@ -136,7 +139,7 @@ class _Run:
             self._held += 1
             if self._held == len(self._block):
                 self._flush()
-        self.converged = measure <= self.stop.tol
+        self.converged = x_prev is not None and _rel(max(change, gap), norm(x_prev)) <= self.stop.tol
         return self.converged
 
     def _flush(self) -> None:
@@ -170,25 +173,28 @@ def _rel(delta: float, xnorm: float) -> float:
     return delta / max(1.0, xnorm)
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    if not (math.isfinite(value) and lo <= value <= hi):
-        raise InvalidScheduleError(
-            f"{name}={value} outside the admissible interval [{lo}, {hi}]"
-        )
-    return float(value)
+def _check_range(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a float in [lo, hi]: a malformed value is an
+    ``InvalidParameterError`` (``as_real``), one outside the interval an
+    ``InvalidScheduleError``."""
+    value = as_real(value, name)
+    if not lo <= value <= hi:
+        raise InvalidScheduleError(f"{name}={value} outside the admissible interval [{lo}, {hi}]")
+    return value
 
 
 def _sequence(name: str, spec, lo: float, hi: float):
     """The reader n -> value of a schedule entry in [lo, hi].
 
-    A constant or a finite sequence (held at its last value) is checked in
-    full here, so reading it is a list lookup; a callable is probed at n = 0
-    here and checked at every emission.
+    A constant or a finite sequence (a list, tuple or array, held at its last
+    value) is checked in full here, so reading it is a list lookup; a
+    callable is probed at n = 0 here and checked at every emission.
     """
     if callable(spec):
-        _check_range(name, float(spec(0)), lo, hi)
-        return lambda n: _check_range(name, float(spec(n)), lo, hi)
-    values = [_check_range(name, float(v), lo, hi) for v in ([spec] if np.isscalar(spec) else spec)]
+        _check_range(name, spec(0), lo, hi)
+        return lambda n: _check_range(name, spec(n), lo, hi)
+    sequence = isinstance(spec, (list, tuple)) or isinstance(spec, np.ndarray) and spec.ndim > 0
+    values = [_check_range(name, v, lo, hi) for v in (spec if sequence else [spec])]
     if not values:
         raise InvalidScheduleError("empty schedule sequence")
     last = len(values) - 1
@@ -214,7 +220,7 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
         eps_default, eps_hi = min(0.05 / beta, 0.5), min(1.0, 1.0 / beta)
     else:
         eps_default, eps_hi = 0.05, (0.75 if kind == "const" else 1)
-    eps = float(sched.epsilon) if sched.epsilon is not None else eps_default
+    eps = as_real(sched.epsilon, "epsilon") if sched.epsilon is not None else eps_default
     if not 0.0 < eps < eps_hi:
         raise InvalidScheduleError(f"epsilon={eps} outside the admissible interval ]0, {eps_hi}[")
     gamma = None
@@ -263,8 +269,7 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
         x_prev = x
         for C in reversed(sets):
             x = C.project(x)
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     run.converged = run.converged and all(C.contains(x) for C in sets)
     return run.result(x)
@@ -278,10 +283,8 @@ def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_at, lam_at, x0, stop) -> S
         gamma = gamma_at(n)
         lam = lam_at(n)
         p = f1.prox(gamma, x - gamma * f2.grad(x))
-        gap = norm(p - x)
         x_prev, x = x, x + lam * (p - x)
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(max(change, gap), norm(x_prev))):
+        if run.done(x, x_prev, norm(p - x_prev)):
             break
     return run.result(x, {"gamma": gamma})
 
@@ -336,13 +339,10 @@ def fista(
         x_prev, x = x, f1.prox(gamma, z - gamma * f2.grad(z))
         t_prev, t = t, 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
         z = x_prev + (1.0 + (t_prev - 1.0) / t) * (x - x_prev)
-        change = norm(x - x_prev)
-        measure = _rel(change, norm(x_prev))
-        if measure <= run.stop.tol:
-            # momentum makes the iterate change an unreliable optimality
-            # proxy; confirm with the prox-gradient fixed-point gap
-            measure = _rel(norm(x - f1.prox(gamma, x - gamma * f2.grad(x))), norm(x))
-        if run.done(x, change, measure):
+        # momentum makes the iterate change an unreliable optimality proxy;
+        # a passing test is confirmed with the prox-gradient fixed-point gap
+        run.converged = run.done(x, x_prev) and _rel(fb_fixed_point_residual(f1, f2, gamma, x), norm(x)) <= run.stop.tol
+        if run.converged:
             break
     return run.result(x, {"gamma": gamma})
 
@@ -374,8 +374,7 @@ def douglas_rachford(
         x_prev, x = x, f2.prox(gamma, y)
         lam = lam_at(n)
         p = f1.prox(gamma, 2.0 * x - y)
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(max(change, norm(p - x)), norm(x_prev)) if n else math.inf):
+        if run.done(x, x_prev, norm(p - x) if n else math.inf):
             break  # on convergence y stays the driver of x; at the cap it is one step on
         y = y + lam * (p - x)
     return run.result(x, {"y": y, "gamma": gamma})
@@ -401,8 +400,7 @@ def dykstra_like(
         p = x + p - y
         x_prev, x = x, f.prox(1.0, y + q)
         q = y + q - x
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     return run.result(x)
 
@@ -439,9 +437,9 @@ def dual_forward_backward(
         gamma = gamma_at(n)
         lam = lam_at(n)
         u_prev, u = u, u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
-        change = norm(x - x_prev)
-        measure = max(_rel(change, norm(x_prev)), _rel(norm(u - u_prev), norm(u))) if n else math.inf
-        if run.done(x, change, measure):
+        # a passing primal test is confirmed with the dual change
+        run.converged = run.done(x, x_prev, 0.0 if n else math.inf) and _rel(norm(u - u_prev), norm(u)) <= run.stop.tol
+        if run.converged:
             break
     return run.result(x, {"u": u})
 
@@ -548,8 +546,7 @@ def admm(
         s = A @ x
         y = g.prox(gamma, s + z)
         z = z + s - y
-        change = norm(x) if x_prev is None else norm(x - x_prev)
-        if run.done(x, change, math.inf if x_prev is None else _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     return run.result(x)
 
@@ -589,8 +586,7 @@ def ppxa(
         lam = lam_at(n)
         Y += lam * (2.0 * p - x - P)
         x_prev, x = x, x + lam * (p - x)
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     return run.result(x)
 
@@ -623,8 +619,7 @@ def parallel_dykstra(
         x_prev, x = x, w @ P
         Z += x
         Z -= P
-        change = norm(x - x_prev)
-        if run.done(x, change, _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     return run.result(x)
 
@@ -676,8 +671,7 @@ def sdmm(
         v = M @ x + z
         y = np.concatenate([g.prox(gamma, vi) for g, vi in zip(g_list, np.split(v, cuts))])
         z = v - y
-        change = norm(x) if x_prev is None else norm(x - x_prev)
-        if run.done(x, change, math.inf if x_prev is None else _rel(change, norm(x_prev))):
+        if run.done(x, x_prev):
             break
     return run.result(x)
 

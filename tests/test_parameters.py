@@ -1,23 +1,38 @@
 """Every numeric parameter is checked by one rule: a malformed or out-of-range
 value raises InvalidParameterError naming the parameter, and a bool is not a
-number."""
+number.  Every other malformed input (entries, dimensions, lengths) raises a
+named toolkit error."""
 
 import dataclasses
 import fractions
 import math
+import os
 
 import numpy as np
 import pytest
 
 from proxsplit import catalog as cat
-from proxsplit import problems, sets, solvers
-from proxsplit.core import InvalidParameterError, LinearMap, SmoothFn, as_real, identity_map
+from proxsplit import core, problems, sets, solvers
+from proxsplit.cli import read_trace
+from proxsplit.core import (
+    InvalidInputError,
+    InvalidParameterError,
+    LinearMap,
+    Schedule,
+    SmoothFn,
+    SolveResult,
+    as_real,
+    identity_map,
+    matrix_map,
+)
 
 # a valid value for every numeric kind parameter, by name
 VALID = {"omega": 1.0, "kappa": 1.0, "k_lo": 1.0, "k_hi": 1.0, "q": 2.0, "tau": 0.5, "alpha": 0.5, "lo": -1.0, "hi": 1.0}
 # the nearest rejected value of each bounded parameter
 OUT_OF_RANGE = {"omega": 0.0, "kappa": 0.0, "k_lo": 0.0, "k_hi": 0.0, "q": 1.0, "tau": -0.5}
 MALFORMED = (None, "1", True, math.nan, math.inf, np.array([1.0, 2.0]))
+# None is the default of a schedule field and a list is a sequence of values
+SCHEDULE_MALFORMED = ("1", True, math.nan, math.inf, [None], [0.5, "0.5"], {"a": 1}, np.array(0.5))
 
 
 def _valid_kind_params(cls):
@@ -45,6 +60,13 @@ def _cases():
     ident = lambda x: x  # noqa: E731
     yield "scalar_prox.x", "x", lambda v: cat.scalar_prox(cat.Huber(1.0, 1.0), v), list(MALFORMED)
     yield "scalar_prox.gamma", "gamma", lambda v: cat.scalar_prox(cat.Huber(1.0, 1.0), 1.0, v), [*MALFORMED, 0.0]
+    yield "ScalarKind.prox.gamma", "gamma", lambda v: cat.Huber(1.0, 1.0).prox(1.0, v), [*MALFORMED, 0.0, -2.0]
+    half_sq = problems.set_distance_smooth(ball)  # Lipschitz constant 1
+    for field, name in (("gamma", "gamma"), ("lam", "lambda"), ("epsilon", "epsilon")):
+        yield (
+            f"Schedule.{field}", name,
+            lambda v, field=field: solvers.forward_backward(zero, half_sq, Schedule(**{field: v})), SCHEDULE_MALFORMED,
+        )
     yield "quadratic_deviation.weight", "weight", lambda v: cat.quadratic_deviation([1.0], v), [*MALFORMED, 0.0]
     yield "scaled.coeff", "coeff", lambda v: cat.scaled(zero, v), [*MALFORMED, 0.0]
     yield "arg_scaled.rho", "rho", lambda v: cat.arg_scaled(zero, v), [*MALFORMED, 0.0]
@@ -93,6 +115,102 @@ CASES = [
 def test_bad_value_raises_named_error(make, name, value):
     with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
         make(value)
+
+
+def _zero_map(n):
+    return LinearMap(n, n, lambda x: 0.0 * x, lambda u: 0.0 * u)
+
+
+H, ZERO1, ZERO2, I2 = cat.Huber(1.0, 1.0), cat.zero_fn(1), cat.zero_fn(2), identity_map(2)
+BOX1, BOX2 = sets.Box([0.0], [1.0]), sets.Box([0.0, 0.0], [1.0, 1.0])
+
+# (id, error class, a word of the message naming what is wrong, call)
+BAD_INPUTS = [
+    # stacks and matrices: the shared entry check
+    ("as_points-bool-and-string", InvalidInputError, "vector", lambda: ZERO2.eval([[True, "1"], [0.0, 1.0]])),
+    ("basis_separable-nan", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [[math.nan]])),
+    ("basis_separable-bool", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [[True]])),
+    ("basis_separable-string", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [["1"]])),
+    ("basis_separable-not-square", InvalidParameterError, "basis",
+     lambda: cat.basis_separable([H, H], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
+    ("basis_separable-not-orthonormal", InvalidParameterError, "basis",
+     lambda: cat.basis_separable([H, H], [[1.0, 1.0], [0.0, 1.0]])),
+    ("matrix_map-nan", InvalidParameterError, "A", lambda: matrix_map([[1.0, math.nan]], name="A")),
+    ("AffineSubspace-nan", InvalidParameterError, "A", lambda: sets.AffineSubspace([[math.inf, 1.0]], [0.0])),
+    ("AffineSubspace-b-length", InvalidParameterError, "b", lambda: sets.AffineSubspace([[1.0, 0.0]], [1.0, 2.0])),
+    # every dimension is an integer >= 1
+    ("Box-empty", InvalidParameterError, "dimension", lambda: sets.Box([], [])),
+    ("Box-lengths", InvalidParameterError, "bounds", lambda: sets.Box([0.0, 0.0], [1.0])),
+    ("Ball-empty", InvalidParameterError, "center", lambda: sets.Ball([], 1.0)),
+    ("AffineSubspace-no-rows", InvalidParameterError, "rows", lambda: sets.AffineSubspace(np.zeros((0, 2)), [])),
+    ("AffineSubspace-no-columns", InvalidParameterError, "columns", lambda: sets.AffineSubspace([[]], [0.0])),
+    ("quadratic_deviation-empty", InvalidParameterError, "r", lambda: cat.quadratic_deviation([])),
+    ("first_difference-fractional", InvalidParameterError, "n", lambda: problems.first_difference(2.5)),
+    ("first_difference-short", InvalidParameterError, "n", lambda: problems.first_difference(1)),
+    ("LinearMap-fractional-rows", InvalidParameterError, "rows", lambda: LinearMap(2.5, 2, lambda x: x, lambda u: u)),
+    ("LinearMap-no-cols", InvalidParameterError, "cols", lambda: LinearMap(2, 0, lambda x: x, lambda u: u)),
+    ("identity_map-fractional", InvalidParameterError, "n", lambda: identity_map(2.5)),
+    ("separable-fractional-dim", InvalidParameterError, "dim", lambda: cat.separable([H, H], dim=2.5)),
+    # schedule values through as_real
+    ("Schedule-callable-string", InvalidParameterError, "gamma",
+     lambda: solvers.forward_backward(ZERO2, problems.set_distance_smooth(BOX2), Schedule(gamma=lambda n: "0.5"))),
+    # catalog
+    ("separable-broadcast-without-dim", InvalidParameterError, "dim", lambda: cat.separable(H)),
+    ("separable-no-kinds", InvalidParameterError, "kinds", lambda: cat.separable([])),
+    ("separable-dim-mismatch", InvalidParameterError, "dimension", lambda: cat.separable([H, H], dim=3)),
+    ("weighted_l1-zero-weight", InvalidParameterError, "weights", lambda: cat.weighted_l1([1.0, 0.0])),
+    ("tight_frame_compose-dimension", InvalidParameterError, "dimension",
+     lambda: cat.tight_frame_compose(cat.zero_fn(3), I2)),
+    ("stacked-empty", InvalidParameterError, "stacked", lambda: cat.stacked([])),
+    # problem builders
+    ("least_squares_smooth-zero-operator", InvalidParameterError, "operator",
+     lambda: problems.least_squares_smooth(_zero_map(2), [1.0, 2.0])),
+    ("constrained_least_squares-dimension", InvalidInputError, "dimension",
+     lambda: problems.build_constrained_least_squares(I2, [1.0, 2.0], BOX1)),
+    ("lasso-weights", InvalidParameterError, "weight",
+     lambda: problems.build_lasso(np.eye(2), [1.0, 2.0], [1.0, 1.0, 1.0])),
+    ("best_approximation-dimension", InvalidInputError, "dimension",
+     lambda: problems.build_best_approximation(BOX1, BOX2, [0.0])),
+    ("denoise-dimension", InvalidInputError, "dimension", lambda: problems.build_denoise(ZERO1, ZERO2, [0.0])),
+    ("tv1d-length", InvalidParameterError, "length", lambda: problems.build_tv1d([1.0], 1.0)),
+    ("feasibility-no-sets", InvalidInputError, "set", lambda: problems.build_feasibility([])),
+    ("feasibility-dimension", InvalidInputError, "dimension", lambda: problems.build_feasibility([BOX1, BOX2])),
+    # solvers
+    ("ppxa-no-functions", InvalidInputError, "function", lambda: solvers.ppxa([], [])),
+    ("parallel_dykstra-dimension", InvalidInputError, "dimension",
+     lambda: solvers.parallel_dykstra([ZERO1, ZERO2], [0.5, 0.5], [0.0])),
+    ("dual_forward_backward-zero-operator", InvalidParameterError, "operator",
+     lambda: solvers.dual_forward_backward(ZERO2, ZERO2, _zero_map(2), [1.0, 2.0])),
+    ("admm-g-dimension", InvalidInputError, "dimension", lambda: solvers.admm(None, I2, cat.zero_fn(3))),
+    ("sdmm-no-branches", InvalidInputError, "sdmm", lambda: solvers.sdmm([], [])),
+    ("sdmm-domains", InvalidInputError, "domain",
+     lambda: solvers.sdmm([ZERO2, ZERO2], [I2, matrix_map(np.eye(2, 3))])),
+    ("sdmm-g-dimension", InvalidInputError, "dimension", lambda: solvers.sdmm([cat.zero_fn(3)], [I2])),
+    # core and cli
+    ("SolveResult-count", InvalidParameterError, "iteration count", lambda: SolveResult(np.zeros(1), False, 2, ())),
+    ("read_trace-header", InvalidInputError, "header", lambda: read_trace(os.devnull)),
+]
+
+
+@pytest.mark.parametrize("error, word, make", [pytest.param(*case[1:], id=case[0]) for case in BAD_INPUTS])
+def test_bad_input_raises_named_error(error, word, make):
+    with pytest.raises(error, match=rf"\b{word}\b"):
+        make()
+
+
+def test_affine_support_is_finite_on_the_row_space():
+    C = sets.AffineSubspace([[1.0, 1.0]], [2.0])  # x0 = (1, 1)
+    assert C.support([3.0, 3.0]) == pytest.approx(6.0)
+    assert C.support([1.0, 0.0]) == math.inf
+
+
+def test_support_plus_radial_inside_the_flat_part_of_phi():
+    # f = ||x|| + max(||x|| - 1, 0): at x = (1.5, 0), x - P_C x = (0.5, 0) lies
+    # where phi is flat, so it is the prox, and x - p = (1, 0) is a subgradient
+    f = cat.support_plus_radial(sets.Ball([0.0, 0.0], 1.0), cat.Deadzone(1.0), argmin_max=1.0)
+    p = f.prox(1.0, [1.5, 0.0])
+    assert p.tolist() == [0.5, 0.0]
+    assert core.subgradient_certificate(f, [1.5, 0.0], p) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", sorted(cat.SCALAR_KINDS))
