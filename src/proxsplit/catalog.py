@@ -42,12 +42,14 @@ import numpy as np
 
 from .core import (
     Array,
+    InvalidInputError,
     InvalidParameterError,
     LinearMap,
     PreconditionError,
     ProxFn,
     _each_row,
     _matrix,
+    _real_array,
     as_count,
     as_real,
     as_vector,
@@ -234,10 +236,10 @@ class ScalarKind:
             object.__setattr__(self, name, as_real(getattr(self, name), name, *rule))
 
     def value(self, t):
-        return _like(t, self._value(np.asarray(t, dtype=float)))
+        return _like(t, self._value(_points(t)))
 
     def prox(self, t, gamma: float = 1.0):
-        return _like(t, self._prox(np.asarray(t, dtype=float), as_real(gamma, "gamma", above=0.0)))
+        return _like(t, self._prox(_points(t), as_real(gamma, "gamma", above=0.0)))
 
     def _value(self, t: Array) -> Array:
         raise NotImplementedError
@@ -248,6 +250,16 @@ class ScalarKind:
     def _group_key(self):
         """Kinds with equal keys can be stacked into one kind."""
         return type(self)
+
+
+def _points(t) -> Array:
+    """The points ``t`` of ``ScalarKind.value`` and ``prox`` as a float array:
+    a float as it is, anything else through ``_real_array``, so that a bool or
+    a string is an ``InvalidInputError``."""
+    a = np.asarray(t, dtype=float) if type(t) is float else _real_array(t)
+    if a is None:
+        raise InvalidInputError("scalar points must be real numbers")
+    return a
 
 
 def _like(t, out):
@@ -509,7 +521,8 @@ class LogThreshold(ScalarKind):
     def _prox(self, t, gamma):
         below = 0.5 * (t + self.lo + np.sqrt((t - self.lo) ** 2 + 4.0 * gamma))
         above = 0.5 * (t + self.hi - np.sqrt((t - self.hi) ** 2 + 4.0 * gamma))
-        return np.where(t < gamma / self.lo, below, np.where(t > gamma / self.hi, above, 0.0))
+        # a NaN t fails both tests and takes the NaN of ``above``
+        return np.where(t < gamma / self.lo, below, np.where(t <= gamma / self.hi, 0.0, above))
 
 
 @dataclass(frozen=True)

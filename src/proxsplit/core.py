@@ -8,6 +8,13 @@ a linear operator through forward/adjoint callables.  Evaluation and
 ``LinearMap.apply`` also take a (k, dim) stack of points, one per row.
 ``Schedule``, ``IterationRecord`` and ``SolveResult`` are the solver plumbing.
 
+The public methods (``prox``, ``grad``, ``apply``, ``adjoint``, ``eval``)
+check their arguments and their implementation's output on every call.  The
+solvers call ``prox_impl``, ``grad_impl``, ``apply_impl`` and
+``adjoint_impl`` directly once they have checked their outputs on the first
+iteration, so each should return a finite float64 vector of its output
+dimension.
+
 Everything here is immutable after construction and every operation is pure,
 so all objects can be shared freely across threads.
 """
@@ -116,8 +123,15 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
 
 def _is_stack(x) -> bool:
     """Whether ``x`` is a 2-D stack of points (an ndarray's own ``ndim``
-    costs a tenth of ``np.ndim``, and vectors take this test on every call)."""
-    return (x.ndim if type(x) is np.ndarray else np.ndim(x)) == 2
+    costs a tenth of ``np.ndim``, and vectors take this test on every call).
+    A ragged nesting, which ``np.ndim`` cannot measure, is not a stack, so
+    ``as_vector`` rejects it."""
+    if type(x) is np.ndarray:
+        return x.ndim == 2
+    try:
+        return np.ndim(x) == 2
+    except ValueError:
+        return False
 
 
 def as_points(x, dim: int) -> Array:
@@ -242,6 +256,14 @@ def pow2(t):
     return np.float_power(t, 2)
 
 
+def _eval(f, x):
+    """``eval`` of ``ProxFn`` and ``SmoothFn``: ``f.value`` at one vector as a
+    float, or the (k,) values of the rows of a (k, dim) stack."""
+    if _is_stack(x):
+        return _row_values(f.value, as_points(x, f.dim))
+    return float(f.value(as_vector(x, f.dim)))
+
+
 @dataclass(frozen=True)
 class ProxFn:
     """A proper lower-semicontinuous convex function with an explicit prox.
@@ -260,17 +282,11 @@ class ProxFn:
     name: str = "f"
     convex_set: object = None
 
-    def eval(self, x):
-        if _is_stack(x):
-            return _row_values(self.value, as_points(x, self.dim))
-        return float(self.value(as_vector(x, self.dim)))
+    eval = _eval
 
     def prox(self, gamma: float, x) -> Array:
-        gamma = float(gamma)
-        if not (math.isfinite(gamma) and gamma > 0):
-            raise InvalidInputError(f"prox scale must be positive and finite, got {gamma}")
-        p = self.prox_impl(gamma, as_vector(x, self.dim))
-        return as_vector(p, self.dim)
+        gamma = as_real(gamma, "prox scale", above=0.0)
+        return as_vector(self.prox_impl(gamma, as_vector(x, self.dim)), self.dim)
 
 
 @dataclass(frozen=True)
@@ -286,10 +302,7 @@ class SmoothFn:
     def __post_init__(self):
         object.__setattr__(self, "lipschitz", as_real(self.lipschitz, "lipschitz", above=0.0))
 
-    def eval(self, x):
-        if _is_stack(x):
-            return _row_values(self.value, as_points(x, self.dim))
-        return float(self.value(as_vector(x, self.dim)))
+    eval = _eval
 
     def grad(self, x) -> Array:
         return as_vector(self.grad_impl(as_vector(x, self.dim)), self.dim)

@@ -82,7 +82,11 @@ class ProblemInstance:
 
 
 def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
-    """(1/2)||L x - y||^2 with gradient L^T(Lx - y) and beta = ||L||^2."""
+    """(1/2)||L x - y||^2 with gradient L^T(Lx - y) and beta = ||L||^2.
+
+    The gradient calls ``L``'s implementations directly: ``operator_norm``
+    has already passed both through ``apply`` and ``adjoint``, which check
+    their outputs."""
     y = as_vector(y, L.rows)
     beta = operator_norm(L) ** 2
     if beta == 0.0:
@@ -90,7 +94,7 @@ def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
     return SmoothFn(
         dim=L.cols,
         value=lambda x: 0.5 * pow2(norm(L.apply(x) - y)),
-        grad_impl=lambda x: L.adjoint(L.apply(x) - y),
+        grad_impl=lambda x: L.adjoint_impl(L.apply_impl(x) - y),
         lipschitz=beta,
         name="least_squares",
     )

@@ -12,6 +12,16 @@ fall below the same tolerance, so the identity holds at termination up to a
 small multiple of the tolerance.  Initial points default to the zero vector (or to the reference
 point where the algorithm prescribes it).
 
+Checks happen at the boundary, not inside the loop.  The public methods
+(``prox``, ``grad``, ``apply``, ``adjoint``) check their arguments and their
+implementation's output on every call.  A solver checks its arguments on
+entry, its implementations' outputs on iteration 0 (``_checked``: a finite
+float64 vector of the output dimension), and its iterate on every iteration
+(``_Run.done``).  From iteration 1 on, every loop but ``pocs`` calls
+``prox_impl``, ``grad_impl``, ``apply_impl`` and ``adjoint_impl`` directly
+and uses their outputs as they are, which are the bytes the public methods
+would return.
+
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
 relative-interior qualification conditions, nonempty domain intersections)
 are documented with each solver; their violation surfaces as
@@ -128,9 +138,16 @@ class _Run:
         """Record iterate ``x`` and its change ||x - x_prev|| (||x|| when
         there is no previous iterate); true once max(change, gap) /
         max(1, ||x_prev||) is within the tolerance, which it never is without
-        a previous iterate.  ``gap`` is the loop's fixed-point gap, if any."""
+        a previous iterate.  ``gap`` is the loop's fixed-point gap, if any.
+
+        This is the loop's one check: a non-finite iterate raises
+        ``InvalidInputError``.  Its entries are tested only when the change
+        is not finite, which a non-finite iterate always makes it, so a
+        finite run pays one float test per iteration."""
         self._elapsed.append(time.perf_counter_ns() - self._t0 - self._eval_ns)
         change = norm(x) if x_prev is None else norm(x - x_prev)
+        if not math.isfinite(change):  # a non-finite iterate has a non-finite change
+            as_vector(x, name="iterate")
         self._changes.append(change)
         if self._due(len(self._changes)):
             if self._block is None:
@@ -151,7 +168,11 @@ class _Run:
             self._eval_ns += time.perf_counter_ns() - t
 
     def result(self, x: Array, aux: dict | None = None) -> SolveResult:
-        """The result, with the objective carried over between evaluations."""
+        """The result, with the objective carried over between evaluations;
+        ``x`` and every array in ``aux`` must be finite."""
+        for name, v in (("iterate", x), *(aux or {}).items()):
+            if isinstance(v, np.ndarray):
+                as_vector(v, name=name)
         self._flush()
         values = iter(self._values)
         last = math.inf
@@ -167,6 +188,27 @@ class _Run:
             records=tuple(records),
             aux=aux or {},
         )
+
+
+def _checked(obj, method: str):
+    """``obj``'s implementation of ``method`` (``prox``, ``grad``, ``apply``
+    or ``adjoint``) as a loop calls it on iteration 0, with its output
+    checked.  Later iterations call the implementation itself and use its
+    output as it is, so that must be a finite float64 vector of the method's
+    output dimension (where ``as_vector`` would convert a list or another
+    dtype)."""
+    impl = getattr(obj, method + "_impl")
+    dim = obj.rows if method == "apply" else obj.cols if method == "adjoint" else obj.dim
+    name = f"{obj.name}.{method}_impl"
+
+    def first(*args):
+        out = impl(*args)
+        if type(out) is not np.ndarray or out.dtype != np.float64 or out.shape != (dim,):
+            got = f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+            raise InvalidInputError(f"{name} must return a float64 vector of dimension {dim}, got {got}")
+        return as_vector(out, name=f"{name} output")
+
+    return first
 
 
 def _rel(delta: float, xnorm: float) -> float:
@@ -235,6 +277,11 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
     return gamma, _sequence("lambda", sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
 
 
+def _branch_proxes(f_list) -> tuple:
+    """The branches' prox implementations, and the same checked for iteration 0."""
+    return [f.prox_impl for f in f_list], [_checked(f, "prox") for f in f_list]
+
+
 def _branches(f_list, weights, solver: str):
     """The branch functions as a list, their shared dimension, and their
     weights, each in ]0, 1] and summing to 1."""
@@ -278,11 +325,13 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
 def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_at, lam_at, x0, stop) -> SolveResult:
     """The forward-backward loop, with the readers n -> gamma_n and n -> lambda_n."""
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
+    first = _checked(f1, "prox"), _checked(f2, "grad")
     run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
     for n in run:
         gamma = gamma_at(n)
         lam = lam_at(n)
-        p = f1.prox(gamma, x - gamma * f2.grad(x))
+        prox, grad = (f1.prox_impl, f2.grad_impl) if n else first
+        p = prox(gamma, x - gamma * grad(x))
         x_prev, x = x, x + lam * (p - x)
         if run.done(x, x_prev, norm(p - x_prev)):
             break
@@ -334,9 +383,11 @@ def fista(
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
     z = x.copy()
     t = 1.0
+    first = _checked(f1, "prox"), _checked(f2, "grad")
     run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for _ in run:
-        x_prev, x = x, f1.prox(gamma, z - gamma * f2.grad(z))
+    for n in run:
+        prox, grad = (f1.prox_impl, f2.grad_impl) if n else first
+        x_prev, x = x, prox(gamma, z - gamma * grad(z))
         t_prev, t = t, 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
         z = x_prev + (1.0 + (t_prev - 1.0) / t) * (x - x_prev)
         # momentum makes the iterate change an unreliable optimality proxy;
@@ -368,12 +419,14 @@ def douglas_rachford(
     _, lam_at = _resolve_schedule("relaxed", schedule)
 
     y = np.zeros(f1.dim) if y0 is None else as_vector(y0, f1.dim)
+    first = _checked(f1, "prox"), _checked(f2, "prox")
     run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
     x = y
     for n in run:
-        x_prev, x = x, f2.prox(gamma, y)
+        prox1, prox2 = (f1.prox_impl, f2.prox_impl) if n else first
+        x_prev, x = x, prox2(gamma, y)
         lam = lam_at(n)
-        p = f1.prox(gamma, 2.0 * x - y)
+        p = prox1(gamma, 2.0 * x - y)
         if run.done(x, x_prev, norm(p - x) if n else math.inf):
             break  # on convergence y stays the driver of x; at the cap it is one step on
         y = y + lam * (p - x)
@@ -394,11 +447,13 @@ def dykstra_like(
     x = r.copy()
     p = np.zeros(f.dim)
     q = np.zeros(f.dim)
+    first = _checked(f, "prox"), _checked(g, "prox")
     run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * pow2(norm(v - r)))
-    for _ in run:
-        y = g.prox(1.0, x + p)
+    for n in run:
+        prox_f, prox_g = (f.prox_impl, g.prox_impl) if n else first
+        y = prox_g(1.0, x + p)
         p = x + p - y
-        x_prev, x = x, f.prox(1.0, y + q)
+        x_prev, x = x, prox_f(1.0, y + q)
         q = y + q - x
         if run.done(x, x_prev):
             break
@@ -430,13 +485,15 @@ def dual_forward_backward(
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
+    first = _checked(h, "prox"), _checked(gstar, "prox"), _checked(L, "apply"), _checked(L, "adjoint")
     run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * pow2(norm(v - r)))
     x = r
     for n in run:
-        x_prev, x = x, h.prox(1.0, r - L.adjoint(u))
+        prox_h, prox_gstar, apply, adjoint = (h.prox_impl, gstar.prox_impl, L.apply_impl, L.adjoint_impl) if n else first
+        x_prev, x = x, prox_h(1.0, r - adjoint(u))
         gamma = gamma_at(n)
         lam = lam_at(n)
-        u_prev, u = u, u + lam * (gstar.prox(gamma, u + gamma * L.apply(x)) - u)
+        u_prev, u = u, u + lam * (prox_gstar(gamma, u + gamma * apply(x)) - u)
         # a passing primal test is confirmed with the dual change
         run.converged = run.done(x, x_prev, 0.0 if n else math.inf) and _rel(norm(u - u_prev), norm(u)) <= run.stop.tol
         if run.converged:
@@ -540,11 +597,11 @@ def admm(
 
     run = _Run(stop, objective)
     x = None
-    for _ in run:
+    for n in run:
         rhs = A.T @ (y - z) + (w * f.center if f is not None else 0.0)
         x_prev, x = x, M_inv @ rhs
         s = A @ x
-        y = g.prox(gamma, s + z)
+        y = (g.prox_impl if n else _checked(g, "prox"))(gamma, s + z)
         z = z + s - y
         if run.done(x, x_prev):
             break
@@ -578,10 +635,12 @@ def ppxa(
         raise InvalidInputError("one starting point per function is required")
     x = w @ Y
 
+    scales = [gamma / wi for wi in w.tolist()]
+    impls, first = _branch_proxes(f_list)
     run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0))
     for n in run:
         # a new array: a prox may return its argument, a row of Y
-        P = np.array([f.prox(gamma / wi, yi) for f, wi, yi in zip(f_list, w, Y)])
+        P = np.array([prox(c, yi) for prox, c, yi in zip(impls if n else first, scales, Y)])
         p = w @ P
         lam = lam_at(n)
         Y += lam * (2.0 * p - x - P)
@@ -612,10 +671,11 @@ def parallel_dykstra(
         # each row's weighted sum is the dot product of w with its values
         return np.vecdot(np.column_stack([f.eval(v) for f in f_list]), w) + 0.5 * pow2(norm(v - r))
 
+    impls, first = _branch_proxes(f_list)
     run = _Run(stop, objective)
-    for _ in run:
+    for n in run:
         # a new array: a prox may return its argument, a row of Z
-        P = np.array([f.prox(1.0, zi) for f, zi in zip(f_list, Z)])
+        P = np.array([prox(1.0, zi) for prox, zi in zip(impls if n else first, Z)])
         x_prev, x = x, w @ P
         Z += x
         Z -= P
@@ -664,12 +724,13 @@ def sdmm(
         for v0s in (y0s, z0s)
     )
 
+    impls, first = _branch_proxes(g_list)
     run = _Run(stop, lambda v: np.sum([g.eval(s) for g, s in zip(g_list, np.split(np.matvec(M, v), cuts, axis=1))], axis=0))
     x = None
-    for _ in run:
+    for n in run:
         x_prev, x = x, Q_inv @ (M.T @ (y - z))
         v = M @ x + z
-        y = np.concatenate([g.prox(gamma, vi) for g, vi in zip(g_list, np.split(v, cuts))])
+        y = np.concatenate([prox(gamma, vi) for prox, vi in zip(impls if n else first, np.split(v, cuts))])
         z = v - y
         if run.done(x, x_prev):
             break

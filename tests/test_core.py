@@ -56,8 +56,9 @@ class TestProxOf:
 
     def test_rejects_bad_gamma(self):
         f = cat.zero_fn(1)
-        with pytest.raises(InvalidInputError):
-            f.prox(-1.0, [0.0])
+        for gamma in (-1.0, 0.0, np.inf, np.nan, True, "2"):
+            with pytest.raises(InvalidParameterError, match="prox scale"):
+                f.prox(gamma, [0.5])
 
 
 class TestSubgradientCertificate:

@@ -128,6 +128,15 @@ BOX1, BOX2 = sets.Box([0.0], [1.0]), sets.Box([0.0, 0.0], [1.0, 1.0])
 BAD_INPUTS = [
     # stacks and matrices: the shared entry check
     ("as_points-bool-and-string", InvalidInputError, "vector", lambda: ZERO2.eval([[True, "1"], [0.0, 1.0]])),
+    ("eval-ragged", InvalidInputError, "vector", lambda: ZERO2.eval([[1.0], [1.0, 2.0]])),
+    ("apply-ragged", InvalidInputError, "vector", lambda: I2.apply([[1.0], [1.0, 2.0]])),
+    # scales and scalar points: a bool or a string is not a number
+    ("ProxFn.prox-bool-scale", InvalidParameterError, "scale", lambda: ZERO1.prox(True, [0.5])),
+    ("ProxFn.prox-string-scale", InvalidParameterError, "scale", lambda: ZERO1.prox("2", [0.5])),
+    ("ScalarKind.prox-string-point", InvalidInputError, "points", lambda: H.prox("2")),
+    ("ScalarKind.prox-bool-point", InvalidInputError, "points", lambda: H.prox(True)),
+    ("ScalarKind.value-string-point", InvalidInputError, "points", lambda: H.value("2")),
+    ("ScalarKind.value-bool-in-list", InvalidInputError, "points", lambda: H.value([1.0, True])),
     ("basis_separable-nan", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [[math.nan]])),
     ("basis_separable-bool", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [[True]])),
     ("basis_separable-string", InvalidParameterError, "basis", lambda: cat.basis_separable([H], [["1"]])),
