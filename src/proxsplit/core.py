@@ -16,7 +16,9 @@ iteration, so each should return a finite float64 vector of its output
 dimension.
 
 Everything here is immutable after construction and every operation is pure,
-so all objects can be shared freely across threads.
+so all objects can be shared freely across threads.  The one piece of state,
+a ``LinearMap``'s memo of its ``operator_norm`` results, caches the value of a
+pure function of a fixed operator.
 """
 
 from __future__ import annotations
@@ -320,6 +322,10 @@ class LinearMap:
     one ``np.matvec`` with ``matrix`` when the map carries one, whose rows
     equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
     ``apply_impl`` only ever sees single vectors.
+
+    An operator is fixed once built: ``operator_norm`` keeps its results in
+    the private ``_norms``, keyed by its arguments and filled on first use.
+    ``dataclasses.replace`` gives a map with an empty memo.
     """
 
     rows: int
@@ -329,6 +335,7 @@ class LinearMap:
     tight_frame_nu: Optional[float] = None
     name: str = "L"
     matrix: Optional[Array] = field(default=None, repr=False, compare=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", as_count(self.rows, "rows", 1))
@@ -375,7 +382,10 @@ class LinearMap:
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
-    A = _matrix(A, name)
+    """The operator x |-> A x.  It holds a read-only copy of ``A``, so a later
+    edit of the caller's array changes neither the map nor its memoized norm."""
+    A = _matrix(A, name).copy(order="K")  # the caller's layout, so products keep their bytes
+    A.flags.writeable = False
     return LinearMap(
         rows=A.shape[0],
         cols=A.shape[1],
@@ -388,9 +398,12 @@ def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> Li
 
 
 def identity_map(n: int) -> LinearMap:
-    """The identity on R^n; it carries its matrix, so ``to_dense`` is a copy."""
+    """The identity on R^n; it carries its (read-only) matrix, so ``to_dense``
+    is a copy."""
     n = as_count(n, "n", 1)
-    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=np.eye(n))
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
 
 
 ScalarSequence = Union[float, Sequence[float], Callable[[int], float]]
@@ -480,8 +493,29 @@ def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: in
 
     Deterministic for a fixed seed of the start vector.  If the iteration does
     not reach the relative tolerance within ``max_iter`` steps, the current
-    estimate is returned with a RuntimeWarning.
+    estimate is returned with a RuntimeWarning.  ``tol`` must be > 0,
+    ``max_iter`` >= 1 and ``seed`` >= 0 (``InvalidParameterError``).
+
+    The norm is computed once per operator and arguments: the result is kept
+    on ``L`` and later calls return the same float, warning again when it did
+    not converge.  A call that raises keeps nothing.
     """
+    key = (as_real(tol, "tol", above=0.0), as_count(max_iter, "max_iter", 1), as_count(seed, "seed", 0))
+    memo = L._norms.get(key)
+    if memo is None:  # threads racing here each compute and store the same float
+        memo = L._norms[key] = _power_iteration(L, *key)
+    value, converged = memo
+    if not converged:
+        warnings.warn(
+            f"operator_norm power iteration did not converge in {key[1]} steps; "
+            "returning current estimate",
+            RuntimeWarning,
+        )
+    return value
+
+
+def _power_iteration(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
+    """(estimate of ||L||, whether it met ``tol``) for ``operator_norm``."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(L.cols)
     nv = np.linalg.norm(v)
@@ -495,21 +529,16 @@ def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: in
         u = L.apply(v)
         lam = float(u @ u)  # = ||L v||^2 with v unit
         if lam == 0.0:
-            return 0.0
+            return 0.0, True
         w = L.adjoint(u)
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return float(np.sqrt(lam))
+            return float(np.sqrt(lam)), True
         v = w / nw
         if abs(lam - lam_prev) <= tol * max(lam, 1e-300):
-            return float(np.sqrt(lam))
+            return float(np.sqrt(lam)), True
         lam_prev = lam
-    warnings.warn(
-        f"operator_norm power iteration did not converge in {max_iter} steps; "
-        "returning current estimate",
-        RuntimeWarning,
-    )
-    return float(np.sqrt(lam))
+    return float(np.sqrt(lam)), False
 
 
 def check_adjoint(L: LinearMap, trials: int = 16, seed: int = 0) -> float:

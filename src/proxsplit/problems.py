@@ -84,9 +84,11 @@ class ProblemInstance:
 def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
     """(1/2)||L x - y||^2 with gradient L^T(Lx - y) and beta = ||L||^2.
 
-    The gradient calls ``L``'s implementations directly: ``operator_norm``
-    has already passed both through ``apply`` and ``adjoint``, which check
-    their outputs."""
+    beta comes from ``operator_norm``, which computes the norm once per
+    operator, so another term on the same ``L`` reads it back.  The gradient
+    calls ``L``'s implementations directly: ``operator_norm``'s first call on
+    ``L`` passed both through ``apply`` and ``adjoint``, which check their
+    outputs, and an operator is fixed once built."""
     y = as_vector(y, L.rows)
     beta = operator_norm(L) ** 2
     if beta == 0.0:

@@ -475,7 +475,9 @@ def dual_forward_backward(
     u_{n+1} = u_n + lambda_n (prox_{gamma_n g*}(u_n + gamma_n L x_n) - u_n)
     with gamma_n in [eps, 2/||L||^2 - eps], lambda_n in [eps, 1].  The prox of
     g* comes from the Moreau decomposition.  Requires ri(dom g) to meet
-    ri L(dom h) (documented, not checked).
+    ri L(dom h) (documented, not checked).  ||L|| comes from
+    ``operator_norm``, which computes it once per operator: repeated solves
+    on one ``L`` read it back instead of rerunning the power iteration.
     """
     r = as_vector(r, h.dim)
     norm_l = operator_norm(L)

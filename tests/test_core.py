@@ -95,9 +95,9 @@ class TestOperatorNorm:
         assert operator_norm(L) == 0.0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        L = matrix_map(rng.standard_normal((5, 4)))
-        assert operator_norm(L, seed=7) == operator_norm(L, seed=7)
+        # two maps built apart: one map would read the second value from its memo
+        A = np.random.default_rng(4).standard_normal((5, 4))
+        assert operator_norm(matrix_map(A), seed=7) == operator_norm(matrix_map(A.copy()), seed=7)
 
 
 class TestAdjoint:
