@@ -317,21 +317,28 @@ class LinearMap:
     When ``tight_frame_nu`` is set, the operator is declared to satisfy
     L L^T = nu I; this is probed on random vectors at construction.
     ``matrix``, when given, is the operator's own rows x cols matrix (set by
-    ``matrix_map``); ``to_dense`` then copies it instead of probing columns.
+    ``matrix_map``).  The map keeps a read-only copy of it, which a missing
+    ``apply_impl`` or ``adjoint_impl`` multiplies by, and ``to_dense`` copies
+    that instead of probing columns.  A read-only float64 array that owns
+    its memory is kept without a copy: nothing writes it unless its owner
+    deliberately makes it writeable again.
     ``apply`` of a (k, cols) stack returns the (k, rows) images of its rows:
     one ``np.matvec`` with ``matrix`` when the map carries one, whose rows
     equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
     ``apply_impl`` only ever sees single vectors.
 
     An operator is fixed once built: ``operator_norm`` keeps its results in
-    the private ``_norms``, keyed by its arguments and filled on first use.
-    ``dataclasses.replace`` gives a map with an empty memo.
+    the private ``_norms``, keyed by its arguments and filled on first use,
+    and ``dataclasses.replace`` gives a map with an empty memo.  So
+    ``apply_impl`` and ``adjoint_impl`` must compute the same operator for
+    the map's lifetime: one that reads an array the caller edits later gives
+    solves a stale norm and a wrong step range, without warning.
     """
 
     rows: int
     cols: int
-    apply_impl: Callable[[Array], Array]
-    adjoint_impl: Callable[[Array], Array]
+    apply_impl: Optional[Callable[[Array], Array]] = None
+    adjoint_impl: Optional[Callable[[Array], Array]] = None
     tight_frame_nu: Optional[float] = None
     name: str = "L"
     matrix: Optional[Array] = field(default=None, repr=False, compare=False)
@@ -340,10 +347,20 @@ class LinearMap:
     def __post_init__(self):
         object.__setattr__(self, "rows", as_count(self.rows, "rows", 1))
         object.__setattr__(self, "cols", as_count(self.cols, "cols", 1))
-        if self.matrix is not None and np.shape(self.matrix) != (self.rows, self.cols):
-            raise InvalidParameterError(
-                f"matrix of shape {np.shape(self.matrix)} does not match {self.rows} x {self.cols}"
-            )
+        if self.matrix is not None:
+            M = _matrix(self.matrix, "matrix")
+            if M is self.matrix and (M.flags.writeable or M.base is not None):
+                M = M.copy(order="K")  # the caller's layout, so products keep their bytes
+            M.flags.writeable = False
+            if M.shape != (self.rows, self.cols):
+                raise InvalidParameterError(f"matrix of shape {M.shape} does not match {self.rows} x {self.cols}")
+            object.__setattr__(self, "matrix", M)
+            if self.apply_impl is None:
+                object.__setattr__(self, "apply_impl", lambda x: M @ x)
+            if self.adjoint_impl is None:
+                object.__setattr__(self, "adjoint_impl", lambda u: M.T @ u)
+        if self.apply_impl is None or self.adjoint_impl is None:
+            raise InvalidParameterError("a LinearMap needs apply_impl and adjoint_impl, or a matrix")
         if self.tight_frame_nu is not None:
             nu = as_real(self.tight_frame_nu, "tight_frame_nu", above=0.0)
             object.__setattr__(self, "tight_frame_nu", nu)
@@ -382,19 +399,11 @@ class LinearMap:
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
-    """The operator x |-> A x.  It holds a read-only copy of ``A``, so a later
-    edit of the caller's array changes neither the map nor its memoized norm."""
-    A = _matrix(A, name).copy(order="K")  # the caller's layout, so products keep their bytes
-    A.flags.writeable = False
-    return LinearMap(
-        rows=A.shape[0],
-        cols=A.shape[1],
-        apply_impl=lambda x: A @ x,
-        adjoint_impl=lambda u: A.T @ u,
-        tight_frame_nu=tight_frame_nu,
-        name=name,
-        matrix=A,
-    )
+    """The operator x |-> A x.  The map holds a read-only copy of ``A`` and
+    applies that copy, so a later edit of the caller's array changes neither
+    the map nor its memoized norm."""
+    A = _matrix(A, name)
+    return LinearMap(A.shape[0], A.shape[1], tight_frame_nu=tight_frame_nu, name=name, matrix=A)
 
 
 def identity_map(n: int) -> LinearMap:
@@ -402,7 +411,7 @@ def identity_map(n: int) -> LinearMap:
     is a copy."""
     n = as_count(n, "n", 1)
     eye = np.eye(n)
-    eye.flags.writeable = False
+    eye.flags.writeable = False  # kept without a copy
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
 
 

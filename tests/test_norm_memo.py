@@ -3,9 +3,9 @@
 The result is kept on the ``LinearMap`` and read back by later calls, so
 repeated dual forward-backward solves and least-squares terms on one
 operator run the power iteration once.  The memo returns the float the
-power iteration computed, so results keep their bytes.  ``matrix_map`` holds
-a read-only copy of its matrix, so the operator, and with it the memo, cannot
-change after the build."""
+power iteration computed, so results keep their bytes.  A map given a
+matrix holds a read-only copy of it, so the operator, and with it the memo,
+cannot change after the build."""
 
 import dataclasses
 
@@ -215,3 +215,32 @@ def test_matrix_map_copy_keeps_the_products_bytes():
         assert L.matrix.flags.f_contiguous == A.flags.f_contiguous
         assert L.apply(x).tobytes() == (A @ x).tobytes()
         assert L.adjoint(L.apply(x)).tobytes() == (A.T @ (A @ x)).tobytes()
+
+
+def test_a_given_matrix_is_kept_as_a_read_only_copy():
+    A = np.diag([3.0, 1.0])
+    V = A[:, :]
+    V.flags.writeable = False  # a read-only view of a writable array is copied too
+    L = LinearMap(2, 2, matrix=A)  # the implementations multiply by the copy
+    T = LinearMap(2, 2, lambda x: A @ x, lambda u: A.T @ u, matrix=A)
+    W = LinearMap(2, 2, matrix=V)
+    norm = operator_norm(L)
+    A[0, 0] = 100.0
+    for K in (L, T, W):
+        assert K.matrix is not A and not K.matrix.flags.writeable
+        assert K.to_dense().tolist() == [[3.0, 0.0], [0.0, 1.0]]
+        assert K.apply(np.array([[1.0, 0.0]])).tolist() == [[3.0, 0.0]]
+    assert L.apply(np.array([1.0, 0.0])).tolist() == [3.0, 0.0]
+    assert L.adjoint(np.array([1.0, 0.0])).tolist() == [3.0, 0.0]
+    assert same_bytes(operator_norm(L), norm)
+
+
+@pytest.mark.parametrize("impls", [(), (lambda x: x,), (None, lambda u: u)], ids=["none", "no_adjoint", "no_apply"])
+def test_a_map_without_a_matrix_needs_both_implementations(impls):
+    with pytest.raises(InvalidParameterError, match="apply_impl and adjoint_impl"):
+        LinearMap(2, 2, *impls)
+
+
+def test_a_given_matrix_is_checked():
+    with pytest.raises(InvalidParameterError, match="matrix entries must be finite"):
+        LinearMap(1, 2, matrix=np.array([[1.0, np.nan]]))
