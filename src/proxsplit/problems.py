@@ -391,7 +391,7 @@ def build_feasibility(sets_list) -> ProblemInstance:
     )
 
 
-def _parallel_dykstra_args(c, schedule, gamma):
+def _parallel_dykstra_args(c, schedule):
     # the parallel objective is sum_i omega_i f_i + ||.-r||^2/2, so each
     # term is pre-divided by its weight to recover f + g + ||.-r||^2/2
     branches = [catalog.scaled(c["f"], 2.0), catalog.scaled(c["g"], 2.0)]
@@ -399,18 +399,18 @@ def _parallel_dykstra_args(c, schedule, gamma):
 
 
 # solver name -> (positional arguments, keyword arguments) drawn from an
-# instance's components, the schedule and the gamma of run_instance
+# instance's components and the schedule
 _SOLVER_ARGS = {
-    "forward_backward": lambda c, s, g: ((c["f1"], c["f2"]), {"schedule": s}),
-    "forward_backward_const": lambda c, s, g: ((c["f1"], c["f2"]), {"schedule": s}),
-    "fista": lambda c, s, g: ((c["f1"], c["f2"]), {}),
-    "douglas_rachford": lambda c, s, g: ((c["f1"], c["f2_prox"]), {"gamma": g, "schedule": s}),
-    "dykstra_like": lambda c, s, g: ((c["f"], c["g"], c["r"]), {}),
+    "forward_backward": lambda c, s: ((c["f1"], c["f2"]), {"schedule": s}),
+    "forward_backward_const": lambda c, s: ((c["f1"], c["f2"]), {"schedule": s}),
+    "fista": lambda c, s: ((c["f1"], c["f2"]), {}),
+    "douglas_rachford": lambda c, s: ((c["f1"], c["f2_prox"]), {"schedule": s}),
+    "dykstra_like": lambda c, s: ((c["f"], c["g"], c["r"]), {}),
     "parallel_dykstra": _parallel_dykstra_args,
-    "dual_forward_backward": lambda c, s, g: (tuple(c["dual"][k] for k in ("h", "g", "L", "r")), {"schedule": s}),
-    "ppxa": lambda c, s, g: ((c["ppxa"]["f_list"], c["ppxa"]["weights"]), {"gamma": g, "schedule": s}),
-    "sdmm": lambda c, s, g: ((c["sdmm_g_list"], c["sdmm_L_list"]), {"gamma": g}),
-    "pocs": lambda c, s, g: ((c["sets"],), {}),
+    "dual_forward_backward": lambda c, s: (tuple(c["dual"][k] for k in ("h", "g", "L", "r")), {"schedule": s}),
+    "ppxa": lambda c, s: ((c["ppxa"]["f_list"], c["ppxa"]["weights"]), {"schedule": s}),
+    "sdmm": lambda c, s: ((c["sdmm_g_list"], c["sdmm_L_list"]), {}),
+    "pocs": lambda c, s: ((c["sets"],), {}),
 }
 
 
@@ -419,7 +419,6 @@ def run_instance(
     solver_tag: str,
     schedule: Schedule | None = None,
     stop: solvers.StoppingRule | None = None,
-    gamma: float = 1.0,
 ) -> SolveResult:
     """Dispatch an instance to a compatible solver, which must read every schedule field set."""
     if solver_tag not in instance.solver_tags:
@@ -427,7 +426,7 @@ def run_instance(
             f"solver '{solver_tag}' is not applicable to '{instance.tag}'; "
             f"compatible solvers: {', '.join(instance.solver_tags)}"
         )
-    args, kwargs = _SOLVER_ARGS[solver_tag](instance.components, schedule, gamma)
+    args, kwargs = _SOLVER_ARGS[solver_tag](instance.components, schedule)
     if "schedule" not in kwargs and any(v is not None for v in vars(schedule or Schedule()).values()):
         raise InvalidScheduleError(f"solver '{solver_tag}' reads no schedule field; leave them null")
     # looked up on the module at call time, so that a rebinding of

@@ -15,12 +15,12 @@ point where the algorithm prescribes it).
 Checks happen at the boundary, not inside the loop.  The public methods
 (``prox``, ``grad``, ``apply``, ``adjoint``) check their arguments and their
 implementation's output on every call.  A solver checks its arguments on
-entry, its implementations' outputs on iteration 0 (``_checked``: a finite
-float64 vector of the output dimension), and its iterate on every iteration
-(``_Run.done``).  From iteration 1 on, every loop but ``pocs`` calls
-``prox_impl``, ``grad_impl``, ``apply_impl`` and ``adjoint_impl`` directly
-and uses their outputs as they are, which are the bytes the public methods
-would return.
+entry, its implementations on iteration 0 (``_checked``: a vector of the
+input dimension in, a finite float64 vector of the output dimension out),
+and its iterate on every iteration (``_Run.done``).  ``_Run`` hands every
+loop but ``pocs`` its implementations: from iteration 1 on ``prox_impl``,
+``grad_impl``, ``apply_impl`` and ``adjoint_impl`` themselves, whose outputs
+are used as they are, the bytes the public methods would return.
 
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
 relative-interior qualification conditions, nonempty domain intersections)
@@ -105,8 +105,11 @@ _BLOCK_ENTRIES = 65536
 
 
 class _Run:
-    """The bookkeeping of one solve: the iteration cap (``for n in run``), the
-    per-iteration record and tolerance test, and the ``SolveResult``.
+    """The bookkeeping of one solve: the iteration cap and the loop's
+    implementations (``for n, impls in run``), the per-iteration record and
+    tolerance test, and the ``SolveResult``.  ``impls`` are those of the
+    ``(obj, "prox"|"grad"|"apply"|"adjoint")`` pairs in ``calls``, checked
+    (``_checked``) at n = 0 and bare from n = 1 on.
 
     The objective plays no part in the iteration, so the iterates whose value
     the stopping rule's cadence asks for are copied into a block and
@@ -114,8 +117,10 @@ class _Run:
     full, and on what is left in ``result``.  ``elapsed_ns`` leaves out the
     time of those calls."""
 
-    def __init__(self, stop: StoppingRule | None, objective):
+    def __init__(self, stop: StoppingRule | None, objective, calls=()):
         self.stop = stop or StoppingRule()
+        self._first = tuple(_checked(obj, method) for obj, method in calls)
+        self._impls = tuple(getattr(obj, method + "_impl") for obj, method in calls)
         self.converged = False
         self._objective = objective
         self._changes = []
@@ -127,7 +132,9 @@ class _Run:
         self._eval_ns = 0
 
     def __iter__(self):
-        return iter(range(self.stop.max_iter))
+        yield 0, self._first
+        for n in range(1, self.stop.max_iter):
+            yield n, self._impls
 
     def _due(self, n: int) -> bool:
         """Whether iteration n's objective is evaluated (every iteration up to
@@ -192,16 +199,22 @@ class _Run:
 
 def _checked(obj, method: str):
     """``obj``'s implementation of ``method`` (``prox``, ``grad``, ``apply``
-    or ``adjoint``) as a loop calls it on iteration 0, with its output
-    checked.  Later iterations call the implementation itself and use its
-    output as it is, so that must be a finite float64 vector of the method's
-    output dimension (where ``as_vector`` would convert a list or another
-    dtype)."""
+    or ``adjoint``) as a loop calls it on iteration 0.  The vector it is
+    given (its last argument) must have the method's input dimension, which
+    catches dimensions that disagree before the call.  Later iterations call
+    the implementation itself and use its output as it is, so that must be a
+    finite float64 vector of the method's output dimension (where
+    ``as_vector`` would convert a list or another dtype)."""
     impl = getattr(obj, method + "_impl")
-    dim = obj.rows if method == "apply" else obj.cols if method == "adjoint" else obj.dim
+    if method in ("apply", "adjoint"):
+        dim_in, dim = (obj.cols, obj.rows) if method == "apply" else (obj.rows, obj.cols)
+    else:
+        dim_in = dim = obj.dim
     name = f"{obj.name}.{method}_impl"
 
     def first(*args):
+        if args[-1].shape != (dim_in,):
+            raise InvalidInputError(f"{name} takes a vector of dimension {dim_in}, got {args[-1].size}")
         out = impl(*args)
         if type(out) is not np.ndarray or out.dtype != np.float64 or out.shape != (dim,):
             got = f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
@@ -277,26 +290,19 @@ def _resolve_schedule(kind: str, schedule: Schedule | None, beta: float | None =
     return gamma, _sequence("lambda", sched.lam if sched.lam is not None else 1.0, eps, lam_hi)
 
 
-def _branch_proxes(f_list) -> tuple:
-    """The branches' prox implementations, and the same checked for iteration 0."""
-    return [f.prox_impl for f in f_list], [_checked(f, "prox") for f in f_list]
-
-
 def _branches(f_list, weights, solver: str):
-    """The branch functions as a list, their shared dimension, and their
-    weights, each in ]0, 1] and summing to 1."""
+    """The branch functions as a list, the first one's dimension, and their
+    weights, each in ]0, 1] and summing to 1.  A branch of another dimension
+    fails its prox's check at iteration 0."""
     f_list = list(f_list)
     if not f_list:
         raise InvalidInputError(f"{solver} needs at least one function")
-    dim = f_list[0].dim
-    if any(f.dim != dim for f in f_list):
-        raise InvalidInputError("all functions must share one dimension")
     w = as_vector(weights, len(f_list))
     if np.any(w <= 0.0) or np.any(w > 1.0):
         raise InvalidParameterError("weights must lie in ]0, 1]")
     if abs(float(np.sum(w)) - 1.0) > 1e-12:
         raise InvalidParameterError(f"weights must sum to 1, got {float(np.sum(w))}")
-    return f_list, dim, w
+    return f_list, f_list[0].dim, w
 
 
 def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
@@ -325,12 +331,10 @@ def pocs(sets, x0=None, stop: StoppingRule | None = None) -> SolveResult:
 def _forward_backward(f1: ProxFn, f2: SmoothFn, gamma_at, lam_at, x0, stop) -> SolveResult:
     """The forward-backward loop, with the readers n -> gamma_n and n -> lambda_n."""
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
-    first = _checked(f1, "prox"), _checked(f2, "grad")
-    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in run:
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v), [(f1, "prox"), (f2, "grad")])
+    for n, (prox, grad) in run:
         gamma = gamma_at(n)
         lam = lam_at(n)
-        prox, grad = (f1.prox_impl, f2.grad_impl) if n else first
         p = prox(gamma, x - gamma * grad(x))
         x_prev, x = x, x + lam * (p - x)
         if run.done(x, x_prev, norm(p - x_prev)):
@@ -383,10 +387,8 @@ def fista(
     x = np.zeros(f1.dim) if x0 is None else as_vector(x0, f1.dim)
     z = x.copy()
     t = 1.0
-    first = _checked(f1, "prox"), _checked(f2, "grad")
-    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
-    for n in run:
-        prox, grad = (f1.prox_impl, f2.grad_impl) if n else first
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v), [(f1, "prox"), (f2, "grad")])
+    for _, (prox, grad) in run:
         x_prev, x = x, prox(gamma, z - gamma * grad(z))
         t_prev, t = t, 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
         z = x_prev + (1.0 + (t_prev - 1.0) / t) * (x - x_prev)
@@ -419,11 +421,9 @@ def douglas_rachford(
     _, lam_at = _resolve_schedule("relaxed", schedule)
 
     y = np.zeros(f1.dim) if y0 is None else as_vector(y0, f1.dim)
-    first = _checked(f1, "prox"), _checked(f2, "prox")
-    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v))
+    run = _Run(stop, lambda v: f1.eval(v) + f2.eval(v), [(f1, "prox"), (f2, "prox")])
     x = y
-    for n in run:
-        prox1, prox2 = (f1.prox_impl, f2.prox_impl) if n else first
+    for n, (prox1, prox2) in run:
         x_prev, x = x, prox2(gamma, y)
         lam = lam_at(n)
         p = prox1(gamma, 2.0 * x - y)
@@ -447,10 +447,8 @@ def dykstra_like(
     x = r.copy()
     p = np.zeros(f.dim)
     q = np.zeros(f.dim)
-    first = _checked(f, "prox"), _checked(g, "prox")
-    run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * pow2(norm(v - r)))
-    for n in run:
-        prox_f, prox_g = (f.prox_impl, g.prox_impl) if n else first
+    run = _Run(stop, lambda v: f.eval(v) + g.eval(v) + 0.5 * pow2(norm(v - r)), [(f, "prox"), (g, "prox")])
+    for _, (prox_f, prox_g) in run:
         y = prox_g(1.0, x + p)
         p = x + p - y
         x_prev, x = x, prox_f(1.0, y + q)
@@ -479,6 +477,8 @@ def dual_forward_backward(
     ``operator_norm``, which computes it once per operator: repeated solves
     on one ``L`` read it back instead of rerunning the power iteration.
     """
+    if h.dim != L.cols:
+        raise InvalidInputError(f"{h.name} has dimension {h.dim}, expected {L.cols}, the columns of {L.name}")
     r = as_vector(r, h.dim)
     norm_l = operator_norm(L)
     if norm_l == 0.0:
@@ -487,11 +487,10 @@ def dual_forward_backward(
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)
-    first = _checked(h, "prox"), _checked(gstar, "prox"), _checked(L, "apply"), _checked(L, "adjoint")
-    run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * pow2(norm(v - r)))
+    calls = [(h, "prox"), (gstar, "prox"), (L, "apply"), (L, "adjoint")]
+    run = _Run(stop, lambda v: h.eval(v) + g.eval(L.apply(v)) + 0.5 * pow2(norm(v - r)), calls)
     x = r
-    for n in run:
-        prox_h, prox_gstar, apply, adjoint = (h.prox_impl, gstar.prox_impl, L.apply_impl, L.adjoint_impl) if n else first
+    for n, (prox_h, prox_gstar, apply, adjoint) in run:
         x_prev, x = x, prox_h(1.0, r - adjoint(u))
         gamma = gamma_at(n)
         lam = lam_at(n)
@@ -543,6 +542,8 @@ def _quadratic_step(f, L: LinearMap, gamma: float):
         raise UnsupportedFunctionError(
             "the x-step supports only f = None (zero) or a QuadraticTerm"
         )
+    if f is not None and f.center.size != L.cols:
+        raise InvalidInputError(f"the QuadraticTerm center has dimension {f.center.size}, expected {L.cols}")
     A = L.to_dense()
     w = gamma * f.weight if f is not None else 0.0
     M_inv = _spd_inverse(
@@ -587,8 +588,6 @@ def admm(
     checked).
     """
     gamma = as_real(gamma, "gamma", above=0.0)
-    if g.dim != L.rows:
-        raise InvalidInputError(f"g has dimension {g.dim}, expected {L.rows}")
     A, M_inv, w = _quadratic_step(f, L, gamma)
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
@@ -597,13 +596,13 @@ def admm(
         fv = f.eval(v) if f is not None else 0.0
         return fv + g.eval(np.matvec(A, v))
 
-    run = _Run(stop, objective)
+    run = _Run(stop, objective, [(g, "prox")])
     x = None
-    for n in run:
+    for _, (prox,) in run:
         rhs = A.T @ (y - z) + (w * f.center if f is not None else 0.0)
         x_prev, x = x, M_inv @ rhs
         s = A @ x
-        y = (g.prox_impl if n else _checked(g, "prox"))(gamma, s + z)
+        y = prox(gamma, s + z)
         z = z + s - y
         if run.done(x, x_prev):
             break
@@ -638,11 +637,10 @@ def ppxa(
     x = w @ Y
 
     scales = [gamma / wi for wi in w.tolist()]
-    impls, first = _branch_proxes(f_list)
-    run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0))
-    for n in run:
+    run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0), [(f, "prox") for f in f_list])
+    for n, proxes in run:
         # a new array: a prox may return its argument, a row of Y
-        P = np.array([prox(c, yi) for prox, c, yi in zip(impls if n else first, scales, Y)])
+        P = np.array([prox(c, yi) for prox, c, yi in zip(proxes, scales, Y)])
         p = w @ P
         lam = lam_at(n)
         Y += lam * (2.0 * p - x - P)
@@ -673,11 +671,10 @@ def parallel_dykstra(
         # each row's weighted sum is the dot product of w with its values
         return np.vecdot(np.column_stack([f.eval(v) for f in f_list]), w) + 0.5 * pow2(norm(v - r))
 
-    impls, first = _branch_proxes(f_list)
-    run = _Run(stop, objective)
-    for n in run:
+    run = _Run(stop, objective, [(f, "prox") for f in f_list])
+    for _, proxes in run:
         # a new array: a prox may return its argument, a row of Z
-        P = np.array([prox(1.0, zi) for prox, zi in zip(impls if n else first, Z)])
+        P = np.array([prox(1.0, zi) for prox, zi in zip(proxes, Z)])
         x_prev, x = x, w @ P
         Z += x
         Z -= P
@@ -710,9 +707,6 @@ def sdmm(
     dim = L_list[0].cols
     if any(L.cols != dim for L in L_list):
         raise InvalidInputError("all operators must share the domain dimension")
-    for g, L in zip(g_list, L_list):
-        if g.dim != L.rows:
-            raise InvalidInputError(f"{g.name} has dimension {g.dim}, expected {L.rows}")
     gamma = as_real(gamma, "gamma", above=0.0)
 
     M = np.vstack([L.to_dense() for L in L_list])
@@ -726,13 +720,13 @@ def sdmm(
         for v0s in (y0s, z0s)
     )
 
-    impls, first = _branch_proxes(g_list)
-    run = _Run(stop, lambda v: np.sum([g.eval(s) for g, s in zip(g_list, np.split(np.matvec(M, v), cuts, axis=1))], axis=0))
+    objective = lambda v: np.sum([g.eval(s) for g, s in zip(g_list, np.split(np.matvec(M, v), cuts, axis=1))], axis=0)
+    run = _Run(stop, objective, [(g, "prox") for g in g_list])
     x = None
-    for n in run:
+    for _, proxes in run:
         x_prev, x = x, Q_inv @ (M.T @ (y - z))
         v = M @ x + z
-        y = np.concatenate([prox(gamma, vi) for prox, vi in zip(impls if n else first, np.split(v, cuts))])
+        y = np.concatenate([prox(gamma, vi) for prox, vi in zip(proxes, np.split(v, cuts))])
         z = v - y
         if run.done(x, x_prev):
             break

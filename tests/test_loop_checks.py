@@ -1,12 +1,17 @@
-"""Where the solver loops check: an implementation's output on iteration 0,
-the iterate on every iteration.
+"""Where the solver loops check: an implementation's input and output on
+iteration 0, the iterate on every iteration.
 
-From iteration 1 on a loop calls ``prox_impl``, ``grad_impl``, ``apply_impl``
-and ``adjoint_impl`` directly and uses their outputs as they are.  That
-changes no bits because every catalog and set implementation returns a 1-D
-float64 array of its dimension, which ``as_vector`` would hand back
-unchanged.  A user implementation that returns anything else is stopped on
-iteration 0, and a run whose iterate overflows ends in a named error."""
+``solvers._Run`` hands each loop its implementations, checked on iteration 0
+and bare from iteration 1 on, where the loop calls ``prox_impl``,
+``grad_impl``, ``apply_impl`` and ``adjoint_impl`` directly and uses their
+outputs as they are.  That changes no bits because every catalog and set
+implementation returns a 1-D float64 array of its dimension, which
+``as_vector`` would hand back unchanged.  A user implementation that returns
+anything else is stopped on iteration 0, a vector of the wrong dimension
+never reaches an implementation, and a run whose iterate overflows ends in a
+named error."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,8 +109,9 @@ I2 = identity_map(2)
 
 
 def _prox_runs(f, stop=RUN):
-    """Every loop that changed, with ``f`` in one of its prox slots, each slot
-    one whose output the next iteration's argument grows with."""
+    """Every loop that calls a prox implementation directly, with ``f`` in
+    one of its prox slots, each slot one whose output the next iteration's
+    argument grows with."""
     return {
         "forward_backward": lambda: solvers.forward_backward(f, FLAT, stop=stop),
         "forward_backward_const": lambda: solvers.forward_backward_const(f, FLAT, stop=stop),
@@ -155,6 +161,44 @@ def test_bad_linear_map_output_raises_by_iteration_0(which, bad):
     L = LinearMap(2, 2, impl if which == "apply" else good, impl if which == "adjoint" else good, name="bad")
     with pytest.raises(InvalidInputError, match=f"bad.{which}_impl|dimension"):
         solvers.dual_forward_backward(ZERO, QUAD, L, R, stop=RUN)
+
+
+# functions, operators and start points whose dimensions disagree raise a
+# named error on entry or at iteration 0, naming the function
+
+ODD = replace(cat.zero_fn(3), name="odd")
+ODD_SMOOTH = replace(problems.least_squares_smooth(identity_map(3), [1.0, 2.0, 3.0]), name="odd")
+CENTER3 = solvers.QuadraticTerm(1.0, [1.0, 2.0, 3.0])
+MISMATCHED = {
+    "forward_backward": lambda: solvers.forward_backward(ZERO, ODD_SMOOTH, stop=RUN),
+    "forward_backward_const": lambda: solvers.forward_backward_const(ZERO, ODD_SMOOTH, stop=RUN),
+    "fista": lambda: solvers.fista(ZERO, ODD_SMOOTH, stop=RUN),
+    "douglas_rachford": lambda: solvers.douglas_rachford(ZERO, ODD, stop=RUN),
+    "dykstra_like": lambda: solvers.dykstra_like(QUAD, ODD, R, stop=RUN),
+    "dual_forward_backward-h": lambda: solvers.dual_forward_backward(ODD, QUAD, I2, [1.0, 2.0, 3.0], stop=RUN),
+    "dual_forward_backward-g": lambda: solvers.dual_forward_backward(ZERO, ODD, I2, R, stop=RUN),
+    "admm-g": lambda: solvers.admm(None, I2, ODD, stop=RUN),
+    "admm-center": lambda: solvers.admm(CENTER3, I2, ZERO, stop=RUN),
+    "prox_l-center": lambda: solvers.prox_l(CENTER3, I2, R),
+    "ppxa": lambda: solvers.ppxa([QUAD, ODD], [0.5, 0.5], stop=RUN),
+    "parallel_dykstra": lambda: solvers.parallel_dykstra([QUAD, ODD], [0.5, 0.5], R, stop=RUN),
+    "sdmm": lambda: solvers.sdmm([ZERO, ODD], [I2, I2], stop=RUN),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+def test_mismatched_dimensions_raise_a_named_error(case):
+    with pytest.raises(InvalidInputError, match="QuadraticTerm center" if "center" in case else "odd"):
+        MISMATCHED[case]()
+
+
+@pytest.mark.parametrize("solver", PROX_SOLVERS)
+def test_a_wrong_dimension_vector_never_reaches_prox_impl(solver):
+    impl = Counted(lambda gamma, x: x.copy())
+    f = ProxFn(dim=3, value=lambda x: np.zeros(x.shape[:-1]), prox_impl=impl, name="three")
+    with pytest.raises(InvalidInputError, match="dimension"):
+        _prox_runs(f)[solver]()
+    assert impl.calls == 0
 
 
 # a run whose iterate overflows ends in a named error that names finiteness
