@@ -239,12 +239,20 @@ def write_trace(path: str, result: SolveResult) -> None:
 
 
 def read_trace(path: str) -> list:
+    """The records of a trace file; a wrong header or a malformed row raises
+    ``InvalidInputError``, which names the row's 1-based line number."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise InvalidInputError(f"unexpected trace header: {header!r}")
-        rows = (line.rstrip("\n").split(",") for line in fh)
-        return [IterationRecord(int(it), float(obj), float(res), int(ns)) for it, obj, res, ns in rows]
+        records = []
+        for number, line in enumerate(fh, 2):
+            try:
+                it, obj, res, ns = line.rstrip("\n").split(",")
+                records.append(IterationRecord(int(it), float(obj), float(res), int(ns)))
+            except ValueError as exc:
+                raise InvalidInputError(f"trace line {number}: {exc}") from None
+        return records
 
 
 def write_result(path: str, result: SolveResult) -> None:

@@ -119,7 +119,7 @@ class _Run:
 
     def __init__(self, stop: StoppingRule | None, objective, calls=()):
         self.stop = stop or StoppingRule()
-        self._first = tuple(_checked(obj, method) for obj, method in calls)
+        self._first = tuple(_checked(obj, method, calls) for obj, method in calls)
         self._impls = tuple(getattr(obj, method + "_impl") for obj, method in calls)
         self.converged = False
         self._objective = objective
@@ -197,24 +197,29 @@ class _Run:
         )
 
 
-def _checked(obj, method: str):
+def _checked(obj, method: str, calls):
     """``obj``'s implementation of ``method`` (``prox``, ``grad``, ``apply``
     or ``adjoint``) as a loop calls it on iteration 0.  The vector it is
     given (its last argument) must have the method's input dimension, which
-    catches dimensions that disagree before the call.  Later iterations call
-    the implementation itself and use its output as it is, so that must be a
-    finite float64 vector of the method's output dimension (where
-    ``as_vector`` would convert a list or another dtype)."""
+    catches dimensions that disagree before the call; the message also
+    states the input dimensions of the loop's other ``calls``, since the odd
+    one out may be the function that fixed the loop's space.  Later
+    iterations call the implementation itself and use its output as it is,
+    so that must be a finite float64 vector of the method's output dimension
+    (where ``as_vector`` would convert a list or another dtype)."""
     impl = getattr(obj, method + "_impl")
-    if method in ("apply", "adjoint"):
-        dim_in, dim = (obj.cols, obj.rows) if method == "apply" else (obj.rows, obj.cols)
-    else:
-        dim_in = dim = obj.dim
+    dim_in, dim = _dims(obj, method)
     name = f"{obj.name}.{method}_impl"
 
     def first(*args):
         if args[-1].shape != (dim_in,):
-            raise InvalidInputError(f"{name} takes a vector of dimension {dim_in}, got {args[-1].size}")
+            others = ", ".join(
+                f"{o.name}.{m}_impl {_dims(o, m)[0]}" for o, m in calls if o is not obj or m != method
+            )
+            raise InvalidInputError(
+                f"{name} takes a vector of dimension {dim_in}, got {args[-1].size}"
+                + (f" (the loop's other implementations take: {others})" if others else "")
+            )
         out = impl(*args)
         if type(out) is not np.ndarray or out.dtype != np.float64 or out.shape != (dim,):
             got = f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
@@ -222,6 +227,15 @@ def _checked(obj, method: str):
         return as_vector(out, name=f"{name} output")
 
     return first
+
+
+def _dims(obj, method: str) -> tuple:
+    """The (input, output) dimensions of ``obj``'s ``method``."""
+    if method == "apply":
+        return obj.cols, obj.rows
+    if method == "adjoint":
+        return obj.rows, obj.cols
+    return obj.dim, obj.dim
 
 
 def _rel(delta: float, xnorm: float) -> float:
@@ -474,8 +488,12 @@ def dual_forward_backward(
     with gamma_n in [eps, 2/||L||^2 - eps], lambda_n in [eps, 1].  The prox of
     g* comes from the Moreau decomposition.  Requires ri(dom g) to meet
     ri L(dom h) (documented, not checked).  ||L|| comes from
-    ``operator_norm``, which computes it once per operator: repeated solves
-    on one ``L`` read it back instead of rerunning the power iteration.
+    ``operator_norm``: a Lanczos iteration on L^T L, one ``apply`` and one
+    ``adjoint`` per step (n steps for ``first_difference(n)`` up to
+    n = 500), whose Ritz value is a lower bound up to rounding and
+    within a few ulp of ||L|| once converged, so the step range is that of
+    the true norm.  It is computed once per operator: repeated solves on one
+    ``L`` read it back instead of rerunning the iteration.
     """
     if h.dim != L.cols:
         raise InvalidInputError(f"{h.name} has dimension {h.dim}, expected {L.cols}, the columns of {L.name}")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxsplit import catalog as cat
 from proxsplit import sets
@@ -78,7 +81,35 @@ class TestSubgradientCertificate:
         assert v > 0.0
 
 
+# entries below 1e-6 are set to 0, so that no square in L^T L underflows
+_ENTRIES = st.floats(-10.0, 10.0).map(lambda t: t if abs(t) >= 1e-6 else 0.0)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of up to 12 x 30, full or drawn as a product of rank 0 to 4."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, (rows, cols), elements=_ENTRIES))
+    rank = draw(st.integers(0, 4))
+    U = draw(arrays(np.float64, (rows, rank), elements=_ENTRIES))
+    return U @ draw(arrays(np.float64, (rank, cols), elements=_ENTRIES))
+
+
 class TestOperatorNorm:
+    @given(A=_matrices())
+    @example(A=np.zeros((3, 5)))
+    @example(A=np.arange(1.0, 31.0).reshape(1, 30))
+    @example(A=np.arange(1.0, 13.0).reshape(12, 1))
+    @example(A=np.outer(np.arange(1.0, 13.0), np.arange(30.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_spectral_norm(self, A):
+        exact = np.linalg.norm(A, 2)
+        got = operator_norm(matrix_map(A))
+        assert abs(got - exact) <= 1e-12 * exact
+        # a Ritz value is a lower bound up to rounding; np.linalg.norm is itself a few ulp off
+        assert got <= exact + 16 * np.spacing(exact)
+
     def test_identity(self):
         assert operator_norm(identity_map(3)) == pytest.approx(1.0, rel=1e-8)
 

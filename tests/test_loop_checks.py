@@ -192,6 +192,25 @@ def test_mismatched_dimensions_raise_a_named_error(case):
         MISMATCHED[case]()
 
 
+# where the odd function fixes the loop's space, the check fails on a correct
+# one, and its message states the odd one's dimension too
+ODD_FIRST = {
+    "douglas_rachford": lambda f, g: solvers.douglas_rachford(f, g, stop=RUN),
+    "ppxa": lambda f, g: solvers.ppxa([f, g], [0.5, 0.5], stop=RUN),
+}
+
+
+@pytest.mark.parametrize("solver", ODD_FIRST)
+def test_the_message_names_the_odd_function_that_fixed_the_space(solver):
+    odd3 = cat.weighted_l1(np.ones(3))
+    q = cat.quadratic_deviation([1.0, 2.0])
+    with pytest.raises(InvalidInputError) as err:
+        ODD_FIRST[solver](odd3, q)
+    message = str(err.value)
+    assert "quadratic_deviation.prox_impl takes a vector of dimension 2, got 3" in message
+    assert "separable.prox_impl 3" in message
+
+
 @pytest.mark.parametrize("solver", PROX_SOLVERS)
 def test_a_wrong_dimension_vector_never_reaches_prox_impl(solver):
     impl = Counted(lambda gamma, x: x.copy())

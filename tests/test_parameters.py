@@ -7,13 +7,14 @@ import dataclasses
 import fractions
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from proxsplit import catalog as cat
 from proxsplit import core, problems, sets, solvers
-from proxsplit.cli import read_trace
+from proxsplit.cli import TRACE_HEADER, read_trace
 from proxsplit.core import (
     InvalidInputError,
     InvalidParameterError,
@@ -198,7 +199,21 @@ BAD_INPUTS = [
     # core and cli
     ("SolveResult-count", InvalidParameterError, "iteration count", lambda: SolveResult(np.zeros(1), False, 2, ())),
     ("read_trace-header", InvalidInputError, "header", lambda: read_trace(os.devnull)),
+    ("read_trace-short-row", InvalidInputError, "line 3", lambda: _read_trace_rows("1,0.5,0.25,10", "2,0.5,0.25")),
+    ("read_trace-long-row", InvalidInputError, "line 2", lambda: _read_trace_rows("1,0.5,0.25,10,7")),
+    ("read_trace-not-a-float", InvalidInputError, "line 2", lambda: _read_trace_rows("1,abc,0.25,10")),
+    ("read_trace-not-an-int", InvalidInputError, "line 3", lambda: _read_trace_rows("1,0.5,0.25,10", "2.5,0.5,0.25,10")),
+    ("read_trace-blank-row", InvalidInputError, "line 3", lambda: _read_trace_rows("1,0.5,0.25,10", "", "3,0.5,0.25,10")),
 ]
+
+
+def _read_trace_rows(*rows):
+    """``read_trace`` of a file with the trace header and ``rows``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join([TRACE_HEADER, *rows]) + "\n")
+        return read_trace(path)
 
 
 @pytest.mark.parametrize("error, word, make", [pytest.param(*case[1:], id=case[0]) for case in BAD_INPUTS])

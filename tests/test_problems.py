@@ -9,6 +9,7 @@ from proxsplit import problems, sets
 from proxsplit.core import (
     InvalidInputError,
     InvalidParameterError,
+    InvalidScheduleError,
     SolveResult,
     check_adjoint,
     identity_map,
@@ -231,6 +232,14 @@ class TestTv1d:
         res = run_instance(inst, "dual_forward_backward", stop=TIGHT)
         assert np.allclose(res.final_x, r, atol=1e-9)
 
+    def test_step_just_past_the_exact_bound_is_rejected(self):
+        # 2/||L||^2 - eps = 0.499123 at n = 100; an under-estimated norm lets 0.499351 pass
+        inst = build_tv1d(_piecewise_signal(np.random.default_rng(100), 100), 1.0)
+        with pytest.raises(InvalidScheduleError, match="gamma=0.499351"):
+            run_instance(inst, "dual_forward_backward", schedule=Schedule(gamma=0.499351, epsilon=1e-3))
+        res = run_instance(inst, "dual_forward_backward", schedule=Schedule(gamma=0.4991, epsilon=1e-3))
+        assert res.converged
+
     def test_two_point_large_omega_flattens_to_mean(self):
         r = np.array([0.0, 2.0])
         inst = build_tv1d(r, 5.0)  # omega >= |gap|/2 flattens completely
@@ -330,7 +339,7 @@ class TestTv1d:
         for key, value in diag.items():
             assert value <= 1e-9, (key, value)
 
-    @pytest.mark.filterwarnings("ignore:operator_norm power iteration:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:operator_norm Lanczos iteration:RuntimeWarning")
     def test_memory_linear_in_length(self):
         # a dense (n-1) x n difference and two n x n pairwise bases would take ~96 MB
         r = _piecewise_signal(np.random.default_rng(6), 2000)
@@ -460,6 +469,12 @@ class TestFirstDifferenceMatchesDense:
     def test_operator_norm_exact(self, n):
         M = np.diff(np.eye(n), axis=0)
         assert operator_norm(first_difference(n)) == operator_norm(matrix_map(M))
+
+
+@pytest.mark.parametrize("n", (2, 3, 32, 100, 120))
+def test_first_difference_norm_is_exact(n):
+    # D^T D is the path-graph Laplacian, whose largest eigenvalue is 2 + 2cos(pi/n)
+    assert abs(operator_norm(first_difference(n)) - 2.0 * math.cos(math.pi / (2 * n))) <= 1e-14
 
 
 # the tag -> solvers table as it stands; cli_table in perfbench draws its
