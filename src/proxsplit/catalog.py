@@ -56,7 +56,7 @@ from .core import (
     norm,
     pow2,
 )
-from .scalar import Bracket, BracketingError, lambert_w_exp, solve_monotone
+from .scalar import Bracket, lambert_w_exp, solve_monotone
 
 __all__ = [
     "ScalarKind",
@@ -114,25 +114,12 @@ _DOMAIN_SLACK = 1e-9
 
 def _quiet():
     """Silence the warnings of values computed and then discarded: branches
-    that np.where drops (log of a negative, division by zero) and trial
-    points of a bracket search."""
+    that np.where drops (log of a negative, division by zero)."""
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _solve_residual(r, dr, lo, hi):
     return solve_monotone(r, Bracket(lo, hi), tol=_ROOT_TOL, dg=dr)
-
-
-def _shrink_until(ok, start, factor: float, tries: int, where: str):
-    """Elementwise: multiply ``start`` by ``factor`` until ``ok`` holds."""
-    d = start
-    with _quiet():
-        for _ in range(tries):
-            good = ok(d)
-            if good.all():
-                return d
-            d = np.where(good, d, d * factor)
-    raise BracketingError(f"could not bracket the prox equation {where}")
 
 
 def _solve_pole(r, dr, lo, hi):
@@ -626,18 +613,22 @@ class IntervalLogBarrier(ScalarKind):
             )
 
     def _prox(self, t, gamma):
-        lo, hi = self.lo, self.hi
+        """On (lo, lo + h] the B term of r is at most B/h, so the root is at least
+        lo + min(s, h) with s - A/s = t - lo - B/h; likewise at most hi - min(s', h).
+        Each distance is shrunk by _MARGIN and its end rounded one float toward
+        its pole, since lo + s rounds on the scale of |lo|."""
+        lo, hi, A, B = self.lo, self.hi, gamma * self.k_lo, gamma * self.k_hi
 
         def r(p):
-            return p - t - gamma * self.k_lo / (p - lo) + gamma * self.k_hi / (hi - p)
+            return p - t - A / (p - lo) + B / (hi - p)
 
         def dr(p):
-            return 1.0 + gamma * self.k_lo / (p - lo) ** 2 + gamma * self.k_hi / (hi - p) ** 2
+            return 1.0 + A / (p - lo) ** 2 + B / (hi - p) ** 2
 
-        quarter = np.broadcast_to(0.25 * (hi - lo), np.shape(t))
-        dlo = _shrink_until(lambda d: r(lo + d) < 0.0, quarter, 0.25, 200, "near lo")
-        dhi = _shrink_until(lambda d: r(hi - d) > 0.0, quarter, 0.25, 200, "near hi")
-        return _solve_residual(r, dr, lo + dlo, hi - dhi)
+        h = 0.5 * (hi - lo)
+        near_lo = np.minimum(_inverse_root(A, t - lo - B / h), h) * (1.0 - _MARGIN)
+        near_hi = np.minimum(_inverse_root(B, hi - t - A / h), h) * (1.0 - _MARGIN)
+        return _solve_residual(r, dr, np.nextafter(lo + near_lo, lo), np.nextafter(hi - near_hi, hi))
 
 
 SCALAR_KINDS = {

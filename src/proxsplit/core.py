@@ -83,15 +83,18 @@ class UnsupportedFunctionError(TypeError):
 
 
 _FLOAT64 = np.dtype(np.float64)
+_NOT_REAL = (bool, np.bool_, complex, np.complexfloating, str, bytes)
 
 
 def _real_array(x) -> Optional[Array]:
-    """``x`` as a float array, or None if it holds a bool or a string (which numpy
-    would convert) or is ragged; a flat list of floats and ints converts as is."""
+    """``x`` as a float array, or None if it holds a bool, a complex number or a
+    string (which numpy would convert) or is ragged; a flat list of floats and
+    ints converts as is, and an ndarray only if its dtype is integer or float."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else None
     plain = type(x) is list and {float, int}.issuperset(map(type, x))
-    a = x if plain or isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-    if not plain and (a.dtype.kind in "US" or a.dtype == object and any(
-            issubclass(t, (bool, np.bool_, str, bytes)) for t in set(map(type, a.flat)))):
+    a = x if plain else np.asarray(x, dtype=object)
+    if not plain and any(issubclass(t, _NOT_REAL) for t in set(map(type, a.flat))):
         return None
     try:
         return np.asarray(a, dtype=float)
@@ -103,9 +106,9 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     """Validate ``x`` as a finite 1-D float vector, optionally of length ``dim``.
 
     A plain 1-D float64 ndarray is returned as it is (``asarray`` would return
-    that same object); anything else is converted, and one holding a bool or a
-    string raises ``InvalidInputError`` naming ``name``.  The finiteness test
-    counts the finite entries, which is exact and cannot overflow.
+    that same object); anything else is converted, and one holding a bool, a
+    complex number or a string raises ``InvalidInputError`` naming ``name``.
+    Counting the finite entries is exact and cannot overflow.
     """
     if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim == 1:
         v = x
@@ -513,7 +516,10 @@ def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: in
     (the Krylov space of L^T L is then used up).  The dense tridiagonal is
     never larger than 128 x 128: a longer one is solved by Sturm bisection.
     A Gaussian 100 x 200 operator takes 32 steps, ``first_difference(n)`` n
-    steps for n <= 500.
+    steps for n <= 500.  The steps run on c^2 L^T L, with c a power of two
+    from the first image ||L v_0|| (1 where it lies in [2^-128, 2^128]), so a
+    map whose ||L||^2 or ||L^T L v||^2 underflows or overflows still gets its
+    norm.
 
     Deterministic for a fixed seed of the start vector.  If the iteration does
     not reach the relative tolerance within ``max_iter`` steps, the current
@@ -538,6 +544,15 @@ def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: in
     return value
 
 
+def _norm_squared(norm_l: float, what: str) -> float:
+    """``norm_l ** 2`` for the steps of ``what``, or an error naming ||L|| where it is 0 or inf."""
+    with np.errstate(over="ignore"):
+        beta = float(pow2(norm_l))  # a float's own ** raises OverflowError
+    if not 0.0 < beta < math.inf:
+        raise InvalidParameterError(f"{what} needs an operator with 0 < ||L||^2 < inf, got ||L|| = {norm_l!r}")
+    return beta
+
+
 # the largest tridiagonal handed to np.linalg.eigvalsh as a dense matrix;
 # a longer one goes to the O(k)-memory bisection
 _DENSE_RITZ = 128
@@ -550,11 +565,9 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
     """(estimate of ||L||, whether it met ``tol``) for ``operator_norm``."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(L.cols)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    if not v.any():
         v = np.ones(L.cols)
-        nv = np.linalg.norm(v)
-    v = v / nv
+    v = v / np.linalg.norm(v)
     v_prev = np.zeros(L.cols)
     alpha, beta = [], []  # the diagonal and off-diagonal of T
     b = scale = 0.0
@@ -564,7 +577,11 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
         # the public methods: they check the implementations, and a caller's
         # tracer counts the steps through them.  Neither output is written in
         # place, since an implementation may return its argument.
-        w = L.adjoint(L.apply(v))
+        image = L.apply(v)
+        if k == 1:  # hypot, unlike image . image, neither overflows nor underflows
+            n0 = math.hypot(*image)
+            c = 1.0 if n0 == 0.0 or 2.0**-128 <= n0 <= 2.0**128 else math.ldexp(1.0, -math.frexp(n0)[1])
+        w = L.adjoint(image) if c == 1.0 else c * L.adjoint(c * image)
         a = float(v @ w)
         w = w - a * v - b * v_prev
         b_prev, b = b, float(np.linalg.norm(w))
@@ -577,11 +594,11 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
         if k == check or k == max_iter or exact:
             theta = _top_ritz_value(alpha, beta)
             if exact or abs(theta - theta_prev) <= tol * max(theta, 1e-300):
-                return math.sqrt(max(theta, 0.0)), True
+                return math.sqrt(max(theta, 0.0)) / c, True
             theta_prev = theta
             check = k + max(4, k // 4)
         v_prev, v = v, w / b
-    return math.sqrt(max(theta, 0.0)), False
+    return math.sqrt(max(theta, 0.0)) / c, False
 
 
 def _top_ritz_value(alpha: list, beta: list) -> float:

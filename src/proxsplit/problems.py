@@ -25,6 +25,7 @@ from .core import (
     Schedule,
     SmoothFn,
     SolveResult,
+    _norm_squared,
     as_count,
     as_real,
     as_vector,
@@ -93,9 +94,7 @@ def least_squares_smooth(L: LinearMap, y) -> SmoothFn:
     first call on ``L`` passed both through ``apply`` and ``adjoint``, which
     check their outputs, and an operator is fixed once built."""
     y = as_vector(y, L.rows)
-    beta = operator_norm(L) ** 2
-    if beta == 0.0:
-        raise InvalidParameterError("least-squares term needs a nonzero operator")
+    beta = _norm_squared(operator_norm(L), "least-squares term")
     return SmoothFn(
         dim=L.cols,
         value=lambda x: 0.5 * pow2(norm(L.apply(x) - y)),

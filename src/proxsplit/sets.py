@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Array, InvalidParameterError, ProxFn, _each_row, _matrix, _real_array, as_count, as_points, as_real, as_vector, norm
+from .core import Array, InvalidParameterError, ProxFn, _matrix, _real_array, as_count, as_points, as_real, as_vector, norm
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -42,9 +42,6 @@ class ConvexSet:
         raise NotImplementedError
 
     def support(self, u):
-        return _each_row(self._row_support, as_points(u, self.dim))
-
-    def _row_support(self, u) -> float:
         raise NotImplementedError
 
     def distance(self, x):
@@ -57,7 +54,7 @@ class ConvexSet:
 
 def _bound(value, name: str) -> Array:
     """A box bound as a 1-D float array of real numbers; ±inf entries are
-    allowed, NaN, bools and strings are not."""
+    allowed, NaN, bools, complex numbers and strings are not."""
     v = _real_array(value)
     if v is None or v.ndim > 1 or np.any(np.isnan(v)):
         raise InvalidParameterError(f"box bound {name} must be a vector of numbers or ±inf, got {value!r}")
@@ -88,14 +85,10 @@ class Box(ConvexSet):
     def project(self, x) -> Array:
         return np.clip(as_points(x, self.dim), self.lo, self.hi)
 
-    def _row_support(self, u) -> float:
-        total = 0.0
-        for ui, lo, hi in zip(u, self.lo, self.hi):
-            if ui > 0.0:
-                total += hi * ui  # inf * positive -> inf
-            elif ui < 0.0:
-                total += lo * ui
-        return float(total)
+    def support(self, u):
+        u = as_points(u, self.dim)
+        with np.errstate(invalid="ignore"):  # inf * 0 where u is 0, a discarded branch
+            return np.sum(np.where(u > 0.0, self.hi * u, np.where(u < 0.0, self.lo * u, 0.0)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,11 @@ class _Plane(ConvexSet):
     def dim(self) -> int:
         return self.a.size
 
-    def _normal_part(self, u) -> float | None:
-        """t with u = t*a, or None when u is not along the normal."""
-        t = float(u @ self.a) / float(self.a @ self.a)
-        return None if np.linalg.norm(u - t * self.a) > 1e-10 * max(1.0, np.linalg.norm(u)) else t
+    def _normal_part(self, u):
+        """t with t*a the projection of u on the normal, and whether u = t*a."""
+        u = as_points(u, self.dim)
+        t = np.vecdot(u, self.a) / float(self.a @ self.a)
+        return t, norm(u - t[..., None] * self.a) <= 1e-10 * np.maximum(1.0, norm(u))
 
 
 @dataclass(frozen=True)
@@ -133,9 +127,9 @@ class Halfspace(_Plane):
             return x if excess <= 0.0 else x - (excess / float(self.a @ self.a)) * self.a
         return np.where((excess > 0.0)[:, None], x - (excess / float(self.a @ self.a))[:, None] * self.a, x)
 
-    def _row_support(self, u) -> float:
-        t = self._normal_part(u)  # finite only along the outward normal: t >= 0
-        return np.inf if t is None or t < -1e-12 else max(t, 0.0) * self.b
+    def support(self, u):
+        t, along = self._normal_part(u)  # finite only along the outward normal: t >= 0
+        return np.where(along & (t >= -1e-12), np.maximum(t, 0.0) * self.b, np.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -147,9 +141,9 @@ class Hyperplane(_Plane):
         step = (np.vecdot(x, self.a) - self.b) / float(self.a @ self.a)
         return x - step[..., None] * self.a
 
-    def _row_support(self, u) -> float:
-        t = self._normal_part(u)
-        return np.inf if t is None else t * self.b
+    def support(self, u):
+        t, along = self._normal_part(u)
+        return np.where(along, t * self.b, np.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -214,12 +208,12 @@ class AffineSubspace(ConvexSet):
         x = as_points(x, self.dim)
         return x - np.matvec(self._pinv, np.matvec(self.A, x) - self.b)
 
-    def _row_support(self, u) -> float:
+    def support(self, u):
         # finite only for u in the row space of A
-        row_part = self.A.T @ (self._pinv.T @ u)
-        if np.linalg.norm(u - row_part) > 1e-10 * max(1.0, np.linalg.norm(u)):
-            return np.inf
-        return float(u @ self._x0)
+        u = as_points(u, self.dim)
+        row_part = np.matvec(self.A.T, np.matvec(self._pinv.T, u))
+        along = norm(u - row_part) <= 1e-10 * np.maximum(1.0, norm(u))
+        return np.where(along, np.vecdot(u, self._x0), np.inf)[()]
 
 
 def orthant(dim: int) -> Box:

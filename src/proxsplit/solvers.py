@@ -50,6 +50,7 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    _norm_squared,
     as_count,
     as_points,
     as_real,
@@ -498,10 +499,7 @@ def dual_forward_backward(
     if h.dim != L.cols:
         raise InvalidInputError(f"{h.name} has dimension {h.dim}, expected {L.cols}, the columns of {L.name}")
     r = as_vector(r, h.dim)
-    norm_l = operator_norm(L)
-    if norm_l == 0.0:
-        raise InvalidParameterError("dual forward-backward needs a nonzero operator")
-    gamma_at, lam_at = _resolve_schedule("fb", schedule, norm_l**2)
+    gamma_at, lam_at = _resolve_schedule("fb", schedule, _norm_squared(operator_norm(L), "dual forward-backward"))
 
     gstar = conjugate(g)
     u = np.zeros(L.rows) if u0 is None else as_vector(u0, L.rows)

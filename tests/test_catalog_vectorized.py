@@ -248,6 +248,46 @@ def test_pole_kind_brackets_hold_the_root(name, q, omega, kappa, alpha, gamma, t
     assert r_lo <= 0.0 <= r_hi, (lo, hi, r_lo, r_hi)
 
 
+_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_ANY_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@given(
+    lo=st.tuples(st.sampled_from((-1.0, 1.0)), _SCALE).map(lambda s: s[0] * s[1]),
+    width=_SCALE,
+    k_lo=_SCALE,
+    k_hi=_SCALE,
+    gamma=_SCALE,
+    t=st.one_of(_ANY_SCALE, _ANY_SCALE.map(lambda m: -m)),
+    offset=st.one_of(st.none(), st.floats(-3.0, 4.0)),
+)
+# ends that break the bracket unless rounded toward their pole: the lower, then the upper
+@example(lo=-100.0, width=1000.0, k_lo=1e-3, k_hi=1e-3, gamma=1e-3, t=0.0, offset=-2.6)
+@example(lo=1000.0, width=100.0, k_lo=1e-2, k_hi=1e-3, gamma=0.1, t=0.0, offset=3.2)
+@settings(max_examples=400, deadline=None)
+def test_barrier_brackets_hold_the_root(lo, width, k_lo, k_hi, gamma, t, offset):
+    hi = lo + width
+    if offset is not None:  # t inside (lo - 3w, hi + 3w)
+        t = lo + offset * width
+    brackets = []
+
+    def recording(g, bracket, **kwargs):
+        brackets.append(bracket)
+        return solve_monotone(g, bracket, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(cat, "solve_monotone", recording)
+        kind = cat.IntervalLogBarrier(lo, hi, k_lo, k_hi)
+        kind.prox(t, gamma)
+    (bracket,) = brackets
+    a, b = float(bracket.lo), float(bracket.hi)
+    assert math.isfinite(a) and math.isfinite(b) and kind.lo <= a < b <= kind.hi, (a, b)
+    with np.errstate(divide="ignore"):
+        r_a, r_b = (p - t - gamma * k_lo / (p - kind.lo) + gamma * k_hi / (kind.hi - p) for p in map(np.float64, (a, b)))
+    assert r_a <= 0.0 <= r_b, (a, b, r_a, r_b)
+
+
 # the prox_catalog benchmark's kind parameters, with the most residual
 # evaluations any one solve may take on 1,000 points uniform on [-6, 6]
 EVALUATION_BUDGETS = {
@@ -329,10 +369,13 @@ class TestOneBadElement:
         with pytest.raises(InvalidParameterError):
             lambert_w_exp(np.array([0.0, math.inf, 1.0]))
 
-    def test_separable_barrier_unbracketable_coordinate(self):
-        f = cat.separable(cat.IntervalLogBarrier(0.0, 1.0, 1.0, 1.0), dim=3)
-        with pytest.raises(BracketingError):
-            f.prox(1.0, [0.5, -1e300, 0.2])
+    def test_separable_barrier_coordinate_next_to_its_pole(self):
+        # the root of coordinate 1 is about 1e-300; it is found to the solver's
+        # absolute tolerance, and the other coordinates get their own bytes
+        kind = cat.IntervalLogBarrier(0.0, 1.0, 1.0, 1.0)
+        p = cat.separable(kind, dim=3).prox(1.0, [0.5, -1e300, 0.2])
+        assert 0.0 < p[1] <= ROOT_TOL
+        assert [p[0], p[2]] == [kind.prox(0.5), kind.prox(0.2)]
 
     def test_separable_entropy_overflowing_coordinate(self):
         f = cat.separable(cat.Entropy(), dim=3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,6 +126,21 @@ class TestOperatorNorm:
     def test_zero_map(self):
         L = matrix_map(np.zeros((2, 2)))
         assert operator_norm(L) == 0.0
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.diag([1e-170, 2e-170]), np.diag([1e170, 2e170])]
+        + [np.random.default_rng(0).standard_normal((5, 7)) * size for size in (1e-290, 1e-100, 1e100, 1e290)],
+        ids=["diag-1e-170", "diag-1e170", "gauss-1e-290", "gauss-1e-100", "gauss-1e100", "gauss-1e290"],
+    )
+    def test_a_map_whose_square_underflows_or_overflows(self, A):
+        # ||L||^2 of the diagonal maps is beyond the float range, and ||L^T L v||^2
+        # of the others, which an unscaled iteration takes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operator_norm(matrix_map(A))
+        exact = np.linalg.norm(A, 2)
+        assert abs(got - exact) <= 1e-12 * exact
 
     def test_deterministic(self):
         # two maps built apart: one map would read the second value from its memo

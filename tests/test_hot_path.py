@@ -1,8 +1,10 @@
 """The validation and norm helpers on the solvers' hot path.
 
 ``core.as_vector`` returns a plain 1-D float64 ndarray without converting it;
-every other input must come out exactly as from the original conversion,
-which ``_reference_as_vector`` keeps.  ``core.norm`` must equal
+every other input it accepts must come out exactly as from the original
+conversion, which ``_reference_as_vector`` keeps.  (It refuses a bool or a
+complex array, which the original conversion took: see
+``test_parameters.BAD_INPUTS``.)  ``core.norm`` must equal
 ``np.linalg.norm`` bit for bit, so that solver iterates and stopping
 decisions do not move.
 """
@@ -42,7 +44,6 @@ def _converted_inputs():
         "0-d array": np.array(4.0),
         "0-d int array": np.array(4),
         "int array": np.arange(5),
-        "bool array": np.array([True, False, True]),
         "float32 array": np.linspace(-1.0, 1.0, 7, dtype=np.float32),
         "big-endian": base.astype(">f8"),
         "little-endian": base.astype("<f8"),

@@ -131,6 +131,19 @@ BAD_INPUTS = [
     ("as_points-bool-and-string", InvalidInputError, "vector", lambda: ZERO2.eval([[True, "1"], [0.0, 1.0]])),
     ("eval-ragged", InvalidInputError, "vector", lambda: ZERO2.eval([[1.0], [1.0, 2.0]])),
     ("apply-ragged", InvalidInputError, "vector", lambda: I2.apply([[1.0], [1.0, 2.0]])),
+    # an ndarray passes only with an integer or float dtype
+    ("as_vector-bool-array", InvalidInputError, "vector", lambda: core.as_vector(np.array([True, False]))),
+    ("as_vector-complex-array", InvalidInputError, "vector", lambda: core.as_vector(np.array([1 + 2j, 3]))),
+    ("as_vector-complex-scalar-in-list", InvalidInputError, "vector", lambda: core.as_vector([np.complex128(1.0), 3.0])),
+    ("as_points-bool-array", InvalidInputError, "vector", lambda: ZERO2.eval(np.array([[True, False], [False, True]]))),
+    ("as_points-complex-array", InvalidInputError, "vector", lambda: ZERO2.eval(np.array([[1j, 0.0], [0.0, 1.0]]))),
+    ("matrix_map-bool-array", InvalidParameterError, "A", lambda: matrix_map(np.eye(2, dtype=bool), name="A")),
+    ("matrix_map-complex-array", InvalidParameterError, "A", lambda: matrix_map(np.eye(2, dtype=complex), name="A")),
+    ("Box-bool-bound", InvalidParameterError, "bound", lambda: sets.Box(np.array([False]), [1.0])),
+    ("Box-complex-bound", InvalidParameterError, "bound", lambda: sets.Box([0.0], np.array([1 + 0j]))),
+    ("ScalarKind.prox-bool-array", InvalidInputError, "points", lambda: H.prox(np.array([True, False]))),
+    ("ScalarKind.prox-complex-array", InvalidInputError, "points", lambda: H.prox(np.array([2.0 + 1j]))),
+    ("ScalarKind.value-complex-array", InvalidInputError, "points", lambda: H.value(np.array([2.0 + 0j]))),
     # scales and scalar points: a bool or a string is not a number
     ("ProxFn.prox-bool-scale", InvalidParameterError, "scale", lambda: ZERO1.prox(True, [0.5])),
     ("ProxFn.prox-string-scale", InvalidParameterError, "scale", lambda: ZERO1.prox("2", [0.5])),
@@ -175,6 +188,8 @@ BAD_INPUTS = [
     # problem builders
     ("least_squares_smooth-zero-operator", InvalidParameterError, "operator",
      lambda: problems.least_squares_smooth(_zero_map(2), [1.0, 2.0])),
+    ("least_squares_smooth-overflowing-norm", InvalidParameterError, "L",
+     lambda: problems.least_squares_smooth(matrix_map(np.diag([1e170, 2e170])), [1.0, 2.0])),
     ("constrained_least_squares-dimension", InvalidInputError, "dimension",
      lambda: problems.build_constrained_least_squares(I2, [1.0, 2.0], BOX1)),
     ("lasso-weights", InvalidParameterError, "weight",
@@ -191,6 +206,9 @@ BAD_INPUTS = [
      lambda: solvers.parallel_dykstra([ZERO1, ZERO2], [0.5, 0.5], [0.0])),
     ("dual_forward_backward-zero-operator", InvalidParameterError, "operator",
      lambda: solvers.dual_forward_backward(ZERO2, ZERO2, _zero_map(2), [1.0, 2.0])),
+    # ||L|| = 2e-170 is found, but its square is 0
+    ("dual_forward_backward-underflowing-norm", InvalidParameterError, "L",
+     lambda: solvers.dual_forward_backward(ZERO2, ZERO2, matrix_map(np.diag([1e-170, 2e-170])), [1.0, 2.0])),
     ("admm-g-dimension", InvalidInputError, "dimension", lambda: solvers.admm(None, I2, cat.zero_fn(3))),
     ("sdmm-no-branches", InvalidInputError, "sdmm", lambda: solvers.sdmm([], [])),
     ("sdmm-domains", InvalidInputError, "domain",
