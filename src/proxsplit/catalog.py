@@ -48,6 +48,7 @@ from .core import (
     PreconditionError,
     ProxFn,
     _each_row,
+    _gram_solver,
     _matrix,
     _real_array,
     as_count,
@@ -604,7 +605,7 @@ class IntervalLogBarrier(ScalarKind):
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.lo < self.hi, "barrier needs lo < hi, got [{0.lo}, {0.hi}]", self)
+        _require(math.nextafter(self.lo, self.hi) < self.hi, "barrier needs a float in ]lo, hi[, got [{0.lo}, {0.hi}]", self)
 
     def _value(self, t):
         with _quiet():
@@ -964,36 +965,22 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
 def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||L x - y||^2.
 
-    The prox at scale gamma solves (I + c A^T A) p = b with c = gamma*weight,
-    b = x + c A^T y and A the matrix of L.  One eigendecomposition of the
-    smaller Gram matrix, taken here at construction, serves every gamma, so a
-    prox costs two matrix-vector products and a diagonal scaling:
-
-    * rows >= cols: A^T A = V diag(s) V^T and p = V diag(1/(1 + c s)) V^T b;
-    * rows < cols: A A^T = U diag(s) U^T, and the matrix-inversion lemma with
-      W = A^T U gives p = b - c W diag(1/(1 + c s)) W^T b.
-
-    Eigenvalues are clipped at 0 against rounding.
+    The prox at scale gamma solves (I + c A^T A) p = x + c A^T y, with
+    c = gamma*weight and A the matrix of L, by ``core._gram_solver``: L's Gram
+    factorization, taken at construction unless L holds it, serves every gamma.
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
     A = L.to_dense()
     Aty = A.T @ y
-    wide = L.rows < L.cols
-    s, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
-    s = np.maximum(s, 0.0)
-    if wide:
-        W = A.T @ W
+    _gram_solver(L, 1.0, w)  # factors L now, not in the first prox
 
     def value(x: Array):
         return 0.5 * w * pow2(norm(np.matvec(A, x) - y))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
-        b = x + c * Aty
-        if wide:
-            return b - c * (W @ ((W.T @ b) / (1.0 + c * s)))
-        return W @ ((W.T @ b) / (1.0 + c * s))
+        return _gram_solver(L, 1.0, c)(x + c * Aty)
 
     return ProxFn(dim=L.cols, value=value, prox_impl=prox_impl, name="quadratic")
 

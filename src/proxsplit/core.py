@@ -17,8 +17,8 @@ dimension.
 
 Everything here is immutable after construction and every operation is pure,
 so all objects can be shared freely across threads.  The one piece of state,
-a ``LinearMap``'s memo of its ``operator_norm`` results, caches the value of a
-pure function of a fixed operator.
+a ``LinearMap``'s memo of its ``operator_norm`` results and of its Gram
+factorization, caches values of pure functions of a fixed operator.
 """
 
 from __future__ import annotations
@@ -330,12 +330,12 @@ class LinearMap:
     equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
     ``apply_impl`` only ever sees single vectors.
 
-    An operator is fixed once built: ``operator_norm`` keeps its results in
-    the private ``_norms``, keyed by its arguments and filled on first use,
-    and ``dataclasses.replace`` gives a map with an empty memo.  So
-    ``apply_impl`` and ``adjoint_impl`` must compute the same operator for
-    the map's lifetime: one that reads an array the caller edits later gives
-    solves a stale norm and a wrong step range, without warning.
+    An operator is fixed once built: the private ``_norms`` keeps, filled on
+    first use, the ``operator_norm`` results by their arguments and the Gram
+    factorization of ``_gram_solver``; ``dataclasses.replace`` gives a map
+    with an empty memo.  So ``apply_impl`` and ``adjoint_impl`` must compute
+    the same operator for the map's lifetime: one that reads an array the
+    caller edits later gives stale norms and solves, without warning.
     """
 
     rows: int
@@ -404,7 +404,7 @@ class LinearMap:
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
     """The operator x |-> A x.  The map holds a read-only copy of ``A`` and
     applies that copy, so a later edit of the caller's array changes neither
-    the map nor its memoized norm."""
+    the map nor its memoized norm and factorization."""
     A = _matrix(A, name)
     return LinearMap(A.shape[0], A.shape[1], tight_frame_nu=tight_frame_nu, name=name, matrix=A)
 
@@ -416,6 +416,35 @@ def identity_map(n: int) -> LinearMap:
     eye = np.eye(n)
     eye.flags.writeable = False  # kept without a copy
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
+
+
+def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = None) -> Callable[[Array], Array]:
+    """b |-> (a I + c A^T A)^{-1} b, for A the matrix of L, a >= 0 and c > 0.
+
+    The eigenpairs (s, W) of L's smaller Gram matrix, s clipped at 0, are
+    taken on first use and kept in ``L._norms["gram"]``.  For rows >= cols,
+    A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b; for rows < cols,
+    A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion lemma gives
+    x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error grows as
+    c max(s) / a, so past 64 one refinement step (A^T A = W W^T) follows.
+    Given ``singular``: PreconditionError(singular) when the smallest
+    eigenvalue (a when rows < cols) is at most cols * eps times the largest.
+    """
+    wide = L.rows < L.cols
+    gram = L._norms.get("gram")
+    if gram is None:  # threads racing here each compute and store the same pair
+        A = L.to_dense()
+        s, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+        gram = L._norms["gram"] = (np.maximum(s, 0.0), A.T @ W if wide else W)
+    s, W = gram
+    d = a + c * s
+    if singular is not None and not (a if wide else d.min()) > L.cols * np.finfo(float).eps * d.max():
+        raise PreconditionError(singular)
+    if not wide:
+        return lambda b: W @ ((W.T @ b) / d)
+    lemma = lambda b: (b - c * (W @ ((W.T @ b) / d))) / a
+    refined = lambda b: (x := lemma(b)) + lemma(b - a * x - c * (W @ (W.T @ x)))
+    return lemma if c * s[-1] <= 64.0 * a else refined
 
 
 ScalarSequence = Union[float, Sequence[float], Callable[[int], float]]

@@ -44,17 +44,18 @@ from .core import (
     InvalidScheduleError,
     IterationRecord,
     LinearMap,
-    PreconditionError,
     ProxFn,
     Schedule,
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    _gram_solver,
     _norm_squared,
     as_count,
     as_points,
     as_real,
     as_vector,
+    matrix_map,
     norm,
     operator_norm,
     pow2,
@@ -535,52 +536,30 @@ class QuadraticTerm:
         return 0.5 * self.weight * pow2(norm(as_points(x, self.center.size) - self.center))
 
 
-def _spd_inverse(M: Array, singular_message: str) -> Array:
-    """M^{-1} for a symmetric positive definite M, computed once.
-
-    A Cholesky factorization checks definiteness (PreconditionError with
-    ``singular_message`` when it fails); one eigendecomposition
-    M = V diag(s) V^T then gives M^{-1} = V diag(1/s) V^T, so every later
-    solve with M is one matrix-vector product.
-    """
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError(singular_message) from exc
-    s, V = np.linalg.eigh(M)
-    return (V / s) @ V.T
-
-
-def _quadratic_step(f, L: LinearMap, gamma: float):
-    """A, M^{-1} and w for the x-step M x = A^T v + w c, M = w I + A^T A,
+def _x_step(f, L: LinearMap, gamma: float):
+    """A and v |-> x solving M x = A^T v + w c, M = w I + A^T A, for
     w = gamma * f.weight (0 for f = None) and c = f.center."""
     if f is not None and not isinstance(f, QuadraticTerm):
-        raise UnsupportedFunctionError(
-            "the x-step supports only f = None (zero) or a QuadraticTerm"
-        )
+        raise UnsupportedFunctionError("the x-step supports only f = None (zero) or a QuadraticTerm")
     if f is not None and f.center.size != L.cols:
         raise InvalidInputError(f"the QuadraticTerm center has dimension {f.center.size}, expected {L.cols}")
-    A = L.to_dense()
     w = gamma * f.weight if f is not None else 0.0
-    M_inv = _spd_inverse(
-        w * np.eye(L.cols) + A.T @ A,
-        "the x-step system is singular (L^T L not invertible and no quadratic term)",
-    )
-    return A, M_inv, w
+    wc = w * f.center if f is not None else 0.0
+    solve = _gram_solver(L, w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
+    A = L.to_dense()
+    return A, lambda v: solve(A.T @ v + wc)
 
 
 def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
     """Minimizer of gamma*f(x) + ||L x - v||^2 / 2 for supported f.
 
     f is either None (the zero function, giving the least-squares solution)
-    or a QuadraticTerm.  Each call factors the SPD x-step matrix once (see
+    or a QuadraticTerm.  The solve reads L's memoized Gram factorization (see
     ``admm``) and errors on singular systems.
     """
     gamma = as_real(gamma, "gamma", above=0.0)
     v = as_vector(v, L.rows)
-    A, M_inv, w = _quadratic_step(f, L, gamma)
-    rhs = A.T @ v + (w * f.center if f is not None else 0.0)
-    return M_inv @ rhs
+    return _x_step(f, L, gamma)[1](v)
 
 
 def admm(
@@ -597,14 +576,14 @@ def admm(
     x_n minimizes gamma*f + ||L . - (y_n - z_n)||^2/2 (exact SPD solve, so f
     is restricted to None/QuadraticTerm); then y_{n+1} = prox_{gamma g}(L x_n
     + z_n) and z updates by the residual.  The x-step matrix
-    M = gamma*weight*I + L^T L is fixed for the whole solve: on entry it is
-    checked by Cholesky and inverted through one eigendecomposition, so
-    every x-step is one matrix-vector product.  Requires L^T L invertible
+    M = gamma*weight*I + L^T L is solved through L's Gram factorization,
+    taken once per map (``core._gram_solver``), whose eigenvalues check on
+    entry that M is definite.  Requires L^T L invertible
     when f is None, and ri(dom g) meeting ri L(dom f) (documented, not
     checked).
     """
     gamma = as_real(gamma, "gamma", above=0.0)
-    A, M_inv, w = _quadratic_step(f, L, gamma)
+    A, x_step = _x_step(f, L, gamma)
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
 
@@ -615,8 +594,7 @@ def admm(
     run = _Run(stop, objective, [(g, "prox")])
     x = None
     for _, (prox,) in run:
-        rhs = A.T @ (y - z) + (w * f.center if f is not None else 0.0)
-        x_prev, x = x, M_inv @ rhs
+        x_prev, x = x, x_step(y - z)
         s = A @ x
         y = prox(gamma, s + z)
         z = z + s - y
@@ -710,9 +688,10 @@ def sdmm(
     """Simultaneous-direction method of multipliers for min sum_i g_i(L_i x).
 
     With M = [L_1; ...; L_m] and y, z single vectors over M's rows,
-    Q = M^T M must be invertible.  On entry to the solve it is checked by
-    Cholesky and inverted through one eigendecomposition, so each x-step,
-    Q x = M^T (y_n - z_n), is two matrix-vector products.  Each branch then
+    Q = M^T M must be invertible.  Each square L_i with a ``tight_frame_nu``
+    (L_i^T L_i = nu_i I, as for ``identity_map``) adds nu_i to a in
+    Q = a I + R^T R, R the rest stacked or the one map left, whose Gram
+    factorization ``core._gram_solver`` memoizes.  Each branch then
     applies prox_{gamma g_i} to its block of M x + z, in ascending order, and
     z updates by the residual.
     """
@@ -726,7 +705,12 @@ def sdmm(
     gamma = as_real(gamma, "gamma", above=0.0)
 
     M = np.vstack([L.to_dense() for L in L_list])
-    Q_inv = _spd_inverse(M.T @ M, "Q = sum_i L_i^T L_i is singular")
+    frame = [L.rows == L.cols and L.tight_frame_nu is not None for L in L_list]
+    a = float(sum(L.tight_frame_nu for L, framed in zip(L_list, frame) if framed))
+    rest = [L for L, framed in zip(L_list, frame) if not framed]
+    if len(rest) > 1:  # one map of the rows of M outside the frames
+        rest = [matrix_map(M[np.repeat(np.logical_not(frame), [L.rows for L in L_list])])]
+    solve = _gram_solver(rest[0], a, 1.0, "Q = sum_i L_i^T L_i is singular") if rest else lambda b: b / a
     cuts = np.cumsum([L.rows for L in L_list])[:-1]
 
     if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):
@@ -740,7 +724,7 @@ def sdmm(
     run = _Run(stop, objective, [(g, "prox") for g in g_list])
     x = None
     for _, proxes in run:
-        x_prev, x = x, Q_inv @ (M.T @ (y - z))
+        x_prev, x = x, solve(M.T @ (y - z))
         v = M @ x + z
         y = np.concatenate([prox(gamma, vi) for prox, vi in zip(proxes, np.split(v, cuts))])
         z = v - y

@@ -112,6 +112,15 @@ class TestParameterValidation:
         with pytest.raises(InvalidParameterError):
             cat.LogQuadratic(-1.0)
 
+    def test_barrier_needs_a_float_inside(self):
+        # one float wide: both bracket ends would round onto the poles
+        for lo, hi in ((1.0, 0.5), (1.0, 1.0), (1.0, math.nextafter(1.0, 2.0))):
+            with pytest.raises(InvalidParameterError, match=r"barrier needs a float in \]lo, hi\["):
+                cat.IntervalLogBarrier(lo, hi, 1.0, 1.0)
+        hi = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+        for t in (-1e300, 1.0, 1e300):
+            assert 1.0 < cat.IntervalLogBarrier(1.0, hi, 1.0, 1.0).prox(t) < hi
+
     def test_log_threshold_needs_zero_inside(self):
         with pytest.raises(InvalidParameterError):
             cat.LogThreshold(0.5, 1.0)

@@ -1,5 +1,8 @@
-"""Factor-once linear algebra: the quadratic prox, the sdmm and admm x-steps,
-and matrix-backed ``to_dense``."""
+"""Factor-once linear algebra: the quadratic prox, the admm, prox_l and sdmm
+x-steps, which share one Gram factorization per map, and matrix-backed
+``to_dense``."""
+
+import collections
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.core import InvalidParameterError, LinearMap, PreconditionError, identity_map, matrix_map
 from proxsplit.problems import build_lasso
-from proxsplit.solvers import QuadraticTerm, StoppingRule, admm, sdmm
+from proxsplit.solvers import QuadraticTerm, StoppingRule, admm, prox_l, sdmm
 
 GAMMAS = (1e-3, 0.25, 1.0, 4.0)
 WEIGHT = 1.3
@@ -30,6 +33,15 @@ def _matrices():
     }
 
 
+def _assert_solves(K, b, x):
+    """x solves K x = b to 1e-10 (relative, against np.linalg.solve) with a residual
+    of at most 1e-12 of ||K|| ||x|| + ||b||."""
+    ref = np.linalg.solve(K, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    scale = np.linalg.norm(K, 2) * np.linalg.norm(x) + np.linalg.norm(b)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("shape", sorted(_matrices()))
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_quadratic_prox_matches_dense_solve(shape, gamma):
@@ -42,27 +54,69 @@ def test_quadratic_prox_matches_dense_solve(shape, gamma):
     K = np.eye(n) + c * A.T @ A
     for _ in range(3):
         x = 3.0 * rng.standard_normal(n)
-        b = x + c * A.T @ y
-        p = f.prox(gamma, x)
-        ref = np.linalg.solve(K, b)
-        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
-        scale = np.linalg.norm(K, 2) * np.linalg.norm(p) + np.linalg.norm(b)
-        assert np.linalg.norm(K @ p - b) <= 1e-12 * scale
+        _assert_solves(K, x + c * A.T @ y, f.prox(gamma, x))
+
+
+@pytest.mark.parametrize("shape", sorted(_matrices()))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_admm_and_prox_l_x_steps_match_dense_solve(shape, gamma):
+    A = _matrices()[shape]
+    m, n = A.shape
+    rng = np.random.default_rng(m * 100 + n)
+    f = QuadraticTerm(WEIGHT, rng.standard_normal(n))
+    a = gamma * WEIGHT
+    K = a * np.eye(n) + A.T @ A
+    v, y0, z0 = (3.0 * rng.standard_normal(m) for _ in range(3))
+    _assert_solves(K, A.T @ v + a * f.center, prox_l(f, matrix_map(A), v, gamma))
+    res = admm(f, matrix_map(A), cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
+    _assert_solves(K, A.T @ (y0 - z0) + a * f.center, res.final_x)
+
+
+def _sdmm_split(A, split):
+    """sdmm's operator list for ``split``: A with one or two identities
+    (a = 1, 2), an identity alone (nothing left to factor), two maps to
+    stack, or A with a square tight frame F (F F^T = 4 I)."""
+    n = A.shape[1]
+    rng = np.random.default_rng(n)
+    L, eye = matrix_map(A), identity_map(n)
+    frame = matrix_map(2.0 * np.linalg.qr(rng.standard_normal((n, n)))[0], tight_frame_nu=4.0)
+    return {
+        "L,I": [L, eye],
+        "L,I,I": [L, eye, identity_map(n)],
+        "I": [eye],
+        "L1,L2,I": [L, matrix_map(rng.standard_normal((3, n))), eye],
+        "L,F": [L, frame],
+    }[split]
+
+
+@pytest.mark.parametrize("shape", sorted(_matrices()))
+@pytest.mark.parametrize("split", ["L,I", "L,I,I", "I", "L1,L2,I", "L,F"])
+def test_sdmm_x_step_matches_dense_solve(shape, split):
+    A = _matrices()[shape]
+    L_list = _sdmm_split(A, split)
+    M = np.vstack([L.to_dense() for L in L_list])
+    rng = np.random.default_rng(len(M))
+    y0s, z0s = ([3.0 * rng.standard_normal(L.rows) for L in L_list] for _ in range(2))
+    res = sdmm([cat.zero_fn(L.rows) for L in L_list], L_list, y0s=y0s, z0s=z0s, stop=_capped(1))
+    _assert_solves(M.T @ M, M.T @ (np.concatenate(y0s) - np.concatenate(z0s)), res.final_x)
 
 
 class _LinalgCounter:
-    """Counts calls of the dense factorizations and solves in np.linalg."""
+    """Counts calls of the dense factorizations and solves in np.linalg, in
+    total (``calls``) and by name (``by_name``)."""
 
     NAMES = ("solve", "cholesky", "inv", "eigh", "eig", "svd", "lstsq", "qr", "pinv")
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.by_name = collections.Counter()
         for name in self.NAMES:
-            monkeypatch.setattr(np.linalg, name, self._wrap(getattr(np.linalg, name)))
+            monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
 
-    def _wrap(self, fn):
+    def _wrap(self, name, fn):
         def counted(*args, **kwargs):
             self.calls += 1
+            self.by_name[name] += 1
             return fn(*args, **kwargs)
 
         return counted
@@ -93,17 +147,36 @@ def test_sdmm_factors_once(monkeypatch):
 
 def test_admm_factors_once(monkeypatch):
     rng = np.random.default_rng(6)
-    L = matrix_map(rng.standard_normal((9, 6)))
+    A = rng.standard_normal((9, 6))
     f = QuadraticTerm(0.7, rng.standard_normal(6))
     g = cat.weighted_l1(np.full(9, 0.2))
     counter = _LinalgCounter(monkeypatch)
     counts = []
     for iterations in (50, 150):
         before = counter.calls
-        res = admm(f, L, g, stop=_capped(iterations))
+        res = admm(f, matrix_map(A), g, stop=_capped(iterations))  # a fresh map holds no factorization
         assert res.iterations == iterations
         counts.append(counter.calls - before)
     assert counts[0] == counts[1] <= 2
+    L = matrix_map(A)
+    admm(f, L, g, stop=_capped(5))
+    before = counter.calls
+    admm(f, L, g, stop=_capped(50))
+    assert counter.calls == before
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9)])
+def test_one_factorization_per_map(monkeypatch, shape):
+    rng = np.random.default_rng(8)
+    m, n = shape
+    counter = _LinalgCounter(monkeypatch)
+    L = matrix_map(rng.standard_normal(shape))
+    f = QuadraticTerm(0.7, rng.standard_normal(n))
+    cat.quadratic(L, rng.standard_normal(m), 0.9)
+    admm(f, L, cat.weighted_l1(np.full(m, 0.2)), stop=_capped(20))
+    prox_l(f, L, rng.standard_normal(m), 0.5)
+    sdmm([cat.zero_fn(m), cat.zero_fn(n)], [L, identity_map(n)], stop=_capped(20))
+    assert counter.by_name == {"eigh": 1}
 
 
 def test_quadratic_prox_runs_no_factorization(monkeypatch):
