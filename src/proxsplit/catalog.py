@@ -48,6 +48,7 @@ from .core import (
     PreconditionError,
     ProxFn,
     _each_row,
+    _dense,
     _gram_solver,
     _matrix,
     _real_array,
@@ -971,7 +972,7 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
-    A = L.to_dense()
+    A = _dense(L)
     Aty = A.T @ y
     _gram_solver(L, 1.0, w)  # factors L now, not in the first prox
 

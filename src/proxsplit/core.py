@@ -418,6 +418,12 @@ def identity_map(n: int) -> LinearMap:
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
 
 
+def _dense(L: LinearMap) -> Array:
+    """The matrix of L: the map's own read-only ``matrix`` when it carries
+    one, otherwise ``to_dense``'s materialization."""
+    return L.matrix if L.matrix is not None else L.to_dense()
+
+
 def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = None) -> Callable[[Array], Array]:
     """b |-> (a I + c A^T A)^{-1} b, for A the matrix of L, a >= 0 and c > 0.
 

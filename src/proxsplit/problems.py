@@ -313,15 +313,24 @@ def _pairwise_tv(n: int, omega: float, offset: int) -> ProxFn:
     """omega * sum of |x_{k+1} - x_k| over disjoint pairs starting at offset.
     It is separable in the orthonormal basis of pair means and pair gaps, so
     the prox keeps each pair's mean and soft-thresholds its gap to
-    [-2 gamma omega, 2 gamma omega]; an unpaired end coordinate passes through."""
+    [-2 gamma omega, 2 gamma omega].  With a = x_k, b = x_{k+1} and
+    c = clamp((b - a)/2, -gamma omega, gamma omega), that is the pair
+    (a + c, b - c).  c takes four in-place passes over the pairs, and the
+    new pairs are written into a copy of x, where an unpaired end coordinate
+    passes through."""
     end = offset + 2 * ((n - offset) // 2)
     lo, hi = slice(offset, end, 2), slice(offset + 1, end, 2)
 
     def prox(gamma, x):
-        mean = 0.5 * (x[lo] + x[hi])
-        half_gap = 0.5 * catalog._soft(x[hi] - x[lo], -2.0 * gamma * omega, 2.0 * gamma * omega)
+        t = gamma * omega
+        a, b = x[lo], x[hi]
+        c = b - a
+        c *= 0.5
+        np.maximum(c, -t, out=c)
+        np.minimum(c, t, out=c)
         p = x.copy()
-        p[lo], p[hi] = mean - half_gap, mean + half_gap
+        np.add(a, c, out=p[lo])
+        np.subtract(b, c, out=p[hi])
         return p
 
     value = lambda x: omega * np.sum(np.abs(x[..., hi] - x[..., lo]), axis=-1)

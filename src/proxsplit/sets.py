@@ -83,7 +83,7 @@ class Box(ConvexSet):
         return self.lo.size
 
     def project(self, x) -> Array:
-        return np.clip(as_points(x, self.dim), self.lo, self.hi)
+        return np.minimum(np.maximum(as_points(x, self.dim), self.lo), self.hi)  # np.clip's bytes, without its wrapper
 
     def support(self, u):
         u = as_points(u, self.dim)

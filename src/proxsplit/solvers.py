@@ -49,6 +49,7 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
+    _dense,
     _gram_solver,
     _norm_squared,
     as_count,
@@ -538,7 +539,8 @@ class QuadraticTerm:
 
 def _x_step(f, L: LinearMap, gamma: float):
     """A and v |-> x solving M x = A^T v + w c, M = w I + A^T A, for
-    w = gamma * f.weight (0 for f = None) and c = f.center."""
+    w = gamma * f.weight (0 for f = None) and c = f.center.  A is L's own
+    read-only matrix when L carries one, so a call copies no matrix."""
     if f is not None and not isinstance(f, QuadraticTerm):
         raise UnsupportedFunctionError("the x-step supports only f = None (zero) or a QuadraticTerm")
     if f is not None and f.center.size != L.cols:
@@ -546,7 +548,7 @@ def _x_step(f, L: LinearMap, gamma: float):
     w = gamma * f.weight if f is not None else 0.0
     wc = w * f.center if f is not None else 0.0
     solve = _gram_solver(L, w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
-    A = L.to_dense()
+    A = _dense(L)
     return A, lambda v: solve(A.T @ v + wc)
 
 
@@ -616,10 +618,11 @@ def ppxa(
     Each branch applies p_{i,n} = prox_{gamma f_i / omega_i}(y_{i,n}); the
     weighted average p_n drives both the branch updates and the monitored
     iterate x_{n+1} = x_n + lambda_n (p_n - x_n), lambda_n in [eps, 2 - eps].
-    The branch states are the rows of one m x n array, and p_n is one
-    product w @ P over the stacked branch proxes, which are independent and
-    called in ascending order.  Requires the relative interiors of the
-    domains to intersect (documented, not checked).
+    The branch states are the rows of one m x n array Y.  Each iteration
+    copies the branch proxes, called in ascending order, into the rows of
+    one m x n array P allocated per solve, takes p_n as one product w @ P,
+    and then turns P into the branch updates in place.  Requires the
+    relative interiors of the domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "ppxa")
     gamma = as_real(gamma, "gamma", above=0.0)
@@ -629,16 +632,20 @@ def ppxa(
     if len(Y) != len(f_list):
         raise InvalidInputError("one starting point per function is required")
     x = w @ Y
+    P = np.empty_like(Y)
 
     scales = [gamma / wi for wi in w.tolist()]
     run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0), [(f, "prox") for f in f_list])
     for n, proxes in run:
-        # a new array: a prox may return its argument, a row of Y
-        P = np.array([prox(c, yi) for prox, c, yi in zip(proxes, scales, Y)])
+        for i, (prox, c, yi) in enumerate(zip(proxes, scales, Y)):
+            P[i] = prox(c, yi)  # a copy: a prox may return its argument, a row of Y
         p = w @ P
         lam = lam_at(n)
-        Y += lam * (2.0 * p - x - P)
-        x_prev, x = x, x + lam * (p - x)
+        np.subtract(2.0 * p - x, P, out=P)
+        if lam != 1.0:  # 1.0 * v == v, so skipping the product keeps the bytes
+            P *= lam
+        Y += P
+        x_prev, x = x, (x + (p - x) if lam == 1.0 else x + lam * (p - x))
         if run.done(x, x_prev):
             break
     return run.result(x)
@@ -653,13 +660,15 @@ def parallel_dykstra(
     """Parallel Dykstra-like algorithm for min sum_i omega_i f_i + ||.-r||^2/2.
 
     Starts at x_0 = r with branch states z_{i,0} = r, the rows of one m x n
-    array; the next iterate is one product w @ P over the stacked branch
-    proxes.  Requires the domains to intersect (documented, not checked).
+    array Z.  Each iteration copies the branch proxes into the rows of one
+    m x n array P allocated per solve; the next iterate is one product
+    w @ P.  Requires the domains to intersect (documented, not checked).
     """
     f_list, dim, w = _branches(f_list, weights, "parallel_dykstra")
     r = as_vector(r, dim)
     x = r.copy()
     Z = np.tile(r, (len(f_list), 1))
+    P = np.empty_like(Z)
 
     def objective(v: Array) -> Array:
         # each row's weighted sum is the dot product of w with its values
@@ -667,8 +676,8 @@ def parallel_dykstra(
 
     run = _Run(stop, objective, [(f, "prox") for f in f_list])
     for _, proxes in run:
-        # a new array: a prox may return its argument, a row of Z
-        P = np.array([prox(1.0, zi) for prox, zi in zip(proxes, Z)])
+        for i, (prox, zi) in enumerate(zip(proxes, Z)):
+            P[i] = prox(1.0, zi)  # a copy: a prox may return its argument, a row of Z
         x_prev, x = x, w @ P
         Z += x
         Z -= P
@@ -687,13 +696,14 @@ def sdmm(
 ) -> SolveResult:
     """Simultaneous-direction method of multipliers for min sum_i g_i(L_i x).
 
-    With M = [L_1; ...; L_m] and y, z single vectors over M's rows,
-    Q = M^T M must be invertible.  Each square L_i with a ``tight_frame_nu``
-    (L_i^T L_i = nu_i I, as for ``identity_map``) adds nu_i to a in
-    Q = a I + R^T R, R the rest stacked or the one map left, whose Gram
-    factorization ``core._gram_solver`` memoizes.  Each branch then
-    applies prox_{gamma g_i} to its block of M x + z, in ascending order, and
-    z updates by the residual.
+    Each branch keeps its own y_i and z_i.  The x-step solves
+    Q x = sum_i L_i^T (y_i - z_i), Q = sum_i L_i^T L_i, which must be
+    invertible; each branch then applies prox_{gamma g_i} to L_i x + z_i, in
+    ascending order, and z_i updates by the residual.  The loop calls each
+    L_i's own ``apply_impl`` and ``adjoint_impl``.  Each square L_i with a
+    ``tight_frame_nu`` (L_i^T L_i = nu_i I, as for ``identity_map``) adds
+    nu_i to a in Q = a I + R^T R, R the one map left or the rest stacked,
+    whose Gram factorization ``core._gram_solver`` memoizes.
     """
     g_list = list(g_list)
     L_list = list(L_list)
@@ -704,30 +714,34 @@ def sdmm(
         raise InvalidInputError("all operators must share the domain dimension")
     gamma = as_real(gamma, "gamma", above=0.0)
 
-    M = np.vstack([L.to_dense() for L in L_list])
     frame = [L.rows == L.cols and L.tight_frame_nu is not None for L in L_list]
     a = float(sum(L.tight_frame_nu for L, framed in zip(L_list, frame) if framed))
     rest = [L for L, framed in zip(L_list, frame) if not framed]
-    if len(rest) > 1:  # one map of the rows of M outside the frames
-        rest = [matrix_map(M[np.repeat(np.logical_not(frame), [L.rows for L in L_list])])]
+    if len(rest) > 1:  # one map of the maps outside the frames, stacked
+        rest = [matrix_map(np.vstack([_dense(L) for L in rest]))]
     solve = _gram_solver(rest[0], a, 1.0, "Q = sum_i L_i^T L_i is singular") if rest else lambda b: b / a
-    cuts = np.cumsum([L.rows for L in L_list])[:-1]
 
     if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):
         raise InvalidInputError("one starting pair per branch is required")
-    y, z = (
-        np.zeros(len(M)) if v0s is None else np.concatenate([as_vector(v, L.rows) for v, L in zip(v0s, L_list)])
+    ys, zs = (
+        [np.zeros(L.rows) for L in L_list] if v0s is None else [as_vector(v, L.rows) for v, L in zip(v0s, L_list)]
         for v0s in (y0s, z0s)
     )
 
-    objective = lambda v: np.sum([g.eval(s) for g, s in zip(g_list, np.split(np.matvec(M, v), cuts, axis=1))], axis=0)
-    run = _Run(stop, objective, [(g, "prox") for g in g_list])
+    objective = lambda v: np.sum([g.eval(L.apply(v)) for g, L in zip(g_list, L_list)], axis=0)
+    m = len(L_list)
+    calls = [(g, "prox") for g in g_list] + [(L, "apply") for L in L_list] + [(L, "adjoint") for L in L_list]
+    run = _Run(stop, objective, calls)
     x = None
-    for _, proxes in run:
-        x_prev, x = x, solve(M.T @ (y - z))
-        v = M @ x + z
-        y = np.concatenate([prox(gamma, vi) for prox, vi in zip(proxes, np.split(v, cuts))])
-        z = v - y
+    for _, impls in run:
+        proxes, applies, adjoints = impls[:m], impls[m : 2 * m], impls[2 * m :]
+        b = adjoints[0](ys[0] - zs[0])
+        for adjoint, yi, zi in zip(adjoints[1:], ys[1:], zs[1:]):
+            b = b + adjoint(yi - zi)
+        x_prev, x = x, solve(b)
+        vs = [apply(x) + zi for apply, zi in zip(applies, zs)]
+        ys = [prox(gamma, vi) for prox, vi in zip(proxes, vs)]
+        zs = [vi - yi for vi, yi in zip(vs, ys)]
         if run.done(x, x_prev):
             break
     return run.result(x)

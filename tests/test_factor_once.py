@@ -1,6 +1,6 @@
 """Factor-once linear algebra: the quadratic prox, the admm, prox_l and sdmm
-x-steps, which share one Gram factorization per map, and matrix-backed
-``to_dense``."""
+x-steps, which share one Gram factorization per map and copy no matrix per
+call, and matrix-backed ``to_dense``."""
 
 import collections
 
@@ -10,8 +10,8 @@ import pytest
 from proxsplit import catalog as cat
 from proxsplit import sets
 from proxsplit.core import InvalidParameterError, LinearMap, PreconditionError, identity_map, matrix_map
-from proxsplit.problems import build_lasso
-from proxsplit.solvers import QuadraticTerm, StoppingRule, admm, prox_l, sdmm
+from proxsplit.problems import build_lasso, first_difference
+from proxsplit.solvers import QuadraticTerm, StoppingRule, admm, dual_forward_backward, prox_l, sdmm
 
 GAMMAS = (1e-3, 0.25, 1.0, 4.0)
 WEIGHT = 1.3
@@ -177,6 +177,59 @@ def test_one_factorization_per_map(monkeypatch, shape):
     prox_l(f, L, rng.standard_normal(m), 0.5)
     sdmm([cat.zero_fn(m), cat.zero_fn(n)], [L, identity_map(n)], stop=_capped(20))
     assert counter.by_name == {"eigh": 1}
+
+
+def _count_to_dense(monkeypatch):
+    """A list whose length is the number of ``LinearMap.to_dense`` calls from now on."""
+    calls = []
+    to_dense = LinearMap.to_dense
+
+    def counted(self):
+        calls.append(self.name)
+        return to_dense(self)
+
+    monkeypatch.setattr(LinearMap, "to_dense", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9)])
+def test_x_steps_copy_no_matrix(monkeypatch, shape):
+    # prox_l and admm read a matrix map's own matrix: once its Gram memo is
+    # filled, they call to_dense no more
+    rng = np.random.default_rng(9)
+    m, n = shape
+    L = matrix_map(rng.standard_normal(shape))
+    f = QuadraticTerm(0.7, rng.standard_normal(n))
+    calls = _count_to_dense(monkeypatch)
+    prox_l(f, L, rng.standard_normal(m), 0.5)
+    assert len(calls) <= 1  # the memo's one factorization
+    before = len(calls)
+    for gamma in GAMMAS:
+        prox_l(f, L, rng.standard_normal(m), gamma)
+        admm(f, L, cat.weighted_l1(np.full(m, 0.2)), gamma, stop=_capped(5))
+    cat.quadratic(L, rng.standard_normal(m), 0.9)
+    assert len(calls) == before
+
+
+def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
+    # TV denoising with first_difference left matrix-free: sdmm applies it
+    # slice by slice, and materializes it once, for its memoized factorization
+    n, omega = 60, 0.5
+    rng = np.random.default_rng(60)
+    r = np.repeat(rng.uniform(-2.0, 2.0, 6), 10) + 0.1 * rng.standard_normal(n)
+    g_list = [cat.quadratic_deviation(r), cat.weighted_l1(np.full(n - 1, omega))]
+    D = first_difference(n)
+    L_list = [identity_map(n), D]
+    assert D.matrix is None
+    calls = _count_to_dense(monkeypatch)
+    tight = StoppingRule(tol=1e-12, max_iter=100_000)
+    results = [sdmm(g_list, L_list, stop=tight) for _ in range(2)]
+    assert calls == ["first_difference"]
+    ref = dual_forward_backward(cat.zero_fn(n), g_list[1], D, r, stop=tight)
+    for res in results:
+        assert res.converged
+        assert np.max(np.abs(res.final_x - ref.final_x)) <= 1e-6
+    assert results[0].final_x.tobytes() == results[1].final_x.tobytes()
 
 
 def test_quadratic_prox_runs_no_factorization(monkeypatch):

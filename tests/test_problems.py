@@ -12,6 +12,7 @@ from proxsplit.core import (
     InvalidScheduleError,
     SolveResult,
     check_adjoint,
+    firm_nonexpansiveness_violation,
     identity_map,
     matrix_map,
     operator_norm,
@@ -302,6 +303,43 @@ class TestTv1d:
                 gap = np.max(np.abs(closed.prox(gamma, x) - dense.prox(gamma, x)))
                 assert gap <= 1e-12 * (1.0 + np.max(np.abs(x))), (gamma, gap)
                 assert abs(closed.eval(x) - dense.eval(x)) <= 1e-12 * abs(dense.eval(x))
+
+    @pytest.mark.parametrize("n", (2, 3, 8, 9, 120, 121))
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_pairwise_prox_keeps_means_and_soft_thresholds_gaps(self, n, offset):
+        # per pair (a, b): mean (a + b)/2 kept, gap b - a soft-thresholded to
+        # [-2 gamma omega, 2 gamma omega]; within 4 ulp of max(|a|, |b|)
+        omega = 0.7
+        f = problems._pairwise_tv(n, omega, offset)
+        rng = np.random.default_rng(100 * n + offset)
+        end = offset + 2 * ((n - offset) // 2)
+        for gamma in (1e-3, 0.25, 1.0, 4.0):
+            for scale in (1e-3, 1.0, 1e3):
+                x = scale * rng.standard_normal(n)
+                x[rng.random(n) < 0.2] = 0.0
+                kept = x.copy()
+                p = f.prox(gamma, x)
+                assert x.tobytes() == kept.tobytes()
+                assert p is not x
+                assert p[:offset].tobytes() == x[:offset].tobytes()
+                assert p[end:].tobytes() == x[end:].tobytes()
+                for k in range(offset, end, 2):
+                    a, b = float(x[k]), float(x[k + 1])
+                    mean, gap = 0.5 * (a + b), b - a
+                    half = 0.5 * math.copysign(max(abs(gap) - 2.0 * gamma * omega, 0.0), gap)
+                    tol = 4.0 * np.spacing(max(abs(a), abs(b)))
+                    assert abs(p[k] - (mean - half)) <= tol, (k, gamma, scale)
+                    assert abs(p[k + 1] - (mean + half)) <= tol, (k, gamma, scale)
+
+    @pytest.mark.parametrize("n", (2, 7, 8, 120))
+    @pytest.mark.parametrize("offset", (0, 1))
+    def test_pairwise_prox_is_firmly_nonexpansive(self, n, offset):
+        f = problems._pairwise_tv(n, 0.7, offset)
+        rng = np.random.default_rng(10 * n + offset)
+        for gamma in (1e-3, 0.25, 1.0, 4.0):
+            for _ in range(10):
+                x, y = 3.0 * rng.standard_normal((2, n))
+                assert firm_nonexpansiveness_violation(f, x, y, gamma) <= 1e-12
 
     @pytest.mark.parametrize("n", (2, 5, 9, 40))
     def test_validator_matches_least_squares_definition(self, n):

@@ -21,6 +21,22 @@ class TestProjections:
         C = sets.Box(np.zeros(2), np.ones(2))
         assert np.allclose(C.project([2.0, 0.5]), [1.0, 0.5])
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 16, 17, 200))
+    def test_box_gives_the_bytes_of_clip(self, n):
+        # signed zeros on both sides of zero bounds, infinite bounds, stacks
+        rng = np.random.default_rng(n)
+        zeros = np.array([0.0, -0.0])
+        lo = np.where(rng.random(n) < 0.3, rng.choice(zeros, n), -rng.random(n))
+        hi = np.where(rng.random(n) < 0.3, rng.choice(zeros, n) + np.maximum(lo, 0.0), rng.random(n))
+        lo[rng.random(n) < 0.2] = -np.inf
+        hi[rng.random(n) < 0.2] = np.inf
+        C = sets.Box(lo, hi)
+        for _ in range(5):
+            x = np.where(rng.random(n) < 0.4, rng.choice(zeros, n), 2.0 * rng.standard_normal(n))
+            assert C.project(x).tobytes() == np.clip(x, lo, hi).tobytes()
+            X = np.where(rng.random((4, n)) < 0.4, rng.choice(zeros, (4, n)), rng.standard_normal((4, n)))
+            assert C.project(X).tobytes() == np.clip(X, lo, hi).tobytes()
+
     def test_halfspace(self):
         C = sets.Halfspace(np.array([1.0, 1.0]), 0.0)
         assert np.allclose(C.project([1.0, 1.0]), [0.0, 0.0])

@@ -16,6 +16,8 @@ from proxsplit.core import (
     UnsupportedFunctionError,
     identity_map,
     matrix_map,
+    norm,
+    pow2,
 )
 from proxsplit.problems import (
     first_difference,
@@ -40,6 +42,7 @@ from proxsplit.solvers import (
     ppxa,
     prox_l,
     sdmm,
+    _Run,
 )
 
 TIGHT = StoppingRule(tol=1e-12, max_iter=50_000)
@@ -654,6 +657,77 @@ class TestStackedReductions:
             zs = [zi + s - yi for zi, s, yi in zip(zs, ss, ys)]
         assert res.iterations == self.N
         assert np.max(np.abs(res.final_x - x)) <= 1e-12
+
+
+def _stacked_ppxa(f_list, w, gamma, lam, stop):
+    """ppxa as one stacked array per iteration, with lambda held at ``lam``:
+    the reference for the in-place update's bytes."""
+    Y = np.zeros((len(f_list), f_list[0].dim))
+    x = w @ Y
+    scales = [gamma / wi for wi in w.tolist()]
+    run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0), [(f, "prox") for f in f_list])
+    for _, proxes in run:
+        P = np.array([prox(c, yi) for prox, c, yi in zip(proxes, scales, Y)])
+        p = w @ P
+        Y += lam * (2.0 * p - x - P)
+        x_prev, x = x, x + lam * (p - x)
+        if run.done(x, x_prev):
+            break
+    return run.result(x)
+
+
+def _stacked_parallel_dykstra(f_list, w, r, stop):
+    """parallel_dykstra as one stacked array per iteration."""
+    x = r.copy()
+    Z = np.tile(r, (len(f_list), 1))
+
+    def objective(v):
+        return np.vecdot(np.column_stack([f.eval(v) for f in f_list]), w) + 0.5 * pow2(norm(v - r))
+
+    run = _Run(stop, objective, [(f, "prox") for f in f_list])
+    for _, proxes in run:
+        P = np.array([prox(1.0, zi) for prox, zi in zip(proxes, Z)])
+        x_prev, x = x, w @ P
+        Z += x
+        Z -= P
+        if run.done(x, x_prev):
+            break
+    return run.result(x)
+
+
+def _assert_same_run(res, ref):
+    assert np.array_equal(res.final_x, ref.final_x)
+    assert res.final_x.tobytes() == ref.final_x.tobytes()
+    assert res.iterations == ref.iterations
+    assert [r.objective for r in res.records] == [r.objective for r in ref.records]
+    assert [r.residual for r in res.records] == [r.residual for r in ref.records]
+
+
+class TestParallelBytes:
+    """ppxa and parallel_dykstra write the branch proxes into one array per
+    solve and update in place; they give the bytes of the stacked loops that
+    build a new array every iteration, zero_fn's prox returning its argument
+    (a row of the branch states) included."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_ppxa(self, lam):
+        A, y, w = lasso_fixture()
+        f_box = sets.indicator(sets.Box(np.full(3, -10.0), np.full(3, 10.0)))
+        f_list = [cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w), f_box, cat.zero_fn(3)]
+        weights, gamma = np.array([0.4, 0.3, 0.2, 0.1]), 0.7
+        res = ppxa(f_list, weights, gamma=gamma, schedule=Schedule(lam=lam), stop=TIGHT)
+        ref = _stacked_ppxa(f_list, weights, gamma, lam, TIGHT)
+        assert res.converged and 10 < res.iterations < TIGHT.max_iter
+        _assert_same_run(res, ref)
+
+    def test_parallel_dykstra(self):
+        A, y, w = lasso_fixture()
+        f_list = [cat.quadratic(matrix_map(A), y, 1.0), cat.weighted_l1(w), cat.zero_fn(3)]
+        weights, r = np.array([0.5, 0.3, 0.2]), np.array([1.0, -2.0, 0.5])
+        res = parallel_dykstra(f_list, weights, r, stop=TIGHT)
+        ref = _stacked_parallel_dykstra(f_list, weights, r, TIGHT)
+        assert res.converged and res.iterations > 10
+        _assert_same_run(res, ref)
 
 
 class TestStoppingRule:
