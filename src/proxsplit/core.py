@@ -439,7 +439,7 @@ def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = Non
     wide = L.rows < L.cols
     gram = L._norms.get("gram")
     if gram is None:  # threads racing here each compute and store the same pair
-        A = L.to_dense()
+        A = _dense(L)
         s, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
         gram = L._norms["gram"] = (np.maximum(s, 0.0), A.T @ W if wide else W)
     s, W = gram

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -642,10 +643,9 @@ def ppxa(
         p = w @ P
         lam = lam_at(n)
         np.subtract(2.0 * p - x, P, out=P)
-        if lam != 1.0:  # 1.0 * v == v, so skipping the product keeps the bytes
-            P *= lam
+        P *= lam
         Y += P
-        x_prev, x = x, (x + (p - x) if lam == 1.0 else x + lam * (p - x))
+        x_prev, x = x, x + lam * (p - x)
         if run.done(x, x_prev):
             break
     return run.result(x)
@@ -735,10 +735,7 @@ def sdmm(
     x = None
     for _, impls in run:
         proxes, applies, adjoints = impls[:m], impls[m : 2 * m], impls[2 * m :]
-        b = adjoints[0](ys[0] - zs[0])
-        for adjoint, yi, zi in zip(adjoints[1:], ys[1:], zs[1:]):
-            b = b + adjoint(yi - zi)
-        x_prev, x = x, solve(b)
+        x_prev, x = x, solve(reduce(np.add, [adjoint(yi - zi) for adjoint, yi, zi in zip(adjoints, ys, zs)]))
         vs = [apply(x) + zi for apply, zi in zip(applies, zs)]
         ys = [prox(gamma, vi) for prox, vi in zip(proxes, vs)]
         zs = [vi - yi for vi, yi in zip(vs, ys)]
