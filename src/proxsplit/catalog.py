@@ -48,7 +48,6 @@ from .core import (
     PreconditionError,
     ProxFn,
     _each_row,
-    _dense,
     _gram_solver,
     _matrix,
     _real_array,
@@ -966,18 +965,18 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
 def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||L x - y||^2.
 
-    The prox at scale gamma solves (I + c A^T A) p = x + c A^T y, with
-    c = gamma*weight and A the matrix of L, by ``core._gram_solver``: L's Gram
-    factorization, taken at construction unless L holds it, serves every gamma.
+    The prox at scale gamma solves (I + c L^T L) p = x + c L^T y, with
+    c = gamma*weight, by ``core._gram_solver``: L's Gram factorization, taken
+    at construction unless L holds it, serves every gamma.  Only that reads
+    a matrix: L^T y and the value use ``L.adjoint`` and ``L.apply``.
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
-    A = _dense(L)
-    Aty = A.T @ y
+    Aty = L.adjoint(y)
     _gram_solver(L, 1.0, w)  # factors L now, not in the first prox
 
     def value(x: Array):
-        return 0.5 * w * pow2(norm(np.matvec(A, x) - y))
+        return 0.5 * w * pow2(norm(L.apply(x) - y))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w

@@ -389,16 +389,11 @@ class LinearMap:
 
     def to_dense(self) -> Array:
         """The operator as a fresh matrix: a copy of ``matrix`` when the map
-        carries one, otherwise materialized column by column (desk-scale only)."""
+        carries one, otherwise the transposed images of the identity's rows,
+        one ``apply`` of that stack (desk-scale only)."""
         if self.matrix is not None:
             return self.matrix.copy()
-        cols = np.empty((self.rows, self.cols))
-        e = np.zeros(self.cols)
-        for j in range(self.cols):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-            e[j] = 0.0
-        return cols
+        return np.ascontiguousarray(self.apply(np.eye(self.cols)).T)
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
@@ -418,17 +413,13 @@ def identity_map(n: int) -> LinearMap:
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
 
 
-def _dense(L: LinearMap) -> Array:
-    """The matrix of L: the map's own read-only ``matrix`` when it carries
-    one, otherwise ``to_dense``'s materialization."""
-    return L.matrix if L.matrix is not None else L.to_dense()
-
-
 def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = None) -> Callable[[Array], Array]:
     """b |-> (a I + c A^T A)^{-1} b, for A the matrix of L, a >= 0 and c > 0.
 
     The eigenpairs (s, W) of L's smaller Gram matrix, s clipped at 0, are
-    taken on first use and kept in ``L._norms["gram"]``.  For rows >= cols,
+    taken on first use and kept in ``L._norms["gram"]``: the one read of a
+    map's matrix outside ``LinearMap`` (``L.matrix``, else ``to_dense``), and
+    an ``InvalidParameterError`` if the Gram matrix overflows.  For rows >= cols,
     A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b; for rows < cols,
     A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion lemma gives
     x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error grows as
@@ -439,8 +430,12 @@ def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = Non
     wide = L.rows < L.cols
     gram = L._norms.get("gram")
     if gram is None:  # threads racing here each compute and store the same pair
-        A = _dense(L)
-        s, W = np.linalg.eigh(A @ A.T if wide else A.T @ A)
+        A = L.matrix if L.matrix is not None else L.to_dense()
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = A @ A.T if wide else A.T @ A
+        if not np.isfinite(G).all():
+            raise InvalidParameterError(f"the Gram matrix of {L.name} overflows: its factorization needs ||L||^2 < inf")
+        s, W = np.linalg.eigh(G)
         gram = L._norms["gram"] = (np.maximum(s, 0.0), A.T @ W if wide else W)
     s, W = gram
     d = a + c * s

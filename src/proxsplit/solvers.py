@@ -22,6 +22,10 @@ loop but ``pocs`` its implementations: from iteration 1 on ``prox_impl``,
 ``grad_impl``, ``apply_impl`` and ``adjoint_impl`` themselves, whose outputs
 are used as they are, the bytes the public methods would return.
 
+A solver reaches a linear map only through its apply and adjoint, except
+the x-step inversion of ``admm``, ``prox_l`` and ``sdmm``, which reads the
+map's Gram factorization (``core._gram_solver``), taken once per map.
+
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
 relative-interior qualification conditions, nonempty domain intersections)
 are documented with each solver; their violation surfaces as
@@ -50,7 +54,6 @@ from .core import (
     SmoothFn,
     SolveResult,
     UnsupportedFunctionError,
-    _dense,
     _gram_solver,
     _norm_squared,
     as_count,
@@ -539,9 +542,9 @@ class QuadraticTerm:
 
 
 def _x_step(f, L: LinearMap, gamma: float):
-    """A and v |-> x solving M x = A^T v + w c, M = w I + A^T A, for
-    w = gamma * f.weight (0 for f = None) and c = f.center.  A is L's own
-    read-only matrix when L carries one, so a call copies no matrix."""
+    """rhs |-> x solving M x = rhs + w c, M = w I + L^T L, for
+    w = gamma * f.weight (0 for f = None) and c = f.center.  The caller
+    takes rhs = L^T v with L's adjoint; M is L's memoized Gram factorization."""
     if f is not None and not isinstance(f, QuadraticTerm):
         raise UnsupportedFunctionError("the x-step supports only f = None (zero) or a QuadraticTerm")
     if f is not None and f.center.size != L.cols:
@@ -549,20 +552,20 @@ def _x_step(f, L: LinearMap, gamma: float):
     w = gamma * f.weight if f is not None else 0.0
     wc = w * f.center if f is not None else 0.0
     solve = _gram_solver(L, w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
-    A = _dense(L)
-    return A, lambda v: solve(A.T @ v + wc)
+    return lambda rhs: solve(rhs + wc)
 
 
 def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
     """Minimizer of gamma*f(x) + ||L x - v||^2 / 2 for supported f.
 
     f is either None (the zero function, giving the least-squares solution)
-    or a QuadraticTerm.  The solve reads L's memoized Gram factorization (see
-    ``admm``) and errors on singular systems.
+    or a QuadraticTerm.  ``L.adjoint`` checks v and gives L^T v; the solve
+    reads L's memoized Gram factorization (see ``admm``) and errors on
+    singular systems.
     """
     gamma = as_real(gamma, "gamma", above=0.0)
-    v = as_vector(v, L.rows)
-    return _x_step(f, L, gamma)[1](v)
+    rhs = L.adjoint(v)
+    return _x_step(f, L, gamma)(rhs)
 
 
 def admm(
@@ -581,24 +584,24 @@ def admm(
     + z_n) and z updates by the residual.  The x-step matrix
     M = gamma*weight*I + L^T L is solved through L's Gram factorization,
     taken once per map (``core._gram_solver``), whose eigenvalues check on
-    entry that M is definite.  Requires L^T L invertible
-    when f is None, and ri(dom g) meeting ri L(dom f) (documented, not
-    checked).
+    entry that M is definite.  The loop calls L's ``apply_impl`` and
+    ``adjoint_impl``.  Requires L^T L invertible when f is None, and
+    ri(dom g) meeting ri L(dom f) (documented, not checked).
     """
     gamma = as_real(gamma, "gamma", above=0.0)
-    A, x_step = _x_step(f, L, gamma)
+    x_step = _x_step(f, L, gamma)
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
 
     def objective(v: Array) -> Array:
         fv = f.eval(v) if f is not None else 0.0
-        return fv + g.eval(np.matvec(A, v))
+        return fv + g.eval(L.apply(v))
 
-    run = _Run(stop, objective, [(g, "prox")])
+    run = _Run(stop, objective, [(g, "prox"), (L, "apply"), (L, "adjoint")])
     x = None
-    for _, (prox,) in run:
-        x_prev, x = x, x_step(y - z)
-        s = A @ x
+    for _, (prox, apply, adjoint) in run:
+        x_prev, x = x, x_step(adjoint(y - z))
+        s = apply(x)
         y = prox(gamma, s + z)
         z = z + s - y
         if run.done(x, x_prev):
@@ -635,7 +638,7 @@ def ppxa(
     x = w @ Y
     P = np.empty_like(Y)
 
-    scales = [gamma / wi for wi in w.tolist()]
+    scales = [as_real(gamma / wi, f"gamma / weights[{i}]") for i, wi in enumerate(w.tolist())]
     run = _Run(stop, lambda v: np.sum([f.eval(v) for f in f_list], axis=0), [(f, "prox") for f in f_list])
     for n, proxes in run:
         for i, (prox, c, yi) in enumerate(zip(proxes, scales, Y)):
@@ -702,8 +705,9 @@ def sdmm(
     ascending order, and z_i updates by the residual.  The loop calls each
     L_i's own ``apply_impl`` and ``adjoint_impl``.  Each square L_i with a
     ``tight_frame_nu`` (L_i^T L_i = nu_i I, as for ``identity_map``) adds
-    nu_i to a in Q = a I + R^T R, R the one map left or the rest stacked,
-    whose Gram factorization ``core._gram_solver`` memoizes.
+    nu_i to a in Q = a I + R^T R, R the one map left, whose Gram
+    factorization ``core._gram_solver`` memoizes, or else the ``to_dense``
+    copies of the rest stacked, factored once per solve.
     """
     g_list = list(g_list)
     L_list = list(L_list)
@@ -718,7 +722,7 @@ def sdmm(
     a = float(sum(L.tight_frame_nu for L, framed in zip(L_list, frame) if framed))
     rest = [L for L, framed in zip(L_list, frame) if not framed]
     if len(rest) > 1:  # one map of the maps outside the frames, stacked
-        rest = [matrix_map(np.vstack([_dense(L) for L in rest]))]
+        rest = [matrix_map(np.vstack([L.to_dense() for L in rest]))]
     solve = _gram_solver(rest[0], a, 1.0, "Q = sum_i L_i^T L_i is singular") if rest else lambda b: b / a
 
     if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):

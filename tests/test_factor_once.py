@@ -1,6 +1,7 @@
 """Factor-once linear algebra: the quadratic prox, the admm, prox_l and sdmm
-x-steps, which share one Gram factorization per map and copy no matrix per
-call, and matrix-backed ``to_dense``."""
+x-steps, which share one Gram factorization per map, the one place that
+reads a map's matrix, and otherwise reach the map through its apply and
+adjoint; and matrix-backed ``to_dense``."""
 
 import collections
 
@@ -9,7 +10,7 @@ import pytest
 
 from proxsplit import catalog as cat
 from proxsplit import sets
-from proxsplit.core import InvalidParameterError, LinearMap, PreconditionError, identity_map, matrix_map
+from proxsplit.core import InvalidParameterError, LinearMap, PreconditionError, _gram_solver, identity_map, matrix_map
 from proxsplit.problems import build_lasso, first_difference
 from proxsplit.solvers import QuadraticTerm, StoppingRule, admm, dual_forward_backward, prox_l, sdmm
 
@@ -179,16 +180,16 @@ def test_one_factorization_per_map(monkeypatch, shape):
     assert counter.by_name == {"eigh": 1}
 
 
-def _count_to_dense(monkeypatch):
-    """A list whose length is the number of ``LinearMap.to_dense`` calls from now on."""
+def _count_calls(monkeypatch, method):
+    """A list whose length is the number of ``LinearMap.<method>`` calls from now on."""
     calls = []
-    to_dense = LinearMap.to_dense
+    original = getattr(LinearMap, method)
 
-    def counted(self):
+    def counted(self, *args):
         calls.append(self.name)
-        return to_dense(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(LinearMap, "to_dense", counted)
+    monkeypatch.setattr(LinearMap, method, counted)
     return calls
 
 
@@ -200,7 +201,7 @@ def test_x_steps_copy_no_matrix(monkeypatch, shape):
     m, n = shape
     L = matrix_map(rng.standard_normal(shape))
     f = QuadraticTerm(0.7, rng.standard_normal(n))
-    calls = _count_to_dense(monkeypatch)
+    calls = _count_calls(monkeypatch, "to_dense")
     prox_l(f, L, rng.standard_normal(m), 0.5)
     assert "gram" in L._norms
     for gamma in GAMMAS:
@@ -208,6 +209,68 @@ def test_x_steps_copy_no_matrix(monkeypatch, shape):
         admm(f, L, cat.weighted_l1(np.full(m, 0.2)), gamma, stop=_capped(5))
     cat.quadratic(L, rng.standard_normal(m), 0.9)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 7, 200])
+def test_matrix_free_x_steps_apply_the_map(monkeypatch, n):
+    # once the Gram memo is filled, prox_l and admm reach a matrix-free map
+    # only through its adjoint and apply: prox_l applies it not at all (it
+    # made n public apply calls through to_dense per call), and neither
+    # materializes it again
+    rng = np.random.default_rng(n)
+    D, twin = first_difference(n), matrix_map(np.diff(np.eye(n), axis=0))
+    f = QuadraticTerm(0.7, rng.standard_normal(n))
+    g = cat.weighted_l1(np.full(n - 1, 0.2))
+    vs = [rng.standard_normal(n - 1) for _ in GAMMAS]
+    first = prox_l(f, D, vs[0], GAMMAS[0])
+    assert "gram" in D._norms
+    to_dense = _count_calls(monkeypatch, "to_dense")
+    applies = _count_calls(monkeypatch, "apply")
+    got = [first] + [prox_l(f, D, v, gamma) for v, gamma in zip(vs[1:], GAMMAS[1:])]
+    assert applies == []
+    runs = [admm(f, D, g, gamma, stop=_capped(40)) for gamma in GAMMAS]
+    assert to_dense == []
+    for x, v, gamma in zip(got, vs, GAMMAS):
+        ref = prox_l(f, twin, v, gamma)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    for res, gamma in zip(runs, GAMMAS):
+        ref = admm(f, twin, g, gamma, stop=_capped(40))
+        assert np.linalg.norm(res.final_x - ref.final_x) <= 1e-12 * np.linalg.norm(ref.final_x)
+
+
+@pytest.mark.parametrize("shape", sorted(_matrices()))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_x_step_keeps_the_dense_bytes(shape, gamma):
+    # L.adjoint(v) on a matrix map is the product A.T @ v on its own matrix,
+    # so the x-step gives the bytes of solve(A.T @ v + w c)
+    A = _matrices()[shape]
+    m, n = A.shape
+    rng = np.random.default_rng(m + n)
+    L = matrix_map(A)
+    f = QuadraticTerm(WEIGHT, rng.standard_normal(n))
+    v, y0, z0 = (rng.standard_normal(m) for _ in range(3))
+    w = gamma * WEIGHT
+    solve = _gram_solver(L, w, 1.0)
+    assert prox_l(f, L, v, gamma).tobytes() == solve(L.matrix.T @ v + w * f.center).tobytes()
+    res = admm(f, L, cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
+    assert res.final_x.tobytes() == solve(L.matrix.T @ (y0 - z0) + w * f.center).tobytes()
+
+
+# maps whose Gram matrix overflows: diag(1e200, 1e200) and a row and a column of 1e200
+BIG = np.diag([1e200, 1e200])
+GRAM_OVERFLOWS = {
+    "prox_l": lambda: prox_l(None, matrix_map(BIG), [1.0, 1.0]),
+    "admm": lambda: admm(None, matrix_map(BIG), cat.zero_fn(2)),
+    "sdmm": lambda: sdmm([cat.zero_fn(2)], [matrix_map(BIG)]),
+    "quadratic-wide": lambda: cat.quadratic(matrix_map([[1e200, 1e200]]), [1.0]).prox(1.0, [1.0, 2.0]),
+    "quadratic-tall": lambda: cat.quadratic(matrix_map([[1e200], [1e200]]), [1.0, 1.0]).prox(1.0, [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_OVERFLOWS)
+def test_gram_overflow_is_named(case):
+    with pytest.raises(InvalidParameterError, match="Gram matrix of L overflows"):
+        GRAM_OVERFLOWS[case]()
 
 
 def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
@@ -220,7 +283,7 @@ def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
     D = first_difference(n)
     L_list = [identity_map(n), D]
     assert D.matrix is None
-    calls = _count_to_dense(monkeypatch)
+    calls = _count_calls(monkeypatch, "to_dense")
     tight = StoppingRule(tol=1e-12, max_iter=100_000)
     results = [sdmm(g_list, L_list, stop=tight) for _ in range(2)]
     assert calls == ["first_difference"]

@@ -152,15 +152,22 @@ def test_bad_grad_impl_output_raises_on_iteration_0(solver, bad):
 @pytest.mark.parametrize("bad", BAD_OUTPUTS)
 @pytest.mark.parametrize("which", ("apply", "adjoint"))
 def test_bad_linear_map_output_raises_by_iteration_0(which, bad):
-    # operator_norm's first call on a map goes through the public methods:
-    # they refuse a wrong length but convert a list or a float32 array, which
-    # the loop's check on iteration 0 then refuses (test_norm_memo.py covers a
-    # second solve, where the memo skips those calls)
+    # operator_norm's first call on a map, and the Gram factorization's
+    # to_dense, go through the public methods: they refuse a wrong length but
+    # convert a list or a float32 array, which the loop's check on iteration
+    # 0 then refuses (test_norm_memo.py covers a second solve, where the memo
+    # skips those calls)
     impl = lambda v: BAD_OUTPUTS[bad](2.0 * v)
     good = lambda v: 2.0 * v
-    L = LinearMap(2, 2, impl if which == "apply" else good, impl if which == "adjoint" else good, name="bad")
-    with pytest.raises(InvalidInputError, match=f"bad.{which}_impl|dimension"):
-        solvers.dual_forward_backward(ZERO, QUAD, L, R, stop=RUN)
+    solves = (
+        lambda L: solvers.dual_forward_backward(ZERO, QUAD, L, R, stop=RUN),
+        lambda L: solvers.admm(None, L, ZERO, stop=RUN),
+        lambda L: solvers.sdmm([ZERO], [L], stop=RUN),
+    )
+    for solve in solves:
+        L = LinearMap(2, 2, impl if which == "apply" else good, impl if which == "adjoint" else good, name="bad")
+        with pytest.raises(InvalidInputError, match=f"bad.{which}_impl|dimension"):
+            solve(L)
 
 
 # functions, operators and start points whose dimensions disagree raise a

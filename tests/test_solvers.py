@@ -464,6 +464,12 @@ class TestPpxa:
         with pytest.raises(InvalidParameterError):
             ppxa([f, f], [1.2, -0.2])
 
+    def test_branch_scale_overflow_names_gamma(self):
+        # gamma / omega_i = 2e308 is inf: refused on entry, not blamed on a branch's prox
+        f_list = [cat.quadratic_deviation([1.0, 2.0]), cat.zero_fn(2)]
+        with pytest.raises(InvalidParameterError, match=r"gamma / weights\[0\] must be a finite number"):
+            ppxa(f_list, [0.5, 0.5], gamma=1e308)
+
     def _lasso_split(self):
         A, y, w = lasso_fixture()
         f_box = sets.indicator(sets.Box(np.full(3, -10.0), np.full(3, 10.0)))
