@@ -327,15 +327,13 @@ def _cmd_check(args) -> int:
         elif isinstance(obj, SmoothFn):
             err = max(gradient_check_error(obj, draw(obj.dim)) for _ in range(10))
             report, ok = f"gradient check {err:.3e}", err <= 1e-5
-        elif isinstance(obj, ProxFn):
+        else:  # a ProxFn, the one kind left that _walk_components yields
             firm = max(firm_nonexpansiveness_violation(obj, draw(obj.dim), draw(obj.dim)) for _ in range(50))
             cert = -np.inf
             for _ in range(20):
                 x, seed = draw(obj.dim), int(rng.integers(2**31))
                 cert = max(cert, subgradient_certificate(obj, x, obj.prox(1.0, x), samples=32, radius=0.5, seed=seed))
             report, ok = f"firm nonexpansiveness {firm:.3e}, prox certificate {cert:.3e}", firm <= 1e-9 and cert <= 1e-9
-        else:
-            continue
         print(f"{name}: {report} {'ok' if ok else 'FAIL'}")
         failures += not ok
     if failures:

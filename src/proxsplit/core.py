@@ -4,7 +4,8 @@ Vectors are plain 1-D float64 numpy arrays, validated to be finite.  Convex
 functions are carried by small immutable wrappers: ``ProxFn`` exposes an
 extended-real evaluation together with its proximity map, ``SmoothFn`` a
 real-valued evaluation, gradient and Lipschitz constant.  ``LinearMap`` wraps
-a linear operator through forward/adjoint callables.  Evaluation and
+a linear operator through forward/adjoint callables; ``matrix_map`` builds
+that pair from a matrix, which it alone attaches to the map.  Evaluation and
 ``LinearMap.apply`` also take a (k, dim) stack of points, one per row.
 ``Schedule``, ``IterationRecord`` and ``SolveResult`` are the solver plumbing.
 
@@ -315,16 +316,12 @@ class SmoothFn:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear operator R^cols -> R^rows with an explicit adjoint.
+    """A linear operator R^cols -> R^rows: its pair ``apply_impl``, ``adjoint_impl``.
 
     When ``tight_frame_nu`` is set, the operator is declared to satisfy
     L L^T = nu I; this is probed on random vectors at construction.
-    ``matrix``, when given, is the operator's own rows x cols matrix (set by
-    ``matrix_map``).  The map keeps a read-only copy of it, which a missing
-    ``apply_impl`` or ``adjoint_impl`` multiplies by, and ``to_dense`` copies
-    that instead of probing columns.  A read-only float64 array that owns
-    its memory is kept without a copy: nothing writes it unless its owner
-    deliberately makes it writeable again.
+    ``matrix`` is set by ``matrix_map`` alone, to the read-only matrix its
+    two products multiply by; it is None on every other map.
     ``apply`` of a (k, cols) stack returns the (k, rows) images of its rows:
     one ``np.matvec`` with ``matrix`` when the map carries one, whose rows
     equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
@@ -333,9 +330,10 @@ class LinearMap:
     An operator is fixed once built: the private ``_norms`` keeps, filled on
     first use, the ``operator_norm`` results by their arguments and the Gram
     factorization of ``_gram_solver``; ``dataclasses.replace`` gives a map
-    with an empty memo.  So ``apply_impl`` and ``adjoint_impl`` must compute
-    the same operator for the map's lifetime: one that reads an array the
-    caller edits later gives stale norms and solves, without warning.
+    with an empty memo and no ``matrix``, whose products are the original's.
+    So ``apply_impl`` and ``adjoint_impl`` must compute the same operator for
+    the map's lifetime: one that reads an array the caller edits later gives
+    stale norms and solves, without warning.
     """
 
     rows: int
@@ -344,26 +342,14 @@ class LinearMap:
     adjoint_impl: Optional[Callable[[Array], Array]] = None
     tight_frame_nu: Optional[float] = None
     name: str = "L"
-    matrix: Optional[Array] = field(default=None, repr=False, compare=False)
+    matrix: Optional[Array] = field(default=None, init=False, repr=False, compare=False)
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", as_count(self.rows, "rows", 1))
         object.__setattr__(self, "cols", as_count(self.cols, "cols", 1))
-        if self.matrix is not None:
-            M = _matrix(self.matrix, "matrix")
-            if M is self.matrix and (M.flags.writeable or M.base is not None):
-                M = M.copy(order="K")  # the caller's layout, so products keep their bytes
-            M.flags.writeable = False
-            if M.shape != (self.rows, self.cols):
-                raise InvalidParameterError(f"matrix of shape {M.shape} does not match {self.rows} x {self.cols}")
-            object.__setattr__(self, "matrix", M)
-            if self.apply_impl is None:
-                object.__setattr__(self, "apply_impl", lambda x: M @ x)
-            if self.adjoint_impl is None:
-                object.__setattr__(self, "adjoint_impl", lambda u: M.T @ u)
         if self.apply_impl is None or self.adjoint_impl is None:
-            raise InvalidParameterError("a LinearMap needs apply_impl and adjoint_impl, or a matrix")
+            raise InvalidParameterError("a LinearMap needs apply_impl and adjoint_impl")
         if self.tight_frame_nu is not None:
             nu = as_real(self.tight_frame_nu, "tight_frame_nu", above=0.0)
             object.__setattr__(self, "tight_frame_nu", nu)
@@ -397,20 +383,23 @@ class LinearMap:
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
-    """The operator x |-> A x.  The map holds a read-only copy of ``A`` and
-    applies that copy, so a later edit of the caller's array changes neither
-    the map nor its memoized norm and factorization."""
-    A = _matrix(A, name)
-    return LinearMap(A.shape[0], A.shape[1], tight_frame_nu=tight_frame_nu, name=name, matrix=A)
+    """The operator x |-> A x, the one map that carries a ``matrix``: a
+    checked, read-only copy of ``A`` in its memory layout (so the products
+    keep the bytes of ``A @ x`` and ``A.T @ u``), which the products multiply
+    by.  A later edit of the caller's array changes neither the map nor its
+    memoized norm and factorization."""
+    M = _matrix(A, name).copy(order="K")
+    M.flags.writeable = False
+    L = LinearMap(M.shape[0], M.shape[1], lambda x: M @ x, lambda u: M.T @ u, tight_frame_nu, name)
+    object.__setattr__(L, "matrix", M)
+    return L
 
 
 def identity_map(n: int) -> LinearMap:
-    """The identity on R^n; it carries its (read-only) matrix, so ``to_dense``
-    is a copy."""
+    """The identity on R^n, a tight frame with nu = 1.  It carries no matrix,
+    so it costs O(1) memory and ``to_dense`` is n applies."""
     n = as_count(n, "n", 1)
-    eye = np.eye(n)
-    eye.flags.writeable = False  # kept without a copy
-    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I", matrix=eye)
+    return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I")
 
 
 def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = None) -> Callable[[Array], Array]:
@@ -418,8 +407,9 @@ def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = Non
 
     The eigenpairs (s, W) of L's smaller Gram matrix, s clipped at 0, are
     taken on first use and kept in ``L._norms["gram"]``: the one read of a
-    map's matrix outside ``LinearMap`` (``L.matrix``, else ``to_dense``), and
-    an ``InvalidParameterError`` if the Gram matrix overflows.  For rows >= cols,
+    map's matrix outside ``LinearMap`` (``L.matrix`` on a ``matrix_map``,
+    else ``to_dense``), and an ``InvalidParameterError`` if the Gram matrix
+    overflows, or if a + c max(s) does for the given a and c.  For rows >= cols,
     A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b; for rows < cols,
     A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion lemma gives
     x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error grows as
@@ -438,8 +428,11 @@ def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = Non
         s, W = np.linalg.eigh(G)
         gram = L._norms["gram"] = (np.maximum(s, 0.0), A.T @ W if wide else W)
     s, W = gram
-    d = a + c * s
-    if singular is not None and not (a if wide else d.min()) > L.cols * np.finfo(float).eps * d.max():
+    with np.errstate(over="ignore"):
+        d = a + c * s
+    if not math.isfinite(d[-1]):  # s ascends, so d[-1] is its largest entry
+        raise InvalidParameterError(f"a + c ||{L.name}||^2 overflows at a = {a!r}, c = {c!r}")
+    if singular is not None and not (a if wide else d[0]) > L.cols * np.finfo(float).eps * d[-1]:
         raise PreconditionError(singular)
     if not wide:
         return lambda b: W @ ((W.T @ b) / d)

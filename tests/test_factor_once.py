@@ -273,6 +273,15 @@ def test_gram_overflow_is_named(case):
         GRAM_OVERFLOWS[case]()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [1e200, 1e300])
+def test_a_scale_past_the_solvable_range_is_named(gamma):
+    # the Gram matrix [[1e200]] is finite, but 1 + gamma * 1e200 is not
+    f = cat.quadratic(matrix_map([[1e100]]), [1.0])
+    with pytest.raises(InvalidParameterError, match=r"a \+ c \|\|L\|\|\^2 overflows at a = 1.0, c = 1e\+"):
+        f.prox(gamma, [1.0])
+
+
 def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
     # TV denoising with first_difference left matrix-free: sdmm applies it
     # slice by slice, and materializes it once, for its memoized factorization
@@ -339,7 +348,3 @@ class TestToDense:
 
     def test_identity_map(self):
         assert np.array_equal(identity_map(4).to_dense(), np.eye(4))
-
-    def test_mismatched_matrix_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            LinearMap(2, 3, lambda x: x, lambda u: u, matrix=np.zeros((3, 2)))

@@ -123,6 +123,19 @@ class TestLasso:
         assert lasso_kkt_residual(A, y, w, x) == worst
         assert lasso_kkt_residual(A, y, np.full(8, 1e3), np.zeros(8)) == 0.0
 
+    def test_wide_lasso_keeps_memory_of_the_size_of_a(self):
+        # an n x n identity for the sdmm split would keep 72 MB at n = 3000
+        rng = np.random.default_rng(3)
+        A, y = rng.standard_normal((5, 3000)), rng.standard_normal(5)
+        tracemalloc.start()
+        try:
+            inst = build_lasso(A, y, 0.1)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert inst.components["sdmm_L_list"][1].matrix is None
+        assert kept < 2 * 2**20, kept
+
 
 class TestAlternatingProjections:
     def test_intervals(self):
