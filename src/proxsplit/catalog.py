@@ -897,12 +897,15 @@ def conjugate(base: ProxFn, value_fn=None) -> ProxFn:
     )
 
 
+def _envelope_value(base: ProxFn, x: Array) -> float:
+    """The Moreau envelope of ``base`` at one vector, through one prox call."""
+    p = base.prox(1.0, x)
+    return base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
+
+
 def moreau_envelope(base: ProxFn) -> ProxFn:
     """Infimal convolution of f with ||.||^2/2; evaluated through one prox call."""
-
-    def value_one(x: Array) -> float:
-        p = base.prox(1.0, x)
-        return base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
+    value_one = functools.partial(_envelope_value, base)
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return (x + gamma * base.prox(1.0 + gamma, x)) / (1.0 + gamma)
@@ -916,9 +919,7 @@ def moreau_complement(base: ProxFn) -> ProxFn:
     """||x||^2/2 minus the Moreau envelope of f."""
 
     def value_one(x: Array) -> float:
-        p = base.prox(1.0, x)
-        env = base.eval(p) + 0.5 * float(np.linalg.norm(x - p) ** 2)
-        return 0.5 * float(x @ x) - env
+        return 0.5 * float(x @ x) - _envelope_value(base, x)
 
     def prox_impl(gamma: float, x: Array) -> Array:
         return x - gamma * base.prox(1.0 / (1.0 + gamma), x / (1.0 + gamma))
@@ -966,21 +967,22 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||L x - y||^2.
 
     The prox at scale gamma solves (I + c L^T L) p = x + c L^T y, with
-    c = gamma*weight, by ``core._gram_solver``: L's Gram factorization, taken
-    at construction unless L holds it, serves every gamma.  Only that reads
-    a matrix: L^T y and the value use ``L.adjoint`` and ``L.apply``.
+    c = gamma*weight, by ``core._gram_solver``: a division for a square L with
+    a ``tight_frame_nu``, else L's Gram factorization, taken at construction
+    unless L holds it, for every gamma.  Only that reads a matrix: L^T y and
+    the value use ``L.adjoint`` and ``L.apply``.
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
     Aty = L.adjoint(y)
-    _gram_solver(L, 1.0, w)  # factors L now, not in the first prox
+    _gram_solver([L], 1.0, w)  # factors L now, not in the first prox
 
     def value(x: Array):
         return 0.5 * w * pow2(norm(L.apply(x) - y))
 
     def prox_impl(gamma: float, x: Array) -> Array:
         c = gamma * w
-        return _gram_solver(L, 1.0, c)(x + c * Aty)
+        return _gram_solver([L], 1.0, c)(x + c * Aty)
 
     return ProxFn(dim=L.cols, value=value, prox_impl=prox_impl, name="quadratic")
 

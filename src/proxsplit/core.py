@@ -402,21 +402,33 @@ def identity_map(n: int) -> LinearMap:
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I")
 
 
-def _gram_solver(L: LinearMap, a: float, c: float, singular: Optional[str] = None) -> Callable[[Array], Array]:
-    """b |-> (a I + c A^T A)^{-1} b, for A the matrix of L, a >= 0 and c > 0.
+def _gram_solver(maps: Sequence[LinearMap], a: float, c: float, singular: Optional[str] = None) -> Callable:
+    """b |-> (a I + c sum_i L_i^T L_i)^{-1} b over ``maps`` of one domain, for a >= 0, c > 0.
 
-    The eigenpairs (s, W) of L's smaller Gram matrix, s clipped at 0, are
-    taken on first use and kept in ``L._norms["gram"]``: the one read of a
-    map's matrix outside ``LinearMap`` (``L.matrix`` on a ``matrix_map``,
-    else ``to_dense``), and an ``InvalidParameterError`` if the Gram matrix
-    overflows, or if a + c max(s) does for the given a and c.  For rows >= cols,
-    A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b; for rows < cols,
-    A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion lemma gives
-    x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error grows as
-    c max(s) / a, so past 64 one refinement step (A^T A = W W^T) follows.
-    Given ``singular``: PreconditionError(singular) when the smallest
-    eigenvalue (a when rows < cols) is at most cols * eps times the largest.
+    Each square map with a ``tight_frame_nu`` (L^T L = nu I) adds c nu to a;
+    with no map left, x = b / a.  A is the one map left, or a ``matrix_map``
+    of the rest's ``to_dense`` copies stacked.  The eigenpairs (s, W) of its
+    smaller Gram matrix, s clipped at 0, are taken on first use and kept in
+    ``A._norms["gram"]``: the one read of a map's matrix outside ``LinearMap``.
+    For rows >= cols, A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b;
+    for rows < cols, A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion
+    lemma gives x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error
+    grows as c max(s) / a, so past 64 one refinement step (A^T A = W W^T)
+    follows.  InvalidParameterError: a, the Gram matrix or a + c max(s) overflows.
+    PreconditionError(singular), given ``singular``: the smallest eigenvalue
+    (a when rows < cols) is at most cols * eps times the largest.
     """
+    rest = []
+    for L in maps:  # a plain loop: this runs on every quadratic prox
+        if L.tight_frame_nu is not None and L.rows == L.cols:
+            a += c * L.tight_frame_nu
+        else:
+            rest.append(L)
+    if not math.isfinite(a):
+        raise InvalidParameterError(f"a + c sum_i nu_i overflows at c = {c!r}")
+    if not rest:
+        return lambda b: b / a
+    L = rest[0] if len(rest) == 1 else matrix_map(np.vstack([R.to_dense() for R in rest]))
     wide = L.rows < L.cols
     gram = L._norms.get("gram")
     if gram is None:  # threads racing here each compute and store the same pair

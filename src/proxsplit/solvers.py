@@ -23,8 +23,9 @@ loop but ``pocs`` its implementations: from iteration 1 on ``prox_impl``,
 are used as they are, the bytes the public methods would return.
 
 A solver reaches a linear map only through its apply and adjoint, except
-the x-step inversion of ``admm``, ``prox_l`` and ``sdmm``, which reads the
-map's Gram factorization (``core._gram_solver``), taken once per map.
+the x-step inversion of ``admm``, ``prox_l`` and ``sdmm``: ``core._gram_solver``
+reads the Gram factorization of each map that is not a square tight frame,
+taken once per map.
 
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
 relative-interior qualification conditions, nonempty domain intersections)
@@ -60,7 +61,6 @@ from .core import (
     as_points,
     as_real,
     as_vector,
-    matrix_map,
     norm,
     operator_norm,
     pow2,
@@ -544,14 +544,16 @@ class QuadraticTerm:
 def _x_step(f, L: LinearMap, gamma: float):
     """rhs |-> x solving M x = rhs + w c, M = w I + L^T L, for
     w = gamma * f.weight (0 for f = None) and c = f.center.  The caller
-    takes rhs = L^T v with L's adjoint; M is L's memoized Gram factorization."""
+    takes rhs = L^T v with L's adjoint; ``core._gram_solver`` solves M: as
+    (w + nu) I for a square L with a ``tight_frame_nu``, else by L's memoized
+    Gram factorization."""
     if f is not None and not isinstance(f, QuadraticTerm):
         raise UnsupportedFunctionError("the x-step supports only f = None (zero) or a QuadraticTerm")
     if f is not None and f.center.size != L.cols:
         raise InvalidInputError(f"the QuadraticTerm center has dimension {f.center.size}, expected {L.cols}")
     w = gamma * f.weight if f is not None else 0.0
     wc = w * f.center if f is not None else 0.0
-    solve = _gram_solver(L, w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
+    solve = _gram_solver([L], w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
     return lambda rhs: solve(rhs + wc)
 
 
@@ -560,8 +562,7 @@ def prox_l(f, L: LinearMap, v, gamma: float = 1.0) -> Array:
 
     f is either None (the zero function, giving the least-squares solution)
     or a QuadraticTerm.  ``L.adjoint`` checks v and gives L^T v; the solve
-    reads L's memoized Gram factorization (see ``admm``) and errors on
-    singular systems.
+    (``_x_step``, see ``admm``) errors on singular systems.
     """
     gamma = as_real(gamma, "gamma", above=0.0)
     rhs = L.adjoint(v)
@@ -581,32 +582,18 @@ def admm(
 
     x_n minimizes gamma*f + ||L . - (y_n - z_n)||^2/2 (exact SPD solve, so f
     is restricted to None/QuadraticTerm); then y_{n+1} = prox_{gamma g}(L x_n
-    + z_n) and z updates by the residual.  The x-step matrix
-    M = gamma*weight*I + L^T L is solved through L's Gram factorization,
-    taken once per map (``core._gram_solver``), whose eigenvalues check on
-    entry that M is definite.  The loop calls L's ``apply_impl`` and
-    ``adjoint_impl``.  Requires L^T L invertible when f is None, and
-    ri(dom g) meeting ri L(dom f) (documented, not checked).
+    + z_n) and z updates by the residual: ``sdmm``'s loop with one branch.
+    The x-step matrix M = gamma*weight*I + L^T L is solved by ``_x_step``,
+    whose factorization checks on entry that M is definite.  Requires L^T L
+    invertible when f is None, and ri(dom g) meeting ri L(dom f) (documented,
+    not checked).
     """
     gamma = as_real(gamma, "gamma", above=0.0)
     x_step = _x_step(f, L, gamma)
     y = np.zeros(L.rows) if y0 is None else as_vector(y0, L.rows)
     z = np.zeros(L.rows) if z0 is None else as_vector(z0, L.rows)
-
-    def objective(v: Array) -> Array:
-        fv = f.eval(v) if f is not None else 0.0
-        return fv + g.eval(L.apply(v))
-
-    run = _Run(stop, objective, [(g, "prox"), (L, "apply"), (L, "adjoint")])
-    x = None
-    for _, (prox, apply, adjoint) in run:
-        x_prev, x = x, x_step(adjoint(y - z))
-        s = apply(x)
-        y = prox(gamma, s + z)
-        z = z + s - y
-        if run.done(x, x_prev):
-            break
-    return run.result(x)
+    objective = lambda v: (f.eval(v) if f is not None else 0.0) + g.eval(L.apply(v))
+    return _multipliers([g], [L], gamma, x_step, objective, [y], [z], stop)
 
 
 def ppxa(
@@ -701,16 +688,13 @@ def sdmm(
 
     Each branch keeps its own y_i and z_i.  The x-step solves
     Q x = sum_i L_i^T (y_i - z_i), Q = sum_i L_i^T L_i, which must be
-    invertible; each branch then applies prox_{gamma g_i} to L_i x + z_i, in
-    ascending order, and z_i updates by the residual.  The loop calls each
-    L_i's own ``apply_impl`` and ``adjoint_impl``.  Each square L_i with a
-    ``tight_frame_nu`` (L_i^T L_i = nu_i I, as for ``identity_map``) adds
-    nu_i to a in Q = a I + R^T R, R the one map left, whose Gram
-    factorization ``core._gram_solver`` memoizes, or else the ``to_dense``
-    copies of the rest stacked, factored once per solve.
+    invertible, by ``core._gram_solver``: nu_i I for each square L_i with a
+    ``tight_frame_nu``, the memoized factorization of the one map left, or
+    one factorization per solve of two or more stacked.  Each branch then
+    applies prox_{gamma g_i} to L_i x + z_i, in ascending order, and z_i
+    updates by the residual (``_multipliers``).
     """
-    g_list = list(g_list)
-    L_list = list(L_list)
+    g_list, L_list = list(g_list), list(L_list)
     if not g_list or len(g_list) != len(L_list):
         raise InvalidInputError("sdmm needs matching nonempty function/operator lists")
     dim = L_list[0].cols
@@ -718,12 +702,7 @@ def sdmm(
         raise InvalidInputError("all operators must share the domain dimension")
     gamma = as_real(gamma, "gamma", above=0.0)
 
-    frame = [L.rows == L.cols and L.tight_frame_nu is not None for L in L_list]
-    a = float(sum(L.tight_frame_nu for L, framed in zip(L_list, frame) if framed))
-    rest = [L for L, framed in zip(L_list, frame) if not framed]
-    if len(rest) > 1:  # one map of the maps outside the frames, stacked
-        rest = [matrix_map(np.vstack([L.to_dense() for L in rest]))]
-    solve = _gram_solver(rest[0], a, 1.0, "Q = sum_i L_i^T L_i is singular") if rest else lambda b: b / a
+    solve = _gram_solver(L_list, 0.0, 1.0, "Q = sum_i L_i^T L_i is singular")
 
     if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):
         raise InvalidInputError("one starting pair per branch is required")
@@ -733,13 +712,20 @@ def sdmm(
     )
 
     objective = lambda v: np.sum([g.eval(L.apply(v)) for g, L in zip(g_list, L_list)], axis=0)
+    return _multipliers(g_list, L_list, gamma, solve, objective, ys, zs, stop)
+
+
+def _multipliers(g_list, L_list, gamma: float, x_step, objective, ys, zs, stop) -> SolveResult:
+    """The loop of ``sdmm``, and of ``admm`` with one branch: x_n = x_step(sum_i
+    L_i^T (y_i - z_i)), then in ascending order y_i = prox_{gamma g_i}(L_i x_n
+    + z_i) and z_i += L_i x_n - y_i, with each L_i's ``apply_impl`` and ``adjoint_impl``."""
     m = len(L_list)
     calls = [(g, "prox") for g in g_list] + [(L, "apply") for L in L_list] + [(L, "adjoint") for L in L_list]
     run = _Run(stop, objective, calls)
     x = None
     for _, impls in run:
         proxes, applies, adjoints = impls[:m], impls[m : 2 * m], impls[2 * m :]
-        x_prev, x = x, solve(reduce(np.add, [adjoint(yi - zi) for adjoint, yi, zi in zip(adjoints, ys, zs)]))
+        x_prev, x = x, x_step(reduce(np.add, [adjoint(yi - zi) for adjoint, yi, zi in zip(adjoints, ys, zs)]))
         vs = [apply(x) + zi for apply, zi in zip(applies, zs)]
         ys = [prox(gamma, vi) for prox, vi in zip(proxes, vs)]
         zs = [vi - yi for vi, yi in zip(vs, ys)]

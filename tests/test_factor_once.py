@@ -4,6 +4,7 @@ reads a map's matrix, and otherwise reach the map through its apply and
 adjoint; and matrix-backed ``to_dense``."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,24 @@ def _matrices():
     }
 
 
+def _square_frame(rng, n):
+    """A square tight frame F = 2Q, Q orthogonal, declared with F^T F = 4 I."""
+    return matrix_map(2.0 * np.linalg.qr(rng.standard_normal((n, n)))[0], tight_frame_nu=4.0)
+
+
+# the matrices, and two square tight frames that the solves take as nu I
+# with no factorization: the identity and a frame F = 2Q
+MAPS = sorted(_matrices()) + ["frame", "identity"]
+
+
+def _map(shape):
+    if shape == "identity":
+        return identity_map(16)
+    if shape == "frame":
+        return _square_frame(np.random.default_rng(16), 16)
+    return matrix_map(_matrices()[shape])
+
+
 def _assert_solves(K, b, x):
     """x solves K x = b to 1e-10 (relative, against np.linalg.solve) with a residual
     of at most 1e-12 of ||K|| ||x|| + ||b||."""
@@ -43,14 +62,15 @@ def _assert_solves(K, b, x):
     assert np.linalg.norm(K @ x - b) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("shape", sorted(_matrices()))
+@pytest.mark.parametrize("shape", MAPS)
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_quadratic_prox_matches_dense_solve(shape, gamma):
-    A = _matrices()[shape]
+    L = _map(shape)
+    A = L.to_dense()
     m, n = A.shape
     rng = np.random.default_rng(m * 100 + n)
     y = rng.standard_normal(m)
-    f = cat.quadratic(matrix_map(A), y, WEIGHT)
+    f = cat.quadratic(L, y, WEIGHT)
     c = gamma * WEIGHT
     K = np.eye(n) + c * A.T @ A
     for _ in range(3):
@@ -58,18 +78,19 @@ def test_quadratic_prox_matches_dense_solve(shape, gamma):
         _assert_solves(K, x + c * A.T @ y, f.prox(gamma, x))
 
 
-@pytest.mark.parametrize("shape", sorted(_matrices()))
+@pytest.mark.parametrize("shape", MAPS)
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_admm_and_prox_l_x_steps_match_dense_solve(shape, gamma):
-    A = _matrices()[shape]
+    L = _map(shape)
+    A = L.to_dense()
     m, n = A.shape
     rng = np.random.default_rng(m * 100 + n)
     f = QuadraticTerm(WEIGHT, rng.standard_normal(n))
     a = gamma * WEIGHT
     K = a * np.eye(n) + A.T @ A
     v, y0, z0 = (3.0 * rng.standard_normal(m) for _ in range(3))
-    _assert_solves(K, A.T @ v + a * f.center, prox_l(f, matrix_map(A), v, gamma))
-    res = admm(f, matrix_map(A), cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
+    _assert_solves(K, A.T @ v + a * f.center, prox_l(f, L, v, gamma))
+    res = admm(f, L, cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
     _assert_solves(K, A.T @ (y0 - z0) + a * f.center, res.final_x)
 
 
@@ -80,7 +101,7 @@ def _sdmm_split(A, split):
     n = A.shape[1]
     rng = np.random.default_rng(n)
     L, eye = matrix_map(A), identity_map(n)
-    frame = matrix_map(2.0 * np.linalg.qr(rng.standard_normal((n, n)))[0], tight_frame_nu=4.0)
+    frame = _square_frame(rng, n)
     return {
         "L,I": [L, eye],
         "L,I,I": [L, eye, identity_map(n)],
@@ -250,10 +271,61 @@ def test_x_step_keeps_the_dense_bytes(shape, gamma):
     f = QuadraticTerm(WEIGHT, rng.standard_normal(n))
     v, y0, z0 = (rng.standard_normal(m) for _ in range(3))
     w = gamma * WEIGHT
-    solve = _gram_solver(L, w, 1.0)
+    solve = _gram_solver([L], w, 1.0)
     assert prox_l(f, L, v, gamma).tobytes() == solve(L.matrix.T @ v + w * f.center).tobytes()
     res = admm(f, L, cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
     assert res.final_x.tobytes() == solve(L.matrix.T @ (y0 - z0) + w * f.center).tobytes()
+
+
+def test_square_frames_need_no_factorization(monkeypatch):
+    # identity_map(n) is a square tight frame (L^T L = I), which every x-step
+    # solves as (a + c) I: no call forms, copies or factors an n x n matrix,
+    # where an eigh of the dense identity took 1.7 s and 92 MB at n = 2000
+    n = 2000
+    rng = np.random.default_rng(n)
+    y, x, v, center, y0, z0 = (rng.standard_normal(n) for _ in range(6))
+    f = QuadraticTerm(WEIGHT, center)
+    I = identity_map(n)
+    counter = _LinalgCounter(monkeypatch)
+    to_dense = _count_calls(monkeypatch, "to_dense")
+    tracemalloc.start()
+    try:
+        cat.quadratic(I, y).prox(1.0, x)
+        p = prox_l(f, I, v)
+        res = admm(None, I, cat.weighted_l1(np.full(n, 0.1)), 1.0, y0, z0, stop=_capped(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 20
+    assert counter.calls == 0 and to_dense == []
+    assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
+    assert p.tobytes() == ((v + WEIGHT * center) / (1.0 + WEIGHT)).tobytes()
+
+
+def _trace(res):
+    return np.array([(r.objective, r.residual) for r in res.records]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["matrix", "identity", "frame"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_admm_is_sdmm_with_one_branch(kind, seed):
+    # admm(None, L, g) is sdmm([g], [L]): on drawn small maps both give the
+    # same iterates and trace, bit for bit
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    if kind == "matrix":
+        L = matrix_map(rng.standard_normal((n + int(rng.integers(0, 4)), n)))
+    else:
+        L = identity_map(n) if kind == "identity" else _square_frame(rng, n)
+    g = cat.weighted_l1(rng.uniform(0.05, 0.5, L.rows))
+    gamma = float(rng.uniform(0.1, 3.0))
+    y0, z0 = (rng.standard_normal(L.rows) for _ in range(2))
+    stop = StoppingRule(tol=1e-10, max_iter=500)
+    a = admm(None, L, g, gamma, y0, z0, stop=stop)
+    s = sdmm([g], [L], gamma, [y0], [z0], stop=stop)
+    assert a.iterations == s.iterations
+    assert a.final_x.tobytes() == s.final_x.tobytes()
+    assert _trace(a) == _trace(s)
 
 
 # maps whose Gram matrix overflows: diag(1e200, 1e200) and a row and a column of 1e200
@@ -280,6 +352,14 @@ def test_a_scale_past_the_solvable_range_is_named(gamma):
     f = cat.quadratic(matrix_map([[1e100]]), [1.0])
     with pytest.raises(InvalidParameterError, match=r"a \+ c \|\|L\|\|\^2 overflows at a = 1.0, c = 1e\+"):
         f.prox(gamma, [1.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_frame_fold_past_the_float_range_is_named():
+    # identity_map leaves no map to factor, and 1 + gamma * weight * nu overflows
+    f = cat.quadratic(identity_map(2), [1.0, 2.0], 10.0)
+    with pytest.raises(InvalidParameterError, match=r"a \+ c sum_i nu_i overflows"):
+        f.prox(1e308, [1.0, 1.0])
 
 
 def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
