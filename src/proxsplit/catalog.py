@@ -966,23 +966,24 @@ def tight_frame_compose(base: ProxFn, L: LinearMap) -> ProxFn:
 def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     """(weight/2)*||L x - y||^2.
 
-    The prox at scale gamma solves (I + c L^T L) p = x + c L^T y, with
-    c = gamma*weight, by ``core._gram_solver``: a division for a square L with
+    The prox at scale gamma solves (a I + L^T L) p = a x + L^T y, with
+    a = 1/(gamma*weight), by ``core._gram_solver``: a division for a square L with
     a ``tight_frame_nu``, else L's Gram factorization, taken at construction
     unless L holds it, for every gamma.  Only that reads a matrix: L^T y and
-    the value use ``L.adjoint`` and ``L.apply``.
+    the value use ``L.adjoint`` and ``L.apply``.  a must be a finite float.
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
     Aty = L.adjoint(y)
-    _gram_solver([L], 1.0, w)  # factors L now, not in the first prox
+    _gram_solver([L], 0.0)  # factors L now, not in the first prox
 
     def value(x: Array):
         return 0.5 * w * pow2(norm(L.apply(x) - y))
 
     def prox_impl(gamma: float, x: Array) -> Array:
-        c = gamma * w
-        return _gram_solver([L], 1.0, c)(x + c * Aty)
+        if (a := 1.0 / gamma / w) == math.inf:  # 1/(gamma*weight), with no product to underflow to 0
+            raise InvalidParameterError(f"quadratic's prox scale gamma*weight = {gamma * w!r} has no finite reciprocal")
+        return _gram_solver([L], a, "quadratic's prox scale gamma*weight is past the solvable range")(x * a + Aty)
 
     return ProxFn(dim=L.cols, value=value, prox_impl=prox_impl, name="quadratic")
 

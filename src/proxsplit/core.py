@@ -402,31 +402,34 @@ def identity_map(n: int) -> LinearMap:
     return LinearMap(n, n, lambda x: x, lambda u: u, tight_frame_nu=1.0, name="I")
 
 
-def _gram_solver(maps: Sequence[LinearMap], a: float, c: float, singular: Optional[str] = None) -> Callable:
-    """b |-> (a I + c sum_i L_i^T L_i)^{-1} b over ``maps`` of one domain, for a >= 0, c > 0.
+def _gram_solver(maps: Sequence[LinearMap], a: float, singular: Optional[str] = None) -> Callable:
+    """b |-> (a I + sum_i L_i^T L_i)^{-1} b over ``maps`` of one domain, for a >= 0.
 
-    Each square map with a ``tight_frame_nu`` (L^T L = nu I) adds c nu to a;
+    Each square map with a ``tight_frame_nu`` (L^T L = nu I) adds nu to a;
     with no map left, x = b / a.  A is the one map left, or a ``matrix_map``
     of the rest's ``to_dense`` copies stacked.  The eigenpairs (s, W) of its
     smaller Gram matrix, s clipped at 0, are taken on first use and kept in
     ``A._norms["gram"]``: the one read of a map's matrix outside ``LinearMap``.
-    For rows >= cols, A^T A = W diag(s) W^T and x = W diag(1/(a + c s)) W^T b;
+    With d = a + s: for rows >= cols, A^T A = W diag(s) W^T and x = W diag(1/d) W^T b;
     for rows < cols, A A^T = U diag(s) U^T, W = A^T U, and the matrix-inversion
-    lemma gives x = (b - c W diag(1/(a + c s)) W^T b) / a.  Its backward error
-    grows as c max(s) / a, so past 64 one refinement step (A^T A = W W^T)
-    follows.  InvalidParameterError: a, the Gram matrix or a + c max(s) overflows.
-    PreconditionError(singular), given ``singular``: the smallest eigenvalue
+    lemma gives x = (b - W diag(1/d) W^T b) / a.  Its backward error grows as
+    max(s) / a, so past 64 the solve splits b on range(A^T) instead: with
+    t = W^T b and inv = 1/s where s > cols eps max(s) (0 elsewhere),
+    y = (b - W (t inv)) / a and x = y + W ((t / d - W^T y) inv), whose second
+    projection takes the range part of y's rounding back out.
+    InvalidParameterError: a, the Gram matrix or a + max(s) overflows.
+    PreconditionError(singular), given ``singular``: the smallest entry of d
     (a when rows < cols) is at most cols * eps times the largest.
     """
     rest = []
     for L in maps:  # a plain loop: this runs on every quadratic prox
         if L.tight_frame_nu is not None and L.rows == L.cols:
-            a += c * L.tight_frame_nu
+            a += L.tight_frame_nu
         else:
             rest.append(L)
-    if not math.isfinite(a):
-        raise InvalidParameterError(f"a + c sum_i nu_i overflows at c = {c!r}")
     if not rest:
+        if not math.isfinite(a):
+            raise InvalidParameterError("a + sum_i nu_i overflows")
         return lambda b: b / a
     L = rest[0] if len(rest) == 1 else matrix_map(np.vstack([R.to_dense() for R in rest]))
     wide = L.rows < L.cols
@@ -440,17 +443,23 @@ def _gram_solver(maps: Sequence[LinearMap], a: float, c: float, singular: Option
         s, W = np.linalg.eigh(G)
         gram = L._norms["gram"] = (np.maximum(s, 0.0), A.T @ W if wide else W)
     s, W = gram
-    with np.errstate(over="ignore"):
-        d = a + c * s
-    if not math.isfinite(d[-1]):  # s ascends, so d[-1] is its largest entry
-        raise InvalidParameterError(f"a + c ||{L.name}||^2 overflows at a = {a!r}, c = {c!r}")
+    if not math.isfinite(a + float(s[-1])):  # Python floats: s ascends, so d[-1] = a + s[-1]
+        raise InvalidParameterError(f"a + ||{L.name}||^2 overflows at a = {a!r}")
+    d = a + s
     if singular is not None and not (a if wide else d[0]) > L.cols * np.finfo(float).eps * d[-1]:
         raise PreconditionError(singular)
     if not wide:
         return lambda b: W @ ((W.T @ b) / d)
-    lemma = lambda b: (b - c * (W @ ((W.T @ b) / d))) / a
-    refined = lambda b: (x := lemma(b)) + lemma(b - a * x - c * (W @ (W.T @ x)))
-    return lemma if c * s[-1] <= 64.0 * a else refined
+    if s[-1] <= 64.0 * a:
+        return lambda b: (b - W @ ((W.T @ b) / d)) / a
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > L.cols * np.finfo(float).eps * s[-1])
+
+    def reprojected(b):
+        t = W.T @ b
+        y = (b - W @ (t * inv)) / a
+        return y + W @ ((t / d - W.T @ y) * inv)
+
+    return reprojected
 
 
 ScalarSequence = Union[float, Sequence[float], Callable[[int], float]]

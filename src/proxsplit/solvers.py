@@ -23,9 +23,9 @@ loop but ``pocs`` its implementations: from iteration 1 on ``prox_impl``,
 are used as they are, the bytes the public methods would return.
 
 A solver reaches a linear map only through its apply and adjoint, except
-the x-step inversion of ``admm``, ``prox_l`` and ``sdmm``: ``core._gram_solver``
-reads the Gram factorization of each map that is not a square tight frame,
-taken once per map.
+the x-step inversion of ``admm``, ``prox_l`` and ``sdmm``, one system
+(a I + sum_i L_i^T L_i) x = b for ``core._gram_solver``, which reads the Gram
+factorization of each map that is not a square tight frame, once per map.
 
 Hypotheses that cannot be checked mechanically (coercivity of the sum,
 relative-interior qualification conditions, nonempty domain intersections)
@@ -544,16 +544,16 @@ class QuadraticTerm:
 def _x_step(f, L: LinearMap, gamma: float):
     """rhs |-> x solving M x = rhs + w c, M = w I + L^T L, for
     w = gamma * f.weight (0 for f = None) and c = f.center.  The caller
-    takes rhs = L^T v with L's adjoint; ``core._gram_solver`` solves M: as
-    (w + nu) I for a square L with a ``tight_frame_nu``, else by L's memoized
-    Gram factorization."""
+    takes rhs = L^T v with L's adjoint; ``core._gram_solver`` solves M at
+    a = w: as (w + nu) I for a square L with a ``tight_frame_nu``, else by
+    L's memoized Gram factorization."""
     if f is not None and not isinstance(f, QuadraticTerm):
         raise UnsupportedFunctionError("the x-step supports only f = None (zero) or a QuadraticTerm")
     if f is not None and f.center.size != L.cols:
         raise InvalidInputError(f"the QuadraticTerm center has dimension {f.center.size}, expected {L.cols}")
     w = gamma * f.weight if f is not None else 0.0
+    solve = _gram_solver([L], w, "the x-step system is singular (L^T L not invertible and no quadratic term)")
     wc = w * f.center if f is not None else 0.0
-    solve = _gram_solver([L], w, 1.0, "the x-step system is singular (L^T L not invertible and no quadratic term)")
     return lambda rhs: solve(rhs + wc)
 
 
@@ -688,8 +688,8 @@ def sdmm(
 
     Each branch keeps its own y_i and z_i.  The x-step solves
     Q x = sum_i L_i^T (y_i - z_i), Q = sum_i L_i^T L_i, which must be
-    invertible, by ``core._gram_solver``: nu_i I for each square L_i with a
-    ``tight_frame_nu``, the memoized factorization of the one map left, or
+    invertible, by ``core._gram_solver`` at a = 0: nu_i I for each square L_i
+    with a ``tight_frame_nu``, the memoized factorization of the one map left, or
     one factorization per solve of two or more stacked.  Each branch then
     applies prox_{gamma g_i} to L_i x + z_i, in ascending order, and z_i
     updates by the residual (``_multipliers``).
@@ -702,7 +702,7 @@ def sdmm(
         raise InvalidInputError("all operators must share the domain dimension")
     gamma = as_real(gamma, "gamma", above=0.0)
 
-    solve = _gram_solver(L_list, 0.0, 1.0, "Q = sum_i L_i^T L_i is singular")
+    solve = _gram_solver(L_list, 0.0, "Q = sum_i L_i^T L_i is singular")
 
     if any(v0s is not None and len(v0s) != len(L_list) for v0s in (y0s, z0s)):
         raise InvalidInputError("one starting pair per branch is required")

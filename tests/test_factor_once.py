@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxsplit import catalog as cat
 from proxsplit import sets
@@ -271,7 +273,7 @@ def test_x_step_keeps_the_dense_bytes(shape, gamma):
     f = QuadraticTerm(WEIGHT, rng.standard_normal(n))
     v, y0, z0 = (rng.standard_normal(m) for _ in range(3))
     w = gamma * WEIGHT
-    solve = _gram_solver([L], w, 1.0)
+    solve = _gram_solver([L], w)
     assert prox_l(f, L, v, gamma).tobytes() == solve(L.matrix.T @ v + w * f.center).tobytes()
     res = admm(f, L, cat.zero_fn(m), gamma, y0, z0, stop=_capped(1))
     assert res.final_x.tobytes() == solve(L.matrix.T @ (y0 - z0) + w * f.center).tobytes()
@@ -347,19 +349,89 @@ def test_gram_overflow_is_named(case):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gamma", [1e200, 1e300])
-def test_a_scale_past_the_solvable_range_is_named(gamma):
-    # the Gram matrix [[1e200]] is finite, but 1 + gamma * 1e200 is not
-    f = cat.quadratic(matrix_map([[1e100]]), [1.0])
-    with pytest.raises(InvalidParameterError, match=r"a \+ c \|\|L\|\|\^2 overflows at a = 1.0, c = 1e\+"):
-        f.prox(gamma, [1.0])
+def test_a_huge_scale_on_a_full_rank_map_returns_its_prox(gamma):
+    # 1 + gamma * 1e200 overflows, but the system divided through by gamma,
+    # (1/gamma + 1e200) p = 1/gamma + 1e100, is in range: p = 1e-100
+    p = cat.quadratic(matrix_map([[1e100]]), [1.0]).prox(gamma, [1.0])
+    assert abs(p[0] - 1e-100) <= 4 * np.finfo(float).eps * 1e-100
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_frame_fold_past_the_float_range_is_named():
-    # identity_map leaves no map to factor, and 1 + gamma * weight * nu overflows
+def test_a_frame_fold_at_a_huge_scale_returns_y():
+    # identity_map leaves no map to factor; gamma * weight overflows, and
+    # its reciprocal adds nothing to nu = 1, so the prox is y itself
     f = cat.quadratic(identity_map(2), [1.0, 2.0], 10.0)
-    with pytest.raises(InvalidParameterError, match=r"a \+ c sum_i nu_i overflows"):
-        f.prox(1e308, [1.0, 1.0])
+    assert f.prox(1e308, [1.0, 1.0]).tolist() == [1.0, 2.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["tall", "identity"])
+def test_an_x_step_scale_that_overflows_is_named(kind):
+    # gamma * weight = inf: the solve names the overflow before w * center,
+    # whose inf * 0 would warn, is formed
+    L = matrix_map(np.ones((5, 3))) if kind == "tall" else identity_map(3)
+    f = QuadraticTerm(1e300, [0.0, 1.0, 2.0])
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        prox_l(f, L, np.ones(L.rows), 1e10)
+
+
+# a 3 x 5 Gaussian map: L wide (L L^T invertible, L^T L singular) and L^T tall
+WIDE = np.random.default_rng(0).standard_normal((3, 5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [1e16, 1e100, 1e308])
+def test_a_wide_map_past_the_solvable_range_is_named(gamma):
+    # I / gamma + L^T L is singular at rounding, so no solve of it is
+    # backward stable: the prox names the scale
+    f = cat.quadratic(matrix_map(WIDE), np.ones(3))
+    with pytest.raises(PreconditionError, match=r"quadratic's prox scale gamma\*weight is past the solvable range"):
+        f.prox(gamma, np.ones(5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tall_map_at_a_huge_scale_returns_the_least_squares_solution():
+    p = cat.quadratic(matrix_map(WIDE.T), np.ones(5)).prox(1e308, np.ones(3))
+    ref = np.linalg.lstsq(WIDE.T, np.ones(5))[0]
+    assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma, weight", [(1e-310, 1.0), (1.0, 1e-310), (1e-200, 1e-200)])
+@pytest.mark.parametrize("kind", ["identity", "wide", "tall"])
+def test_a_scale_without_a_finite_reciprocal_is_named(kind, gamma, weight):
+    # 1 / (gamma * weight) overflows, also where the product underflows to 0
+    L = {"identity": identity_map(5), "wide": matrix_map(WIDE), "tall": matrix_map(WIDE.T)}[kind]
+    f = cat.quadratic(L, np.ones(L.rows), weight)
+    with pytest.raises(InvalidParameterError, match=r"quadratic's prox scale gamma\*weight = .* has no finite reciprocal"):
+        f.prox(gamma, np.ones(L.cols))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    rank=st.integers(1, 40),
+    log_scale=st.floats(-3.0, 3.0),
+    log_ratio=st.floats(0.0, 16.0),
+    in_range=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_solve_is_backward_stable(rows, cols, rank, log_scale, log_ratio, in_range, seed):
+    # tall, square and wide maps, rank-deficient ones among them, entries
+    # scaled by 1e-3 to 1e3, ||A||^2 / a from 1 to 1e16, and b in range(A^T)
+    # or generic: x solves (a I + A^T A) x = b to a backward error at
+    # rounding, past the lemma's ratio of 64 as well
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    A = 10.0**log_scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    a = np.linalg.norm(A, 2) ** 2 / 10.0**log_ratio
+    b = A.T @ rng.standard_normal(rows) if in_range else rng.standard_normal(cols)
+    x = _gram_solver([matrix_map(A)], a)(b)
+    M = a * np.eye(cols) + A.T @ A
+    error = np.linalg.norm(M @ x - b) / (np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(b))
+    assert error <= 1e-12
 
 
 def test_sdmm_tv_on_a_matrix_free_difference(monkeypatch):
