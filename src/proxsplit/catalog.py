@@ -970,7 +970,8 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     a = 1/(gamma*weight), by ``core._gram_solver``: a division for a square L with
     a ``tight_frame_nu``, else L's Gram factorization, taken at construction
     unless L holds it, for every gamma.  Only that reads a matrix: L^T y and
-    the value use ``L.adjoint`` and ``L.apply``.  a must be a finite float.
+    the value use ``L.adjoint`` and ``L.apply``.  a and a*max|x| must be
+    finite floats (``InvalidParameterError`` otherwise).
     """
     y = as_vector(y, L.rows)
     w = as_real(weight, "weight", above=0.0)
@@ -983,6 +984,8 @@ def quadratic(L: LinearMap, y, weight: float = 1.0) -> ProxFn:
     def prox_impl(gamma: float, x: Array) -> Array:
         if (a := 1.0 / gamma / w) == math.inf:  # 1/(gamma*weight), with no product to underflow to 0
             raise InvalidParameterError(f"quadratic's prox scale gamma*weight = {gamma * w!r} has no finite reciprocal")
+        if a > 1.0 and not math.isfinite(a * (m := float(np.abs(x).max()))):  # a <= 1 cannot overflow a finite x
+            raise InvalidParameterError(f"quadratic's prox overflows a*x at gamma*weight = {gamma * w!r}, max|x| = {m!r}")
         return _gram_solver([L], a, "quadratic's prox scale gamma*weight is past the solvable range")(x * a + Aty)
 
     return ProxFn(dim=L.cols, value=value, prox_impl=prox_impl, name="quadratic")

@@ -320,7 +320,11 @@ def _cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed or 0)
     draw = lambda n: rng.standard_normal(n) * 2.0  # noqa: E731
     failures = 0
+    checked = set()
     for name, obj in _walk_components(instance.components, instance.tag):
+        if id(obj) in checked:  # an object reached again by another path was checked at its first
+            continue
+        checked.add(id(obj))
         if isinstance(obj, LinearMap):
             gap = check_adjoint(obj, trials=16, seed=int(rng.integers(2**31)))
             report, ok = f"adjoint gap {gap:.3e}", gap <= 1e-10

@@ -6,7 +6,8 @@ extended-real evaluation together with its proximity map, ``SmoothFn`` a
 real-valued evaluation, gradient and Lipschitz constant.  ``LinearMap`` wraps
 a linear operator through forward/adjoint callables; ``matrix_map`` builds
 that pair from a matrix, which it alone attaches to the map.  Evaluation and
-``LinearMap.apply`` also take a (k, dim) stack of points, one per row.
+both products of a ``LinearMap``, ``apply`` and ``adjoint``, also take a
+(k, dim) stack of points, one per row.
 ``Schedule``, ``IterationRecord`` and ``SolveResult`` are the solver plumbing.
 
 The public methods (``prox``, ``grad``, ``apply``, ``adjoint``, ``eval``)
@@ -127,24 +128,16 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     return v
 
 
-def _is_stack(x) -> bool:
-    """Whether ``x`` is a 2-D stack of points (an ndarray's own ``ndim``
-    costs a tenth of ``np.ndim``, and vectors take this test on every call).
-    A ragged nesting, which ``np.ndim`` cannot measure, is not a stack, so
-    ``as_vector`` rejects it."""
-    if type(x) is np.ndarray:
-        return x.ndim == 2
-    try:
-        return np.ndim(x) == 2
-    except ValueError:
-        return False
-
-
 def as_points(x, dim: int) -> Array:
     """Validate ``x`` as one finite vector of length ``dim`` (``as_vector``)
     or as a (k, dim) stack of them, returned C-contiguous so that each row is
-    summed as the vector itself would be."""
-    if not _is_stack(x):
+    summed as the vector itself would be.  Only a 2-D ``x`` is a stack; a
+    ragged nesting has no ``np.ndim`` and goes to ``as_vector``, which rejects it."""
+    try:  # an ndarray's own ndim costs a tenth of np.ndim, and every vector takes this test
+        stack = (x.ndim if type(x) is np.ndarray else np.ndim(x)) == 2
+    except ValueError:
+        stack = False
+    if not stack:
         return as_vector(x, dim)
     v = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else _real_array(x)
     if v is None:
@@ -265,9 +258,8 @@ def pow2(t):
 def _eval(f, x):
     """``eval`` of ``ProxFn`` and ``SmoothFn``: ``f.value`` at one vector as a
     float, or the (k,) values of the rows of a (k, dim) stack."""
-    if _is_stack(x):
-        return _row_values(f.value, as_points(x, f.dim))
-    return float(f.value(as_vector(x, f.dim)))
+    X = as_points(x, f.dim)
+    return _row_values(f.value, X) if X.ndim == 2 else float(f.value(X))
 
 
 @dataclass(frozen=True)
@@ -319,13 +311,14 @@ class LinearMap:
     """A linear operator R^cols -> R^rows: its pair ``apply_impl``, ``adjoint_impl``.
 
     When ``tight_frame_nu`` is set, the operator is declared to satisfy
-    L L^T = nu I; this is probed on random vectors at construction.
+    L L^T = nu I; this is probed on a stack of three random vectors at construction.
     ``matrix`` is set by ``matrix_map`` alone, to the read-only matrix its
     two products multiply by; it is None on every other map.
-    ``apply`` of a (k, cols) stack returns the (k, rows) images of its rows:
-    one ``np.matvec`` with ``matrix`` when the map carries one, whose rows
-    equal ``matrix @ x``, and otherwise one ``apply_impl`` call per row, so
-    ``apply_impl`` only ever sees single vectors.
+    ``apply`` of a (k, cols) stack returns the (k, rows) images of its rows,
+    and ``adjoint`` of a (k, rows) stack the (k, cols) ones: one ``np.matvec``
+    with ``matrix`` (``matrix.T``) when the map carries one, each row equal to
+    the one-vector product, and otherwise one implementation call per row, so
+    ``apply_impl`` and ``adjoint_impl`` only ever see single vectors.
 
     An operator is fixed once built: the private ``_norms`` keeps, filled on
     first use, the ``operator_norm`` results by their arguments and the Gram
@@ -353,25 +346,19 @@ class LinearMap:
         if self.tight_frame_nu is not None:
             nu = as_real(self.tight_frame_nu, "tight_frame_nu", above=0.0)
             object.__setattr__(self, "tight_frame_nu", nu)
-            rng = np.random.default_rng(7)
-            for _ in range(3):
-                u = rng.standard_normal(self.rows)
-                gap = np.linalg.norm(self.apply(self.adjoint(u)) - nu * u)
-                if gap > 1e-9 * max(1.0, np.linalg.norm(u)):
-                    raise InvalidParameterError(
-                        f"operator does not satisfy L L^T = {nu} I (probe gap {gap:.3e})"
-                    )
+            U = np.random.default_rng(7).standard_normal((3, self.rows))  # three probes, one per row
+            gaps = norm(self.apply(self.adjoint(U)) - nu * U)
+            failed = gaps > 1e-9 * np.maximum(1.0, norm(U))
+            if failed.any():
+                raise InvalidParameterError(
+                    f"operator does not satisfy L L^T = {nu} I (probe gap {gaps[failed.argmax()]:.3e})"
+                )
 
     def apply(self, x) -> Array:
-        if _is_stack(x):
-            X = as_points(x, self.cols)
-            if self.matrix is not None:
-                return as_points(np.matvec(self.matrix, X), self.rows)
-            return _each_row(lambda v: as_vector(self.apply_impl(v), self.rows), X, (self.rows,))
-        return as_vector(self.apply_impl(as_vector(x, self.cols)), self.rows)
+        return _product(self.apply_impl, self.matrix, x, self.cols, self.rows)
 
     def adjoint(self, u) -> Array:
-        return as_vector(self.adjoint_impl(as_vector(u, self.rows)), self.cols)
+        return _product(self.adjoint_impl, None if self.matrix is None else self.matrix.T, u, self.rows, self.cols)
 
     def to_dense(self) -> Array:
         """The operator as a fresh matrix: a copy of ``matrix`` when the map
@@ -380,6 +367,18 @@ class LinearMap:
         if self.matrix is not None:
             return self.matrix.copy()
         return np.ascontiguousarray(self.apply(np.eye(self.cols)).T)
+
+
+def _product(impl, matrix: Optional[Array], x, dim_in: int, dim_out: int) -> Array:
+    """``apply`` or ``adjoint`` of a ``LinearMap``: ``impl`` of one checked
+    vector, or of each row of a (k, dim_in) stack, whose rows one ``np.matvec``
+    with ``matrix`` gives instead when the map carries one."""
+    X = as_points(x, dim_in)
+    if X.ndim == 1:
+        return as_vector(impl(X), dim_out)
+    if matrix is not None:
+        return as_points(np.matvec(matrix, X), dim_out)
+    return _each_row(lambda v: as_vector(impl(v), dim_out), X, (dim_out,))
 
 
 def matrix_map(A, tight_frame_nu: Optional[float] = None, name: str = "L") -> LinearMap:
@@ -685,14 +684,11 @@ def _top_ritz_value(alpha: list, beta: list) -> float:
 
 
 def check_adjoint(L: LinearMap, trials: int = 16, seed: int = 0) -> float:
-    """Max |<Lx, u> - <x, L^T u>| over seeded random probes."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(L.cols)
-        u = rng.standard_normal(L.rows)
-        worst = max(worst, abs(float(L.apply(x) @ u) - float(x @ L.adjoint(u))))
-    return worst
+    """Max |<Lx, u> - <x, L^T u>| over ``trials`` seeded random probes, drawn as
+    one (trials, cols + rows) stack whose rows hold an x and then its u."""
+    D = np.random.default_rng(seed).standard_normal((as_count(trials, "trials"), L.cols + L.rows))
+    X, U = D[:, : L.cols], D[:, L.cols :]
+    return float(np.max(np.abs(np.vecdot(L.apply(X), U) - np.vecdot(X, L.adjoint(U))), initial=0.0))
 
 
 def firm_nonexpansiveness_violation(f: ProxFn, x, y, gamma: float = 1.0) -> float:

@@ -1,9 +1,10 @@
 """Shared test utilities: the golden-section scalar prox oracle, randomized
 draw generators for every scalar prox kind (with oracle brackets proven to
 contain the prox), independent 2-D grid oracles for the prox and for the
-best approximation, the calculus-rule verification suite, and two references
-for 1-D total variation: the pairwise terms in a dense orthonormal basis and
-Condat's direct algorithm."""
+best approximation, one-probe-at-a-time references for ``check_adjoint``
+and the best-approximation validator, the calculus-rule verification suite,
+and two references for 1-D total variation: the pairwise terms in a dense
+orthonormal basis and Condat's direct algorithm."""
 
 from __future__ import annotations
 
@@ -234,6 +235,32 @@ def grid_best_approximation_oracle(C, D, r, center=None, halfwidth: float = 4.0)
         return np.where(feasible, pow2(norm(P - r)), np.inf)
 
     return grid_min_2d(F, center if center is not None else np.zeros(2), halfwidth)
+
+
+def vi_violation_per_probe(C, D, r, x, count: int = 64, seed: int = 5) -> float:
+    """Reference for the best-approximation validator's ``vi_violation``:
+    max(0, max_p (r - x)^T (p - x)) over feasible probes p, each drawn,
+    projected 60 times onto C then D, and scored on its own."""
+    rng = np.random.default_rng(seed)
+    vi = 0.0
+    for _ in range(count):
+        z = rng.standard_normal(C.dim) * 2.0
+        for _ in range(60):
+            z = D.project(C.project(z))
+        vi = max(vi, float((r - x) @ (z - x)))
+    return vi
+
+
+def check_adjoint_per_probe(L, trials: int = 16, seed: int = 0) -> float:
+    """Reference for ``core.check_adjoint``: each probe x, then its u, drawn
+    and tested on its own with the one-vector products."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(L.cols)
+        u = rng.standard_normal(L.rows)
+        worst = max(worst, abs(float(L.apply(x) @ u) - float(x @ L.adjoint(u))))
+    return worst
 
 
 def grid_prox_2d(f, x, gamma: float = 1.0, halfwidth: float = 6.0) -> np.ndarray:

@@ -424,6 +424,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "all component checks passed" in out
 
+    def test_each_object_is_checked_once(self, tmp_path, capsys):
+        # the README config: f1, f2_prox and A are also reached through the ppxa and sdmm encodings
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps({"problem": TAG_PROBLEMS["lasso"], "solver": "fista"}))
+        assert main(["check", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "lasso.A", "lasso.f1", "lasso.f2", "lasso.f2_prox", "lasso.ppxa.f_list[2]",
+            "lasso.sdmm_g_list[0]", "lasso.sdmm_L_list[1]",
+        ]
+        assert lines[-1] == "all component checks passed"
+
     def test_tv_components_pass(self, tmp_path):
         doc = {
             "problem": {"tag": "tv1d", "r": [0.0, 0.4, 1.1, 0.9], "omega": 0.2},

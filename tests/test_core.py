@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +23,9 @@ from proxsplit.core import (
     operator_norm,
     subgradient_certificate,
 )
+from proxsplit.problems import first_difference
+
+from helpers import check_adjoint_per_probe
 
 
 class TestVectors:
@@ -148,6 +152,19 @@ class TestOperatorNorm:
         assert operator_norm(matrix_map(A), seed=7) == operator_norm(matrix_map(A.copy()), seed=7)
 
 
+_B = np.random.default_rng(3).standard_normal((4, 4))
+_SHEAR = np.array([[1.0, 2.0], [0.0, 1.0]])
+ADJOINT_CASES = {
+    "gauss-tall": lambda: matrix_map(np.random.default_rng(1).standard_normal((6, 3))),
+    "gauss-wide-F": lambda: matrix_map(np.asfortranarray(np.random.default_rng(2).standard_normal((3, 7)))),
+    "wrong-adjoint": lambda: LinearMap(2, 2, lambda x: _SHEAR @ x, lambda u: _SHEAR @ u),
+    "nearly-adjoint": lambda: LinearMap(4, 4, lambda x: _B @ x, lambda u: (1.0 + 1e-12) * (_B.T @ u)),
+    "first_difference": lambda: first_difference(9),
+    "identity": lambda: identity_map(5),
+    "zero": lambda: matrix_map(np.zeros((3, 2))),
+}
+
+
 class TestAdjoint:
     def test_consistent_matrix(self):
         rng = np.random.default_rng(0)
@@ -163,6 +180,37 @@ class TestAdjoint:
         L = matrix_map(np.zeros((3, 2)))
         assert check_adjoint(L) == 0.0
 
+    @pytest.mark.parametrize("name", list(ADJOINT_CASES))
+    def test_equals_the_per_probe_loop(self, name):
+        L = ADJOINT_CASES[name]()
+        for trials, seed in ((16, 0), (5, 3), (1, 9), (0, 1)):
+            assert check_adjoint(L, trials, seed) == check_adjoint_per_probe(L, trials, seed)
+
+
+def _first_failing_probe_gap(L, nu):
+    """The frame check as it was written, one probe at a time: the gap of the
+    first of three probes from default_rng(7) that fails, or None."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u = rng.standard_normal(L.rows)
+        gap = np.linalg.norm(L.apply(L.adjoint(u)) - nu * u)
+        if gap > 1e-9 * max(1.0, np.linalg.norm(u)):
+            return gap
+    return None
+
+
+_Q = np.linalg.qr(np.random.default_rng(5).standard_normal((30, 30)))[0]
+FRAMES = {  # name: (map with a given tight_frame_nu, its nu)
+    "identity_map": (lambda nu: identity_map(6), 1.0),
+    "scaled-orthogonal": (lambda nu: matrix_map(3.0 * _Q, tight_frame_nu=nu), 9.0),
+    "semi-orthogonal-12x30": (lambda nu: matrix_map(_Q[:12], tight_frame_nu=nu), 1.0),
+}
+NON_FRAMES = {  # name: map with a given tight_frame_nu, for nu = 1
+    "sheared": lambda nu: matrix_map(0.5 * _SHEAR, tight_frame_nu=nu),
+    # scales u where u[0] <= 0: of default_rng(7)'s probes, the second fails, not the first
+    "fails-on-its-second-probe": lambda nu: LinearMap(3, 3, lambda x: x, lambda u: u if u[0] > 0 else 1.5 * u, nu),
+}
+
 
 class TestTightFrameDeclaration:
     def test_valid(self):
@@ -171,6 +219,20 @@ class TestTightFrameDeclaration:
     def test_invalid_rejected(self):
         with pytest.raises(InvalidParameterError):
             matrix_map(np.array([[1.0, 0.5], [0.0, 1.0]]), tight_frame_nu=1.0)
+
+    @pytest.mark.parametrize("name", list(FRAMES))
+    def test_frames_pass_the_probe(self, name):
+        make, nu = FRAMES[name]
+        assert _first_failing_probe_gap(make(None), nu) is None
+        assert make(nu).tight_frame_nu == nu
+
+    @pytest.mark.parametrize("name", list(NON_FRAMES))
+    def test_non_frames_fail_with_the_first_failing_probe_gap(self, name):
+        make = NON_FRAMES[name]
+        gap = _first_failing_probe_gap(make(None), 1.0)
+        message = f"operator does not satisfy L L^T = 1.0 I (probe gap {gap:.3e})"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            make(1.0)
 
 
 class TestSmoothInterface:

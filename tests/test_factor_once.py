@@ -4,6 +4,7 @@ reads a map's matrix, and otherwise reach the map through its apply and
 adjoint; and matrix-backed ``to_dense``."""
 
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,16 @@ def test_a_wide_map_past_the_solvable_range_is_named(gamma):
     f = cat.quadratic(matrix_map(WIDE), np.ones(3))
     with pytest.raises(PreconditionError, match=r"quadratic's prox scale gamma\*weight is past the solvable range"):
         f.prox(gamma, np.ones(5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma, scale", [(1e-300, 1e10), (1e-3, 1e306)])
+def test_a_tiny_scale_whose_right_hand_side_overflows_is_named(gamma, scale):
+    # the system divided through by gamma*weight has the right-hand side a*x + L^T y,
+    # a = 1/(gamma*weight), and a*max|x| is past the float range
+    f = cat.quadratic(matrix_map(WIDE.T), np.ones(5))
+    with pytest.raises(InvalidParameterError, match=re.escape(f"gamma*weight = {gamma!r}, max|x| = {scale!r}")):
+        f.prox(gamma, scale * np.ones(3))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -29,7 +29,13 @@ from proxsplit.problems import (
     lasso_kkt_residual,
     run_instance,
 )
-from helpers import condat_tv1d, dense_pairwise_tv, grid_best_approximation_oracle, scalar_prox_oracle
+from helpers import (
+    condat_tv1d,
+    dense_pairwise_tv,
+    grid_best_approximation_oracle,
+    scalar_prox_oracle,
+    vi_violation_per_probe,
+)
 from proxsplit.core import Schedule
 from proxsplit.scalar import Bracket
 from proxsplit.solvers import StoppingRule
@@ -164,7 +170,31 @@ class TestAlternatingProjections:
         assert res.final_x[0] == pytest.approx(1.0, abs=1e-8)
 
 
+BEST_APPROXIMATION_CASES = {  # name: (C, D, r)
+    "disk-halfplane": (sets.Ball(np.zeros(2), 1.0), sets.Halfspace(np.array([-1.0, 0.0]), 0.0), np.array([-2.0, 2.0])),
+    "box-ball-5": (sets.Box(np.zeros(5), np.full(5, 2.0)), sets.Ball(np.full(5, 1.5), 1.2), np.array([3.0, -1.0, 2.5, 0.0, 4.0])),
+    "affine-orthant-4": (
+        sets.AffineSubspace(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 2.0]]), [1.0, 0.5]),
+        sets.orthant(4),
+        np.array([-1.0, 2.0, 0.5, -0.3]),
+    ),
+}
+
+
 class TestBestApproximation:
+    @pytest.mark.parametrize("name", list(BEST_APPROXIMATION_CASES))
+    def test_vi_violation_equals_the_per_probe_loop(self, name):
+        C, D, r = BEST_APPROXIMATION_CASES[name]
+        inst = build_best_approximation(C, D, r)
+        solved = run_instance(inst, "dykstra_like", stop=StoppingRule(tol=1e-10, max_iter=2000)).final_x
+        violations = []
+        for x in (solved, solved + 0.3 * (solved - r), C.project(r)):  # the answer, and points past it
+            diag = inst.validator(SolveResult(final_x=x, converged=False, iterations=0, records=()))
+            violations.append(diag["vi_violation"])
+            assert diag["vi_violation"] == vi_violation_per_probe(C, D, r, x)
+            assert (diag["distance_C"], diag["distance_D"]) == (C.distance(x), D.distance(x))
+        assert violations[0] <= 1e-8 < violations[1]
+
     def test_halfplane_pair(self):
         C = sets.Halfspace(np.array([1.0, 0.0]), 1.0)
         D = sets.Halfspace(np.array([0.0, 1.0]), 1.0)

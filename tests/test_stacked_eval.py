@@ -1,6 +1,7 @@
 """Evaluation of a (k, dim) stack of points: every value, set operation and
-map gives each row the bytes that the row alone gets, and the solvers' trace
-objective, evaluated in blocks of iterates, equals the point-by-point one."""
+product of a map (apply and adjoint) gives each row the bytes that the row
+alone gets, and the solvers' trace objective, evaluated in blocks of
+iterates, equals the point-by-point one."""
 
 import math
 
@@ -179,6 +180,51 @@ def test_matrix_free_map_applies_a_stack_row_by_row():
     composed = cat.tight_frame_compose(cat.separable(cat.Huber(1.0, 1.0), dim=2), LinearMap(
         2, 2, lambda x: _rotation(0.3) @ x, lambda u: _rotation(0.3).T @ u, tight_frame_nu=1.0))
     _rows_equal(_one_call(composed, _points(2)), [composed.eval(x) for x in _points(2)])
+
+
+def _one_vector(fn):
+    """``fn`` as a user writes it for one vector: it refuses a stack."""
+    def impl(v):
+        if v.ndim != 1:
+            raise TypeError("this map takes one vector")
+        return fn(v)
+    return impl
+
+
+_G = np.random.default_rng(8).standard_normal((5, 7))
+MAPS = {
+    "matrix-C": lambda: matrix_map(_G),
+    "matrix-F": lambda: matrix_map(np.asfortranarray(_G)),
+    "matrix-column-reversed": lambda: matrix_map(_G[:, ::-1]),
+    "identity": lambda: identity_map(6),
+    "first_difference": lambda: problems.first_difference(7),
+    "user-written": lambda: LinearMap(
+        6, 7, _one_vector(np.diff), _one_vector(lambda u: np.concatenate(([-u[0]], -np.diff(u), [u[-1]])))),
+}
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_both_products_of_a_stack_have_the_rows_bytes(name):
+    L = MAPS[name]()
+    for X in _stacks(L.cols, seed=8):
+        _rows_equal(L.apply(X), [L.apply(x) for x in X])
+    for U in _stacks(L.rows, seed=9):
+        _rows_equal(L.adjoint(U), [L.adjoint(u) for u in U])
+    assert L.adjoint(np.empty((0, L.rows))).shape == (0, L.cols)
+
+
+@pytest.mark.parametrize("name", ["matrix-C", "user-written"])
+def test_adjoint_checks_a_stack_as_apply_does(name):
+    L = MAPS[name]()
+    for product, dim in ((L.apply, L.cols), (L.adjoint, L.rows)):
+        with pytest.raises(InvalidInputError, match=f"vectors of dimension {dim}"):
+            product(np.zeros((2, dim + 1)))
+        bad = np.zeros((2, dim))
+        bad[1, 0] = np.inf
+        with pytest.raises(InvalidInputError, match="finite"):
+            product(bad)
+    with pytest.raises(InvalidInputError, match="dimension 5"):
+        LinearMap(4, 5, lambda x: x, lambda u: u).adjoint(_points(4, k=3))
 
 
 def test_stack_is_validated_like_a_vector():
