@@ -21,9 +21,12 @@ an absent (infinite) bound.  Trace files are CSV with the exact header
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -231,28 +234,44 @@ def parse_stop(doc: Optional[dict], tol=None, max_iter=None) -> solvers.Stopping
     return solvers.StoppingRule(**values)
 
 
+# one trace row per record: the iteration, the objective and residual as
+# their repr (which reads back to the same float) and the elapsed ns
+_TRACE_ROW = "%s,%r,%r,%s\n"
+
+
 def write_trace(path: str, result: SolveResult) -> None:
     with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in result.records:
-            fh.write(f"{rec.iteration},{rec.objective!r},{rec.residual!r},{rec.elapsed_ns}\n")
+        fh.write(TRACE_HEADER + "\n" + "".join(map(_TRACE_ROW.__mod__, result.records)))
 
 
 def read_trace(path: str) -> list:
     """The records of a trace file; a wrong header or a malformed row raises
-    ``InvalidInputError``, which names the row's 1-based line number."""
+    ``InvalidInputError``, which names the row's 1-based line number.
+
+    The rows are parsed a column at a time once every row is seen to hold
+    four fields; only when that fails are they read again one by one, to
+    find the first malformed row."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise InvalidInputError(f"unexpected trace header: {header!r}")
-        records = []
-        for number, line in enumerate(fh, 2):
+        lines = fh.read().split("\n")
+    if not lines[-1]:  # what follows the final newline (or an empty body)
+        lines.pop()
+    try:
+        if any(map((3).__ne__, map(str.count, lines, repeat(",")))):
+            raise ValueError("a row does not hold four fields")
+        cells = ",".join(lines).split(",") if lines else []
+        columns = map(int, cells[0::4]), map(float, cells[1::4]), map(float, cells[2::4]), map(int, cells[3::4])
+        return list(map(IterationRecord, *columns))
+    except ValueError:
+        for number, line in enumerate(lines, 2):
             try:
-                it, obj, res, ns = line.rstrip("\n").split(",")
-                records.append(IterationRecord(int(it), float(obj), float(res), int(ns)))
+                it, obj, res, ns = line.split(",")
+                int(it), float(obj), float(res), int(ns)
             except ValueError as exc:
                 raise InvalidInputError(f"trace line {number}: {exc}") from None
-        return records
+        raise
 
 
 def write_result(path: str, result: SolveResult) -> None:
@@ -262,8 +281,7 @@ def write_result(path: str, result: SolveResult) -> None:
         "iterations": int(result.iterations),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -297,7 +315,11 @@ def _cmd_prox_eval(args) -> int:
     print("x prox objective")
     for x in args.x:
         p = catalog.scalar_prox(kind, x, args.gamma)
-        obj = args.gamma * kind.value(p) + 0.5 * (x - p) ** 2
+        try:
+            square = (x - p) ** 2
+        except OverflowError:  # a float's ** raises where the square passes the largest float
+            square = math.inf
+        obj = args.gamma * kind.value(p) + 0.5 * square
         print(f"{x!r} {p!r} {obj!r}")
     return 0
 
@@ -374,9 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` builds per process; parsing changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of a run that did not converge
         return 0 if exc.code == 0 else 1

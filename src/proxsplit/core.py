@@ -9,6 +9,9 @@ that pair from a matrix, which it alone attaches to the map.  Evaluation and
 both products of a ``LinearMap``, ``apply`` and ``adjoint``, also take a
 (k, dim) stack of points, one per row.
 ``Schedule``, ``IterationRecord`` and ``SolveResult`` are the solver plumbing.
+A solve keeps one ``IterationRecord`` per iteration, a ``NamedTuple`` (one
+trace row), so it equals the plain tuple of its fields and ``_replace``
+gives a changed copy.
 
 The public methods (``prox``, ``grad``, ``apply``, ``adjoint``, ``eval``)
 check their arguments and their implementation's output on every call.  The
@@ -29,7 +32,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -480,8 +483,9 @@ class Schedule:
     epsilon: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One row of a solve's trace."""
+
     iteration: int
     objective: float
     residual: float

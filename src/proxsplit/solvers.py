@@ -39,6 +39,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -188,20 +189,29 @@ class _Run:
             if isinstance(v, np.ndarray):
                 as_vector(v, name=name)
         self._flush()
-        values = iter(self._values)
-        last = math.inf
-        records = []
-        for n, (change, elapsed) in enumerate(zip(self._changes, self._elapsed), 1):
-            if self._due(n):
-                last = next(values)
-            records.append(IterationRecord(n, last, change, elapsed))
+        count = len(self._changes)
+        objective = self._objective_column(count)
+        records = tuple(map(IterationRecord, range(1, count + 1), objective, self._changes, self._elapsed))
         return SolveResult(
             final_x=np.array(x, dtype=float, copy=True),
             converged=self.converged,
-            iterations=len(records),
-            records=tuple(records),
+            iterations=count,
+            records=records,
             aux=aux or {},
         )
+
+    def _objective_column(self, count: int) -> list:
+        """The objective of iterations 1..count: the value of the last due
+        iteration at or before each (``inf`` before the first).  Iterations
+        1..dense are all due; after them, each multiple of the stride is due
+        and its value is carried until the next one."""
+        dense, stride = min(self.stop.objective_dense_until, count), self.stop.objective_stride
+        column = self._values[:dense]
+        first = (dense // stride + 1) * stride  # the first due iteration after the dense ones
+        column += [column[-1] if column else math.inf] * (min(first, count + 1) - dense - 1)
+        column += chain.from_iterable(map(repeat, self._values[dense:], repeat(stride)))
+        del column[count:]  # the last value was repeated past the final iteration
+        return column
 
 
 def _checked(obj, method: str, calls):

@@ -2,8 +2,9 @@
 draw generators for every scalar prox kind (with oracle brackets proven to
 contain the prox), independent 2-D grid oracles for the prox and for the
 best approximation, one-probe-at-a-time references for ``check_adjoint``
-and the best-approximation validator, the calculus-rule verification suite,
-and two references for 1-D total variation: the pairwise terms in a dense
+and the best-approximation validator, one-record-at-a-time references for
+the trace writer and reader, the calculus-rule verification suite, and two
+references for 1-D total variation: the pairwise terms in a dense
 orthonormal basis and Condat's direct algorithm."""
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from proxsplit import catalog as cat
 from proxsplit import sets
-from proxsplit.core import InvalidInputError, as_vector, matrix_map, norm, pow2
+from proxsplit.cli import TRACE_HEADER
+from proxsplit.core import InvalidInputError, IterationRecord, as_vector, matrix_map, norm, pow2
 from proxsplit.scalar import Bracket
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
@@ -261,6 +263,32 @@ def check_adjoint_per_probe(L, trials: int = 16, seed: int = 0) -> float:
         u = rng.standard_normal(L.rows)
         worst = max(worst, abs(float(L.apply(x) @ u) - float(x @ L.adjoint(u))))
     return worst
+
+
+def write_trace_per_record(path: str, records) -> None:
+    """Reference for ``cli.write_trace``: the header, then one f-string line
+    written per record."""
+    with open(path, "w") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for rec in records:
+            fh.write(f"{rec.iteration},{rec.objective!r},{rec.residual!r},{rec.elapsed_ns}\n")
+
+
+def read_trace_per_line(path: str) -> list:
+    """Reference for ``cli.read_trace``: each line split and converted on its
+    own, so the first malformed one raises, naming its 1-based number."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != TRACE_HEADER:
+            raise InvalidInputError(f"unexpected trace header: {header!r}")
+        records = []
+        for number, line in enumerate(fh, 2):
+            try:
+                it, obj, res, ns = line.rstrip("\n").split(",")
+                records.append(IterationRecord(int(it), float(obj), float(res), int(ns)))
+            except ValueError as exc:
+                raise InvalidInputError(f"trace line {number}: {exc}") from None
+        return records
 
 
 def grid_prox_2d(f, x, gamma: float = 1.0, halfwidth: float = 6.0) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from proxsplit.cli import (
 )
 from proxsplit import problems
 from proxsplit.core import IterationRecord, SolveResult
+
+from helpers import read_trace_per_line, write_trace_per_record
 
 SOLVER_NAMES = (
     "pocs", "forward_backward", "forward_backward_const", "fista", "douglas_rachford", "dykstra_like",
@@ -67,6 +71,15 @@ def lasso_config(tmp_path, **overrides):
     return path
 
 
+# trace values that a plain float draw rarely gives: both infinities, nan,
+# both zeros, the smallest subnormal, a subnormal of full precision and the
+# edge of the float range
+_TRACE_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072e-308, 1e308, -1e308]),
+    st.floats(),
+)
+
+
 class TestRoundTrip:
     def test_config_reparse_identical(self, tmp_path):
         doc = {
@@ -93,6 +106,42 @@ class TestRoundTrip:
         write_trace(str(path), result)
         assert read_trace(str(path)) == list(records)
         assert path.read_text().splitlines()[0] == "iter,objective,residual,elapsed_ns"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_TRACE_FLOATS, _TRACE_FLOATS, st.integers(min_value=0, max_value=2**200)),
+            max_size=40,
+        )
+    )
+    def test_trace_bytes_equal_the_per_record_writer(self, rows):
+        records = tuple(IterationRecord(n, obj, res, ns) for n, (obj, res, ns) in enumerate(rows, 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "ref.csv")
+            write_trace(path, SolveResult(np.zeros(1), False, len(records), records))
+            write_trace_per_record(ref, records)
+            with open(path, "rb") as fh, open(ref, "rb") as fr:
+                assert fh.read() == fr.read()
+            back = read_trace(path)
+        assert len(back) == len(records)
+        for got, rec in zip(back, records):
+            assert (got.iteration, got.elapsed_ns) == (rec.iteration, rec.elapsed_ns)
+            for a, b in ((got.objective, rec.objective), (got.residual, rec.residual)):
+                assert type(a) is float
+                assert (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+    def test_records_are_tuples_of_their_fields(self):
+        rec = IterationRecord(3, 0.5, 0.25, 7)
+        assert rec == (3, 0.5, 0.25, 7)
+        assert repr(rec) == "IterationRecord(iteration=3, objective=0.5, residual=0.25, elapsed_ns=7)"
+        assert rec._replace(objective=1.5) == IterationRecord(3, 1.5, 0.25, 7)
+
+    def test_result_file_bytes(self, tmp_path):
+        result = SolveResult(np.array([0.1, -0.0, 1e300]), True, 0, ())
+        path = tmp_path / "result.json"
+        cli.write_result(str(path), result)
+        expected = '{\n  "final_x": [\n    0.1,\n    -0.0,\n    1e+300\n  ],\n  "converged": true,\n  "iterations": 0\n}\n'
+        assert path.read_text() == expected
 
 
 class TestSolveExitCodes:
@@ -410,11 +459,51 @@ class TestProxEval:
     def test_unknown_kind(self, capsys):
         assert main(["prox-eval", "--kind", "nope", "--x", "1"]) == 1
 
+    def test_overflowing_objective_is_inf(self, capsys):
+        # 0.5 * (1e200 - 1.0) ** 2 passes the largest float; the points after it keep their bytes
+        argv = ["prox-eval", "--kind", "interval", "--params", json.dumps({"lo": -1.0, "hi": 1.0})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--x", "1e200", "1e100", "0.5", "-3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "x prox objective", "1e+200 1.0 inf", "1e+100 1.0 5e+199", "0.5 0.5 0.0", "-3.0 -1.0 2.0",
+        ]
+
     @pytest.mark.parametrize("kappa", [None, True])
     def test_malformed_parameter_named(self, capsys, kappa):
         params = json.dumps({"kappa": kappa, "q": 2})
         assert main(["prox-eval", "--kind", "power_abs", "--params", params, "--x", "1"]) == 1
         assert f"error: kappa must be a finite number > 0, got {kappa}" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser; no call leaves anything in
+    it for the next."""
+
+    @staticmethod
+    def _solve(capsys, cfg, out, *extra):
+        code = main(["solve", "--config", str(cfg), "--out", str(out), *extra])
+        return code, capsys.readouterr().out, out.read_text()
+
+    def test_overrides_do_not_carry_over(self, tmp_path, capsys):
+        cfg, out = lasso_config(tmp_path), tmp_path / "result.json"
+        plain = self._solve(capsys, cfg, out)
+        assert plain[0] == 0 and plain[1].startswith("lasso/fista: converged")
+        for extra in (["--solver", "forward_backward"], ["--tol", "1e-3"], ["--max-iter", "5"]):
+            assert self._solve(capsys, cfg, out, *extra) != plain
+            assert self._solve(capsys, cfg, out) == plain
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["solve", "--help"], 0), (["solve", "--bogus"], 1)])
+    def test_help_and_usage_errors_leave_the_next_solve_unchanged(self, tmp_path, capsys, argv, code):
+        cfg, out = lasso_config(tmp_path), tmp_path / "result.json"
+        plain = self._solve(capsys, cfg, out)
+        assert main(argv) == code
+        capsys.readouterr()
+        assert self._solve(capsys, cfg, out) == plain
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestCheck:

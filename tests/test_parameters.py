@@ -18,6 +18,7 @@ from proxsplit.cli import TRACE_HEADER, read_trace
 from proxsplit.core import (
     InvalidInputError,
     InvalidParameterError,
+    IterationRecord,
     LinearMap,
     Schedule,
     SmoothFn,
@@ -26,6 +27,8 @@ from proxsplit.core import (
     identity_map,
     matrix_map,
 )
+
+from helpers import read_trace_per_line
 
 # a valid value for every numeric kind parameter, by name
 VALID = {"omega": 1.0, "kappa": 1.0, "k_lo": 1.0, "k_hi": 1.0, "q": 2.0, "tau": 0.5, "alpha": 0.5, "lo": -1.0, "hi": 1.0}
@@ -125,6 +128,33 @@ def _zero_map(n):
 H, ZERO1, ZERO2, I2 = cat.Huber(1.0, 1.0), cat.zero_fn(1), cat.zero_fn(2), identity_map(2)
 BOX1, BOX2 = sets.Box([0.0], [1.0]), sets.Box([0.0, 0.0], [1.0, 1.0])
 
+_LONG_TRACE_ROWS = 3000
+
+
+def _long_trace(bad: list, at: int) -> list:
+    """The rows of a ``_LONG_TRACE_ROWS``-row trace, with ``bad`` in place of
+    those from row ``at`` (0-based) on."""
+    rows = [f"{n},{1.0 / n!r},{0.5**n!r},{1000 * n}" for n in range(1, _LONG_TRACE_ROWS + 1)]
+    rows[at : at + len(bad)] = bad
+    return rows
+
+
+# (label, rows, 1-based line of the first malformed row): each malformed row
+# in the middle of a long trace and as its last row
+_LONG_BAD_TRACES = [
+    (f"{_LONG_TRACE_ROWS}-rows-{label}-line-{at + 2}", _long_trace(bad, at), at + 2)
+    for label, bad in (
+        ("short-row", ["2,0.5,0.25"]),
+        ("long-row", ["1,0.5,0.25,10,7"]),
+        ("not-a-float", ["1,abc,0.25,10"]),
+        ("not-an-int", ["2.5,0.5,0.25,10"]),
+        ("blank-row", [""]),
+        # a short row then a long one hold as many fields as two good rows
+        ("short-then-long-row", ["1,0.5,0.25", "10,2,0.5,0.25,10"]),
+    )
+    for at in (_LONG_TRACE_ROWS // 2, _LONG_TRACE_ROWS - len(bad))
+]
+
 # (id, error class, a word of the message naming what is wrong, call)
 BAD_INPUTS = [
     # stacks and matrices: the shared entry check
@@ -222,16 +252,40 @@ BAD_INPUTS = [
     ("read_trace-not-a-float", InvalidInputError, "line 2", lambda: _read_trace_rows("1,abc,0.25,10")),
     ("read_trace-not-an-int", InvalidInputError, "line 3", lambda: _read_trace_rows("1,0.5,0.25,10", "2.5,0.5,0.25,10")),
     ("read_trace-blank-row", InvalidInputError, "line 3", lambda: _read_trace_rows("1,0.5,0.25,10", "", "3,0.5,0.25,10")),
+    # malformed rows in the middle of a long trace and on its last rows
+    *((f"read_trace-{label}", InvalidInputError, f"line {line}", lambda rows=rows: _read_trace_rows(*rows))
+      for label, rows, line in _LONG_BAD_TRACES),
 ]
 
 
-def _read_trace_rows(*rows):
-    """``read_trace`` of a file with the trace header and ``rows``."""
+def _read_trace_rows(*rows, read=read_trace, end="\n"):
+    """``read`` of a file with the trace header and ``rows``, each but the
+    last followed by a newline and the last by ``end``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
         with open(path, "w") as fh:
-            fh.write("\n".join([TRACE_HEADER, *rows]) + "\n")
-        return read_trace(path)
+            fh.write("\n".join([TRACE_HEADER, *rows]) + end)
+        return read(path)
+
+
+@pytest.mark.parametrize("rows, line", [pytest.param(rows, line, id=label) for label, rows, line in _LONG_BAD_TRACES])
+def test_trace_errors_equal_the_per_line_reader(rows, line):
+    messages = []
+    for read in (read_trace, read_trace_per_line):
+        with pytest.raises(InvalidInputError) as info:
+            _read_trace_rows(*rows, read=read)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"trace line {line}: ")
+
+
+def test_a_trace_without_its_final_newline_reads():
+    rows = _long_trace([], 0)
+    records = _read_trace_rows(*rows, end="")
+    assert records == _read_trace_rows(*rows) == _read_trace_rows(*rows, read=read_trace_per_line, end="")
+    assert _read_trace_rows(end="") == _read_trace_rows() == []  # the header alone
+    n = _LONG_TRACE_ROWS
+    assert len(records) == n and records[-1] == IterationRecord(n, 1.0 / n, 0.5**n, 1000 * n)
 
 
 @pytest.mark.parametrize("error, word, make", [pytest.param(*case[1:], id=case[0]) for case in BAD_INPUTS])

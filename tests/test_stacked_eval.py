@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import _rotation, catalog_zoo, grid_min_2d
 from proxsplit import catalog as cat
@@ -313,6 +315,17 @@ def _reference_column(iterates, objective, stop):
             last = objective(x)
         column.append(last)
     return column
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(0, 60), dense=st.integers(0, 20), stride=st.integers(1, 15))
+def test_objective_column_carries_each_value_to_the_next_due_iteration(count, dense, stride):
+    stop = solvers.StoppingRule(max_iter=max(1, count), objective_dense_until=dense, objective_stride=stride)
+    run = solvers._Run(stop, objective=None)
+    due = [n for n in range(1, count + 1) if run._due(n)]
+    run._values = [float(n) for n in due]  # each due iteration's value is its number
+    iterates = [float(n) for n in range(1, count + 1)]
+    assert run._objective_column(count) == _reference_column(iterates, lambda n: n, stop)
 
 
 @pytest.mark.parametrize("n", [200, 1000])
