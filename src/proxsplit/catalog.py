@@ -27,9 +27,10 @@ evaluation makes one call per group instead of one per coordinate.
 Implicit prox equations are solved on the optimality residual
 r(p) = p - t + gamma*phi'(p), which is strictly increasing with slope >= 1
 wherever phi is differentiable, so a bracketed root is located to the same
-absolute accuracy as the residual tolerance.  All coordinates of a group are
-solved in one call of the elementwise ``scalar.solve_monotone``, with Newton
-steps from r'.
+absolute accuracy as the solver's residual tolerance, 1e-14.  All
+coordinates of a group are solved in one call of the elementwise
+``scalar.solve_monotone``, with Newton steps from r'.  Closed-form roots of
+quadratics are written in forms that neither overflow nor cancel.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ __all__ = [
     "stacked",
 ]
 
-_ROOT_TOL = 1e-14
 # relative widening of a closed-form bracket end against its rounding
 _MARGIN = 1e-12
 _TINY = np.finfo(float).tiny
+_SMALLEST = np.nextafter(0.0, 1.0)  # the smallest positive (subnormal) float
 # absolute slack on domain boundaries, matching the sets membership tolerance:
 # proxes composed with orthonormal transforms land within rounding of the
 # boundary, and evaluation must not report +inf there
@@ -119,10 +120,6 @@ def _quiet():
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _solve_residual(r, dr, lo, hi):
-    return solve_monotone(r, Bracket(lo, hi), tol=_ROOT_TOL, dg=dr)
-
-
 def _solve_pole(r, dr, lo, hi):
     """Solve on a closed-form bracket of a root in (0, inf), widened against
     rounding by _MARGIN; a lower end below the normal range becomes 0, where
@@ -130,11 +127,11 @@ def _solve_pole(r, dr, lo, hi):
     smallest normal float."""
     lo = lo * (1.0 - _MARGIN)
     hi = np.maximum(hi * (1.0 + _MARGIN), 2.0 * _TINY)
-    return _solve_residual(r, dr, np.where(lo < _TINY, 0.0, lo), hi)
+    return solve_monotone(r, Bracket(np.where(lo < _TINY, 0.0, lo), hi), dg=dr)
 
 
 def _inverse_root(A, a):
-    """Positive root of p - A/p = a (A > 0), finite for every finite a:
+    """Positive root of p - A/p = a (A >= 0), finite for every finite a:
     h + sqrt(h^2 + A) with h = a/2, written as A over the conjugate for a < 0."""
     h = 0.5 * a
     u = np.abs(h) + np.hypot(h, np.sqrt(A))
@@ -180,7 +177,7 @@ def _power_root(c, q, a):
         tight_lo = np.where(tight_lo < _TINY, 0.0, tight_lo)
         tighten = (e < 1.0) & (tight_hi >= _TINY) & (tight_lo < tight_hi)
         lo, hi = np.where(tighten, tight_lo, lo), np.where(tighten, tight_hi, hi)
-    return _solve_residual(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), lo, hi)
+    return solve_monotone(lambda p: p + c * p**e - a, Bracket(lo, hi), dg=lambda p: 1.0 + c * e * p ** (e - 1.0))
 
 
 def _soft(t, a, b):
@@ -340,7 +337,8 @@ class PowerAbs(ScalarKind):
     q: float
 
     def _value(self, t):
-        return self.kappa * np.abs(t) ** self.q
+        with np.errstate(over="ignore"):  # +inf past the float range
+            return self.kappa * np.abs(t) ** self.q
 
     def _prox(self, t, gamma):
         a = np.abs(t)
@@ -357,7 +355,8 @@ class Huber(ScalarKind):
 
     def _value(self, t):
         a, root = np.abs(t), np.sqrt(2.0 * self.kappa)
-        return np.where(a <= self.omega / root, self.kappa * t * t, self.omega * root * a - 0.5 * self.omega**2)
+        near = np.minimum(a, self.omega / root)  # a discarded square may overflow
+        return np.where(a <= self.omega / root, self.kappa * near * near, self.omega * root * a - 0.5 * self.omega**2)
 
     def _prox(self, t, gamma):
         root = np.sqrt(2.0 * self.kappa)
@@ -379,7 +378,8 @@ class AbsQuadPower(ScalarKind):
 
     def _value(self, t):
         a = np.abs(t)
-        return self.omega * a + self.tau * t * t + self.kappa * a**self.q
+        with np.errstate(over="ignore"):  # +inf past the float range
+            return self.omega * a + self.tau * t * t + self.kappa * a**self.q
 
     def _prox(self, t, gamma):
         shrink = 2.0 * gamma * self.tau + 1.0
@@ -390,7 +390,8 @@ class AbsQuadPower(ScalarKind):
 
 @dataclass(frozen=True)
 class AbsMinusLog(ScalarKind):
-    """omega*|t| - ln(1 + omega*|t|): sublinear near 0, linear tails."""
+    """omega*|t| - ln(1 + omega*|t|): sublinear near 0, linear tails; u = omega*|p|
+    solves u - a/u = a - gamma*omega^2 - 1 with a = omega*|t|."""
 
     omega: float
 
@@ -400,8 +401,7 @@ class AbsMinusLog(ScalarKind):
 
     def _prox(self, t, gamma):
         a = self.omega * np.abs(t)
-        b = a - gamma * self.omega**2 - 1.0
-        p = (b + np.sqrt(b * b + 4.0 * a)) / (2.0 * self.omega)
+        p = _inverse_root(a, a - gamma * self.omega**2 - 1.0) / self.omega
         return np.where(t == 0.0, 0.0, np.copysign(p, t))
 
 
@@ -489,7 +489,10 @@ class Entropy(ScalarKind):
 @dataclass(frozen=True)
 class LogThreshold(ScalarKind):
     """Split logarithm on ]lo, hi[ with lo < 0 < hi; its prox thresholds over
-    [gamma/lo, gamma/hi] and saturates with asymptotes at lo and hi."""
+    [gamma/lo, gamma/hi] and saturates with asymptotes at lo and hi.  Past
+    gamma/hi it is the smaller root of p^2 - (t + hi)*p + t*hi - gamma, as the
+    product of the roots over the larger one, which does not cancel (below
+    gamma/lo likewise), and a root that rounds to lo or hi moves one float in."""
 
     lo: float
     hi: float
@@ -507,15 +510,20 @@ class LogThreshold(ScalarKind):
             )
 
     def _prox(self, t, gamma):
-        below = 0.5 * (t + self.lo + np.sqrt((t - self.lo) ** 2 + 4.0 * gamma))
-        above = 0.5 * (t + self.hi - np.sqrt((t - self.hi) ** 2 + 4.0 * gamma))
-        # a NaN t fails both tests and takes the NaN of ``above``
-        return np.where(t < gamma / self.lo, below, np.where(t <= gamma / self.hi, 0.0, above))
+        lo, hi = self.lo, self.hi
+        end = np.where(t < 0.0, lo, hi)  # the root's side
+        larger = 0.5 * (t + end) + np.copysign(0.5 * np.hypot(t - end, 2.0 * np.sqrt(gamma)), end)
+        with np.errstate(over="ignore"):  # a product past the float range rounds to ``end``
+            p = (t * end - gamma) / larger
+        p = np.where((gamma / lo <= t) & (t <= gamma / hi), 0.0, p)  # a NaN t keeps its NaN
+        return np.minimum(np.maximum(p, np.nextafter(lo, hi)), np.nextafter(hi, lo))
 
 
 @dataclass(frozen=True)
 class LogQuadratic(ScalarKind):
-    """-kappa*ln(t) + tau*t^2/2 + alpha*t on t > 0; closed-form prox."""
+    """-kappa*ln(t) + tau*t^2/2 + alpha*t on t > 0; the prox solves p - A/p = a
+    with s = 1 + gamma*tau, A = gamma*kappa/s and a = (t - gamma*alpha)/s, and
+    is at least the smallest positive float."""
 
     kappa: float
     tau: float = 0.0
@@ -526,9 +534,8 @@ class LogQuadratic(ScalarKind):
             return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + 0.5 * self.tau * t * t + self.alpha * t)
 
     def _prox(self, t, gamma):
-        shift = t - gamma * self.alpha
-        denom = 2.0 * (1.0 + gamma * self.tau)
-        return (shift + np.sqrt(shift * shift + 2.0 * denom * gamma * self.kappa)) / denom
+        s = 1.0 + gamma * self.tau
+        return np.maximum(_inverse_root(gamma * self.kappa / s, (t - gamma * self.alpha) / s), _SMALLEST)
 
 
 @dataclass(frozen=True)
@@ -539,7 +546,9 @@ class LogInverse(ScalarKind):
     A = gamma*kappa and B = gamma*omega.  Dropping either pole term gives a
     lower bound: lo is the larger of the root of p - A/p = a and the lower
     end of ``_pole_bracket`` for p - B/p^2 = a, and hi = a + A/lo + B/lo^2
-    (evaluated as B/lo/lo, since lo^2 overflows for lo above 1e154).
+    (evaluated as B/lo/lo, since lo^2 overflows for lo above 1e154).  For
+    a < 0 that sum cancels, and hi is at most the positive root of
+    -a*p^2 - A*p - B, above the root since p^3 > 0.
     """
 
     kappa: float
@@ -559,7 +568,10 @@ class LogInverse(ScalarKind):
 
         a, A, B = t - gamma * self.alpha, gamma * self.kappa, gamma * self.omega
         lo = np.maximum(_inverse_root(A, a), _pole_bracket(B, 2.0, a)[0])
-        return _solve_pole(r, dr, lo, a + A / lo + B / lo / lo)
+        hi = a + A / lo + B / lo / lo
+        with _quiet():  # the quadratic's root is discarded where a >= 0
+            quadratic = 0.5 * (A + np.hypot(A, 2.0 * np.sqrt(-a) * np.sqrt(B))) / -a
+        return _solve_pole(r, dr, lo, np.where(a < 0.0, np.minimum(hi, quadratic), hi))
 
 
 @dataclass(frozen=True)
@@ -629,7 +641,7 @@ class IntervalLogBarrier(ScalarKind):
         h = 0.5 * (hi - lo)
         near_lo = np.minimum(_inverse_root(A, t - lo - B / h), h) * (1.0 - _MARGIN)
         near_hi = np.minimum(_inverse_root(B, hi - t - A / h), h) * (1.0 - _MARGIN)
-        return _solve_residual(r, dr, np.nextafter(lo + near_lo, lo), np.nextafter(hi - near_hi, hi))
+        return solve_monotone(r, Bracket(np.nextafter(lo + near_lo, lo), np.nextafter(hi - near_hi, hi)), dg=dr)
 
 
 SCALAR_KINDS = {

@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import repeat
@@ -387,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prox.add_argument("--params", default="{}", help="JSON object of kind parameters")
     p_prox.add_argument("--gamma", type=float, default=1.0, help="prox scale")
     p_prox.add_argument("--x", nargs="+", type=float, required=True, help="evaluation points")
+    # argparse's own pattern reads -1e3 as an option: here - then a digit or .digit starts a number
+    p_prox._negative_number_matcher = re.compile(r"^-\.?\d")
     p_prox.set_defaults(func=_cmd_prox_eval)
 
     p_check = sub.add_parser("check", help="run the invariant suite on a config's components")

@@ -22,7 +22,7 @@ dimension.
 
 Everything here is immutable after construction and every operation is pure,
 so all objects can be shared freely across threads.  The one piece of state,
-a ``LinearMap``'s memo of its ``operator_norm`` results and of its Gram
+a ``LinearMap``'s memo of its ``operator_norm`` result and of its Gram
 factorization, caches values of pure functions of a fixed operator.
 """
 
@@ -324,9 +324,9 @@ class LinearMap:
     ``apply_impl`` and ``adjoint_impl`` only ever see single vectors.
 
     An operator is fixed once built: the private ``_norms`` keeps, filled on
-    first use, the ``operator_norm`` results by their arguments and the Gram
-    factorization of ``_gram_solver``; ``dataclasses.replace`` gives a map
-    with an empty memo and no ``matrix``, whose products are the original's.
+    first use, the ``operator_norm`` result and the Gram factorization of
+    ``_gram_solver``; ``dataclasses.replace`` gives a map with an empty memo
+    and no ``matrix``, whose products are the original's.
     So ``apply_impl`` and ``adjoint_impl`` must compute the same operator for
     the map's lifetime: one that reads an array the caller edits later gives
     stale norms and solves, without warning.
@@ -547,7 +547,7 @@ def subgradient_certificate(
     return float(np.max(gaps, initial=-np.inf))
 
 
-def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: int = 0) -> float:
+def operator_norm(L: LinearMap) -> float:
     """Spectral norm of L by the Lanczos iteration on L^T L.
 
     Each step is one ``L.apply`` and one ``L.adjoint`` of the current Lanczos
@@ -557,34 +557,30 @@ def operator_norm(L: LinearMap, tol: float = 1e-8, max_iter: int = 500, seed: in
     bound on ||L|| up to rounding, and within a few ulp of it once converged.
     The Ritz value is taken at growing checkpoints (k = 1, 5, 9, 13, 17, 21,
     26, 32, 40, ...: every max(4, k/4) steps), and the iteration stops when
-    it moved by at most ``tol`` (relative) since the last one, or at once
-    when the recurrence breaks down (its vectors span an invariant subspace,
-    up to rounding, whose Ritz values are exact) or reaches ``L.cols`` steps
-    (the Krylov space of L^T L is then used up).  The dense tridiagonal is
-    never larger than 128 x 128: a longer one is solved by Sturm bisection.
-    A Gaussian 100 x 200 operator takes 32 steps, ``first_difference(n)`` n
-    steps for n <= 500.  The steps run on c^2 L^T L, with c a power of two
-    from the first image ||L v_0|| (1 where it lies in [2^-128, 2^128]), so a
-    map whose ||L||^2 or ||L^T L v||^2 underflows or overflows still gets its
-    norm.
+    it moved by at most 1e-8 (relative) since the last one, or at once when
+    the recurrence breaks down (its vectors span an invariant subspace, up to
+    rounding, whose Ritz values are exact) or reaches ``L.cols`` steps (the
+    Krylov space of L^T L is then used up).  A Gaussian 100 x 200 operator
+    takes 32 steps, ``first_difference(n)`` n steps for n <= 500.  The steps
+    run on c^2 L^T L, with c a power of two from the first image ||L v_0||
+    (1 where it lies in [2^-128, 2^128]), so a map whose ||L||^2 or
+    ||L^T L v||^2 underflows or overflows still gets its norm.
 
-    Deterministic for a fixed seed of the start vector.  If the iteration does
-    not reach the relative tolerance within ``max_iter`` steps, the current
-    estimate is returned with a RuntimeWarning.  ``tol`` must be > 0,
-    ``max_iter`` >= 1 and ``seed`` >= 0 (``InvalidParameterError``).
+    Deterministic: the start vector comes from seed 0.  If the iteration does
+    not meet its tolerance within 500 steps, the current estimate is returned
+    with a RuntimeWarning.
 
-    The norm is computed once per operator and arguments: the result is kept
-    on ``L`` and later calls return the same float, warning again when it did
-    not converge.  A call that raises keeps nothing.
+    The norm is computed once per operator: the result is kept on ``L`` and
+    later calls return the same float, warning again when it did not
+    converge.  A call that raises keeps nothing.
     """
-    key = (as_real(tol, "tol", above=0.0), as_count(max_iter, "max_iter", 1), as_count(seed, "seed", 0))
-    memo = L._norms.get(key)
+    memo = L._norms.get("norm")
     if memo is None:  # threads racing here each compute and store the same float
-        memo = L._norms[key] = _lanczos(L, *key)
+        memo = L._norms["norm"] = _lanczos(L)
     value, converged = memo
     if not converged:
         warnings.warn(
-            f"operator_norm Lanczos iteration did not converge in {key[1]} steps; "
+            f"operator_norm Lanczos iteration did not converge in {_LANCZOS_STEPS} steps; "
             "returning current estimate",
             RuntimeWarning,
         )
@@ -600,17 +596,19 @@ def _norm_squared(norm_l: float, what: str) -> float:
     return beta
 
 
-# the largest tridiagonal handed to np.linalg.eigvalsh as a dense matrix;
-# a longer one goes to the O(k)-memory bisection
-_DENSE_RITZ = 128
+# operator_norm's relative tolerance on the top Ritz value, its step cap
+# (so T is at most 500 x 500, 2 MB) and the seed of its start vector
+_LANCZOS_TOL = 1e-8
+_LANCZOS_STEPS = 500
+_LANCZOS_SEED = 0
 # the recurrence breaks down (its vectors span an invariant subspace up to
 # rounding) once beta_k is at most this share of T's largest row sum
 _BREAKDOWN = 2.0**-40
 
 
-def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
-    """(estimate of ||L||, whether it met ``tol``) for ``operator_norm``."""
-    rng = np.random.default_rng(seed)
+def _lanczos(L: LinearMap) -> tuple:
+    """(estimate of ||L||, whether it met ``_LANCZOS_TOL``) for ``operator_norm``."""
+    rng = np.random.default_rng(_LANCZOS_SEED)
     v = rng.standard_normal(L.cols)
     if not v.any():
         v = np.ones(L.cols)
@@ -620,7 +618,7 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
     b = scale = 0.0
     theta = theta_prev = -1.0
     check = 1
-    for k in range(1, max_iter + 1):
+    for k in range(1, _LANCZOS_STEPS + 1):
         # the public methods: they check the implementations, and a caller's
         # tracer counts the steps through them.  Neither output is written in
         # place, since an implementation may return its argument.
@@ -638,9 +636,9 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
         # the Krylov space of L^T L has at most L.cols dimensions: at k = cols
         # the Ritz values are its eigenvalues, up to rounding
         exact = b <= _BREAKDOWN * scale or k == L.cols
-        if k == check or k == max_iter or exact:
+        if k == check or k == _LANCZOS_STEPS or exact:
             theta = _top_ritz_value(alpha, beta)
-            if exact or abs(theta - theta_prev) <= tol * max(theta, 1e-300):
+            if exact or abs(theta - theta_prev) <= _LANCZOS_TOL * max(theta, 1e-300):
                 return math.sqrt(max(theta, 0.0)) / c, True
             theta_prev = theta
             check = k + max(4, k // 4)
@@ -651,40 +649,8 @@ def _lanczos(L: LinearMap, tol: float, max_iter: int, seed: int) -> tuple:
 def _top_ritz_value(alpha: list, beta: list) -> float:
     """The largest eigenvalue of the symmetric tridiagonal matrix with
     diagonal ``alpha`` and off-diagonal ``beta[:-1]``."""
-    k = len(alpha)
-    if k == 1:
-        return alpha[0]
-    if k <= _DENSE_RITZ:
-        T = np.diag(alpha)
-        i = np.arange(k - 1)
-        T[i, i + 1] = T[i + 1, i] = beta[: k - 1]
-        return float(np.linalg.eigvalsh(T)[-1])
-    # bisection on the Sturm sequence: x is above every eigenvalue iff every
-    # pivot of the LDL^T factorization of T - xI is negative
-    off = beta[: k - 1]
-    squares = [c * c for c in off]
-
-    def above_all(x: float) -> bool:
-        d = alpha[0] - x
-        if d >= 0.0:
-            return False
-        for a, c2 in zip(alpha[1:], squares):
-            d = a - x - c2 / d
-            if d >= 0.0:
-                return False
-        return True
-
-    radius = [p + q for p, q in zip([0.0, *off], [*off, 0.0])]  # beta_k >= 0
-    lo = min(a - r for a, r in zip(alpha, radius))  # Gershgorin's bounds
-    hi = max(a + r for a, r in zip(alpha, radius))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if above_all(mid):
-            hi = mid
-        else:
-            lo = mid
+    # eigvalsh reads only the lower triangle
+    return float(np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], -1))[-1])
 
 
 def check_adjoint(L: LinearMap, trials: int = 16, seed: int = 0) -> float:

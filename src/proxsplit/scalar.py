@@ -1,10 +1,11 @@
 """One-dimensional numerical kernels, applied elementwise.
 
-Safeguarded root finding for the implicit scalar prox equations and a
-log-domain Lambert-W evaluation for the entropy prox.  Both take either a
-scalar or an array: an array is a batch of independent one-dimensional
-problems solved together, each with its own bracket and its own stopping
-test.  A scalar in gives a float out.  All functions are pure.
+Safeguarded root finding, at one fixed tolerance and step cap, for the
+implicit scalar prox equations and a log-domain Lambert-W evaluation for the
+entropy prox.  Both take either a scalar or an array: an array is a batch of
+independent one-dimensional problems solved together, each with its own
+bracket and its own stopping test.  A scalar in gives a float out.  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ __all__ = [
 
 
 class BracketingError(RuntimeError):
-    """A bracket without g(lo) <= 0 <= g(hi), or g evaluated to NaN."""
+    """A bracket without g(lo) <= 0 <= g(hi), g evaluated to NaN, or a root
+    not found within ``solve_monotone``'s step cap."""
+
+
+_TOL, _STEPS = 1e-14, 200  # solve_monotone's residual and width tolerance, and its step cap
 
 
 @dataclass(frozen=True)
@@ -58,24 +63,25 @@ def _values(g, p, shape, where: str):
     return v
 
 
-def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200, dg=None):
+def solve_monotone(g, bracket: Bracket, dg):
     """Elementwise root of a continuous increasing g with g(lo) <= 0 <= g(hi)
     on every element's bracket.
 
     ``g`` maps an array of points, one per element of the bracket, to the
-    array of values there.  Bisection is the backbone.  When ``dg`` (the
-    derivative of g) is given, a Newton step from the last point replaces the
-    midpoint where it lands strictly inside that element's bracket and is
-    less than half the step before the last, so the bracket still shrinks
+    array of values there, and ``dg`` to the derivatives of g.  Bisection is
+    the backbone.  A Newton step from the last point replaces the midpoint
+    where it lands strictly inside that element's bracket and is less than
+    half the step before the last, so the bracket still shrinks
     geometrically.  A Newton point that equals p (a step below half a float
     spacing) is replaced by the float next to p toward the far end of the
     bracket, and is then taken or refused like any Newton point; if g changes
     sign there, no float is left strictly inside.  An element stops, and its
-    point is frozen, at the first point p with |g(p)| <= tol, or once its
-    bracket is no wider than tol or holds no float strictly inside.  An
+    point is frozen, at the first point p with |g(p)| <= 1e-14, or once its
+    bracket is no wider than 1e-14 or holds no float strictly inside.  An
     element whose bracket fails g(lo) <= 0 <= g(hi) raises BracketingError
-    naming that bracket before any step, as does g evaluated to NaN anywhere.
-    A scalar bracket gives a float.
+    naming that bracket before any step, as does g evaluated to NaN anywhere
+    and an element still unsolved after 200 steps.  A scalar bracket gives a
+    float.
     """
     lo, hi = np.broadcast_arrays(bracket.lo, bracket.hi)
     shape = lo.shape
@@ -95,11 +101,11 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
         last = 0.5 * earlier
         p = np.where(active, lo + last, p)
         gp = glo
-        for _ in range(max_iter):
+        for _ in range(_STEPS):
             gp = _flat_call(g, p, shape)
             # p on an end of its bracket: no float lies strictly inside.  A NaN
-            # fails |g| > tol, so its element stops where g was NaN.
-            active &= (np.abs(gp) > tol) & (width > tol) & (p > lo) & (p < hi)
+            # fails |g| > _TOL, so its element stops where g was NaN.
+            active &= (np.abs(gp) > _TOL) & (width > _TOL) & (p > lo) & (p < hi)
             if not np.count_nonzero(active):
                 break
             lower = gp < 0.0
@@ -107,18 +113,18 @@ def solve_monotone(g, bracket: Bracket, tol: float = 1e-12, max_iter: int = 200,
             width = hi - lo
             length = 0.5 * width
             nxt = lo + length
-            if dg is not None:
-                step = gp / _flat_call(dg, p, shape)
-                newton, newton_length = p - step, np.abs(step)
-                # p is now an end of its bracket, so the midpoint lies toward the far end
-                np.nextafter(p, nxt, out=newton, where=(newton == p) & active)
-                take = (lo < newton) & (newton < hi) & (newton_length + newton_length < earlier)
-                np.copyto(nxt, newton, where=take)
-                np.copyto(length, newton_length, where=take)
+            step = gp / _flat_call(dg, p, shape)
+            newton, newton_length = p - step, np.abs(step)
+            # p is now an end of its bracket, so the midpoint lies toward the far end
+            np.nextafter(p, nxt, out=newton, where=(newton == p) & active)
+            take = (lo < newton) & (newton < hi) & (newton_length + newton_length < earlier)
+            np.copyto(nxt, newton, where=take)
+            np.copyto(length, newton_length, where=take)
             earlier, last = last, length
             p = np.where(active, nxt, p)
         else:
-            p = np.where(active, 0.5 * (lo + hi), p)
+            k = int(np.argmax(active))
+            raise BracketingError(f"no root found in {_STEPS} steps on [{lo[k]}, {hi[k]}]")
         # the last values are those at the frozen points
         if np.count_nonzero(gp != gp):
             raise BracketingError("g evaluated to NaN inside the bracket")

@@ -9,6 +9,7 @@ orthonormal basis and Condat's direct algorithm."""
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -200,6 +201,37 @@ def scalar_kind_max_error(name: str, draws: int = 100, seed: int = 0) -> float:
         kind, x, g, bracket = draw_case(name, rng)
         worst = max(worst, abs(kind.prox(x, g) - oracle_prox(kind, x, g, bracket)))
     return worst
+
+
+def closed_form_prox_decimal(kind, t: float, gamma: float) -> float:
+    """The prox of an AbsMinusLog, LogQuadratic or LogThreshold kind at t by
+    the textbook quadratic formula in 800-digit decimal arithmetic, rounded
+    once to a float: no rounding of the float formulas' rearrangements, and
+    enough digits that the formula's own cancellation (up to ~600 digits at
+    |t| = 1e300) leaves the result exact.  A root that rounds to an end of
+    the kind's open domain is the float next to that end inside it."""
+    with decimal.localcontext(decimal.Context(prec=800)):
+        t, g = decimal.Decimal(t), decimal.Decimal(gamma)
+        if isinstance(kind, cat.AbsMinusLog):
+            w = decimal.Decimal(kind.omega)
+            a = w * abs(t)
+            b = a - g * w * w - 1
+            return float(((b + (b * b + 4 * a).sqrt()) / (2 * w)).copy_sign(t))
+        if isinstance(kind, cat.LogQuadratic):
+            kappa, tau, alpha = map(decimal.Decimal, (kind.kappa, kind.tau, kind.alpha))
+            shift, denom = t - g * alpha, 2 * (1 + g * tau)
+            p = float((shift + (shift * shift + 2 * denom * g * kappa).sqrt()) / denom)
+            return p if p > 0.0 else math.nextafter(0.0, 1.0)
+        if isinstance(kind, cat.LogThreshold):
+            lo, hi = decimal.Decimal(kind.lo), decimal.Decimal(kind.hi)
+            if t < g / lo:
+                p = float((t + lo + ((t - lo) ** 2 + 4 * g).sqrt()) / 2)
+            elif t <= g / hi:
+                p = 0.0
+            else:
+                p = float((t + hi - ((t - hi) ** 2 + 4 * g).sqrt()) / 2)
+            return min(max(p, math.nextafter(kind.lo, 0.0)), math.nextafter(kind.hi, 0.0))
+    raise TypeError(f"no decimal reference for {kind!r}")
 
 
 def grid_min_2d(F, center, halfwidth: float, rounds: int = 6, pts: int = 81) -> np.ndarray:

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import KIND_NAMES, draw_case, oracle_prox, scalar_kind_max_error
+from helpers import KIND_NAMES, closed_form_prox_decimal, draw_case, oracle_prox, scalar_kind_max_error
 from proxsplit import catalog as cat
 from proxsplit.core import InvalidParameterError
 from proxsplit.scalar import Bracket
@@ -67,6 +68,50 @@ class TestClosedForms:
         x = 2.0
         expected = 0.5 * (x + math.sqrt(x * x + 4.0))
         assert k.prox(x) == pytest.approx(expected, rel=1e-12)
+
+
+CLOSED_FORMS = [
+    cat.AbsMinusLog(1.0),
+    cat.AbsMinusLog(1.3),
+    cat.LogQuadratic(1.0, 0.5, 0.5),
+    cat.LogQuadratic(0.9, 0.0, -0.3),
+    cat.LogQuadratic(1e-30),  # its root at t = -1e300 is below the smallest float
+    cat.LogThreshold(-1.0, 1.0),
+    cat.LogThreshold(-0.7, 1.2),
+]
+LARGE_POINTS = (1e16, -1e16, 1e155, -1e155, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS, ids=repr)
+@pytest.mark.parametrize("gamma", (0.25, 1.0, 4.0))
+def test_closed_forms_at_large_points_match_the_decimal_reference(kind, gamma):
+    for t in LARGE_POINTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = kind.prox(t, gamma)
+        ref = closed_form_prox_decimal(kind, t, gamma)
+        assert abs(p - ref) <= 4 * np.spacing(abs(ref)), (t, p, ref)
+        # inside the open domain, not on its end (a value may still overflow to +inf)
+        if isinstance(kind, cat.LogQuadratic):
+            assert p > 0.0, (t, p)
+        elif isinstance(kind, cat.LogThreshold):
+            assert kind.lo < p < kind.hi, (t, p)
+        else:
+            assert math.isfinite(p), (t, p)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS, ids=repr)
+@pytest.mark.parametrize("gamma", (0.25, 1.0, 4.0))
+def test_closed_forms_near_zero_match_the_decimal_reference(kind, gamma):
+    eps = np.finfo(float).eps
+    for t in np.linspace(-6.0, 6.0, 241).tolist():
+        p, ref = kind.prox(t, gamma), closed_form_prox_decimal(kind, t, gamma)
+        if isinstance(kind, cat.LogThreshold):
+            # by a threshold the root is near 0, and the rounding of t*lo or
+            # t*hi (and of gamma/lo or gamma/hi) bounds its error
+            assert abs(p - ref) <= 4 * np.spacing(abs(ref)) + 8 * eps * max(1.0, abs(t)), (t, p, ref)
+        else:
+            assert abs(p - ref) <= 4 * np.spacing(abs(ref)), (t, p, ref)
 
 
 class TestLogThreshold:

@@ -78,7 +78,7 @@ ROOT_CASES = {
     "neg_root": (cat.NegRoot(1.3, 2.5), lambda p, t, g: p - t - (g * 1.3 / 2.5) * p ** (1.0 / 2.5 - 1.0)),
     "inverse_power": (cat.InversePower(0.7, 1.8), lambda p, t, g: p - t - g * 1.8 * 0.7 * p ** (-2.8)),
     "log_inverse": (cat.LogInverse(1.1, -0.6, 0.9), lambda p, t, g: p - t + g * (-0.6 - 1.1 / p - 0.9 / p**2)),
-    "log_power": (cat.LogPower(0.9, 1.4, 2.2), lambda p, t, g: p - t + g * (2.2 * 1.4 * p**1.2 - 0.9 / p)),
+    "log_power": (cat.LogPower(0.9, 1.4, 2.2), lambda p, t, g: p - t + g * (2.2 * 1.4 * p ** (2.2 - 1.0) - 0.9 / p)),
     "interval_log_barrier": (
         cat.IntervalLogBarrier(-1.5, 2.0, 0.7, 1.3),
         lambda p, t, g: p - t - g * 0.7 / (p + 1.5) + g * 1.3 / (2.0 - p),
@@ -90,37 +90,52 @@ ROOT_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROOT_CASES))
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_root_solved_outputs_meet_the_residual_tolerance(name, gamma):
-    kind, residual = ROOT_CASES[name]
-    t = np.random.default_rng(11).uniform(-6.0, 6.0, 1000)
-    p = cat.separable(kind, dim=t.size).prox(gamma, t)
-    r = residual(p, t, gamma)
-    # where |r(p)| > tol the solver stopped on its bracket: the root then lies
-    # within the bracket width (tol, or one float spacing) of p, so r changes
-    # sign across p -/+ that width
-    width = ROOT_TOL + 2.0 * np.spacing(np.abs(p))
-    if name in ("power_abs", "abs_quad_power", "smooth_plus_support"):
-        # the equation is in |p|; at a zero right-hand side the prox is 0
-        zero = np.abs(residual(np.zeros_like(p), t, gamma)) == 0.0
-        assert np.all(p[zero] == 0.0)
-        lo_r, hi_r = residual(np.abs(p) - width, t, gamma), residual(np.abs(p) + width, t, gamma)
-        bracketed = zero | (lo_r <= 0.0) & (hi_r >= 0.0) | (np.abs(p) < width)
-    else:
-        bracketed = (residual(p - width, t, gamma) <= 0.0) & (residual(p + width, t, gamma) >= 0.0)
-    ok = (np.abs(r) <= ROOT_TOL) | bracketed
-    assert ok.all(), (name, gamma, t[~ok][:3], p[~ok][:3], r[~ok][:3])
-
-
 # open or closed domain of each root-solved kind in ROOT_CASES; the others take every real
 DOMAINS = {
     "neg_root": lambda p: p >= 0.0,
     "inverse_power": lambda p: p > 0.0,
     "log_inverse": lambda p: p > 0.0,
     "log_power": lambda p: p > 0.0,
-    "interval_log_barrier": lambda p: -1.5 < p < 2.0,
+    "interval_log_barrier": lambda p: (-1.5 < p) & (p < 2.0),
 }
+
+
+def _solved(name, p, t, gamma):
+    """Where each output p of kind ``name`` at t meets the solver's stopping test."""
+    residual = ROOT_CASES[name][1]
+    in_domain = DOMAINS.get(name, lambda p: True)
+    with np.errstate(all="ignore"):
+        r = residual(p, t, gamma)
+        # where |r(p)| > tol the solver stopped on its bracket: the root then lies
+        # within the bracket width (tol, or one float spacing) of p, so r changes
+        # sign across p -/+ that width
+        width = ROOT_TOL + 2.0 * np.spacing(np.abs(p))
+        if name in ("power_abs", "abs_quad_power", "smooth_plus_support"):
+            # the equation is in |p|; at a zero right-hand side the prox is 0
+            zero = np.abs(residual(np.zeros_like(p), t, gamma)) == 0.0
+            assert np.all(p[zero] == 0.0)
+            lo_r, hi_r = residual(np.abs(p) - width, t, gamma), residual(np.abs(p) + width, t, gamma)
+            bracketed = zero | (lo_r <= 0.0) & (hi_r >= 0.0) | (np.abs(p) < width)
+        else:
+            # p lies in the domain, and r tends to -inf at its lower end and to
+            # +inf at its upper end: a point past an end counts as its sign
+            below, above = p - width, p + width
+            bracketed = (~in_domain(below) | (residual(below, t, gamma) <= 0.0)) & (
+                ~in_domain(above) | (residual(above, t, gamma) >= 0.0)
+            )
+    return (np.abs(r) <= ROOT_TOL) | bracketed
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_root_solved_outputs_meet_the_residual_tolerance(name, gamma):
+    kind, residual = ROOT_CASES[name]
+    t = np.random.default_rng(11).uniform(-6.0, 6.0, 1000)
+    p = cat.separable(kind, dim=t.size).prox(gamma, t)
+    ok = _solved(name, p, t, gamma)
+    assert ok.all(), (name, gamma, t[~ok][:3], p[~ok][:3], residual(p, t, gamma)[~ok][:3])
+
+
 EXTREME_T = (1e300, -1e300, 1e16, -1e16, 6.0, -6.0, 1e-300, -1e-300, 0.0)
 
 
@@ -130,8 +145,9 @@ def test_root_solved_kinds_on_extreme_inputs(name, gamma):
     kind, _ = ROOT_CASES[name]
     in_domain = DOMAINS.get(name, lambda p: True)
     for t in EXTREME_T:
-        # the prox of a decreasing function lies right of t, and so inside its domain
-        must_solve = name == "neg_root" and t >= 1e16
+        # neg_root's prox (of a decreasing function) lies right of t, and so
+        # inside its domain; log_inverse's bracket holds its root for every t
+        must_solve = name == "neg_root" and t >= 1e16 or name == "log_inverse" and abs(t) == 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -140,7 +156,8 @@ def test_root_solved_kinds_on_extreme_inputs(name, gamma):
                 assert not must_solve, t
                 continue
         assert math.isfinite(p) and in_domain(p), (t, p)
-        assert p >= t or not must_solve, (t, p)
+        assert p >= t or name != "neg_root" or t < 1e16, (t, p)
+        assert _solved(name, np.array([p]), np.array([t]), gamma).all(), (t, p)
 
 
 def test_neg_root_prox_eval_at_a_large_input(capsys):
@@ -347,17 +364,17 @@ class TestOneBadElement:
         a = np.array([1.0, -2.0, 3.0])
         # element 1: p*p + 1 has no root; the error names its own bracket
         with pytest.raises(BracketingError, match=r"\[-6\.0, 6\.0\]"):
-            solve_monotone(lambda p: np.where(a > 0, p - a, p * p + 1.0), Bracket(-np.array([5.0, 6.0, 7.0]), np.array([5.0, 6.0, 7.0])))
+            solve_monotone(lambda p: np.where(a > 0, p - a, p * p + 1.0), Bracket(-np.array([5.0, 6.0, 7.0]), np.array([5.0, 6.0, 7.0])), np.ones_like)
 
     def test_nan_in_one_element(self):
         with pytest.raises(BracketingError):
-            solve_monotone(lambda p: np.array([p[0] - 1.0, math.nan, p[2]]), Bracket(np.full(3, -5.0), np.full(3, 5.0)))
+            solve_monotone(lambda p: np.array([p[0] - 1.0, math.nan, p[2]]), Bracket(np.full(3, -5.0), np.full(3, 5.0)), np.ones_like)
 
     def test_nan_inside_the_bracket_in_one_element(self):
         # finite on the bracket ends, NaN at the midpoint of element 1 only
         g = lambda p: np.where((np.arange(3) == 1) & (np.abs(p) < 1.0), math.nan, p - 0.5)
         with pytest.raises(BracketingError, match="inside the bracket"):
-            solve_monotone(g, Bracket(np.full(3, -5.0), np.full(3, 5.0)))
+            solve_monotone(g, Bracket(np.full(3, -5.0), np.full(3, 5.0)), np.ones_like)
 
     def test_bad_bracket_in_one_element(self):
         with pytest.raises(InvalidParameterError):
@@ -393,7 +410,7 @@ class TestOneBadElement:
         ),
         ("interval_support", {"lo": -1.0, "hi": 1.0}, ["-2.0 -1.0 1.5", "0.0 0.0 0.0", "3.0 2.0 2.5"]),
         ("huber", {"kappa": 1.0, "omega": 1.0}, ["-2.0 -0.6666666666666666 1.3333333333333335", "0.0 0.0 0.0", "3.0 1.5857864376269049 2.7426406871192857"]),
-        ("log_threshold", {"lo": -2.0, "hi": 1.0}, ["-2.0 -1.0 1.1931471805599454", "0.0 0.0 0.0", "3.0 0.5857864376269049 3.7955871493926376"]),
+        ("log_threshold", {"lo": -2.0, "hi": 1.0}, ["-2.0 -1.0 1.1931471805599454", "0.0 0.0 0.0", "3.0 0.585786437626905 3.795587149392638"]),
     ],
 )
 def test_prox_eval_prints_plain_floats(capsys, kind, params, table):

@@ -469,6 +469,27 @@ class TestProxEval:
             "x prox objective", "1e+200 1.0 inf", "1e+100 1.0 5e+199", "0.5 0.5 0.0", "-3.0 -1.0 2.0",
         ]
 
+    @pytest.mark.parametrize(
+        "points, xs",
+        [(["-1e3"], [-1000.0]), (["1.0", "-1e-3"], [1.0, -0.001]), (["-1e3", "-2.5e-1", "-.5"], [-1000.0, -0.25, -0.5])],
+        ids=["exponent", "exponent-after-a-point", "several"],
+    )
+    def test_negative_points_with_an_exponent(self, capsys, points, xs):
+        argv = ["prox-eval", "--kind", "huber", "--params", json.dumps({"kappa": 1.0, "omega": 1.0}), "--x", *points]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(r.split()[0]) for r in rows] == xs
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [(["-inf"], "expected at least one argument"), (["1.0", "-nan"], "unrecognized arguments"), (["1.0", "-x"], "unrecognized arguments")],
+        ids=["-inf", "-nan", "-x"],
+    )
+    def test_other_dash_arguments_stay_options(self, capsys, points, message):
+        argv = ["prox-eval", "--kind", "huber", "--params", json.dumps({"kappa": 1.0, "omega": 1.0}), "--x", *points]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kappa", [None, True])
     def test_malformed_parameter_named(self, capsys, kappa):
         params = json.dumps({"kappa": kappa, "q": 2})

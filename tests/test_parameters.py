@@ -5,16 +5,18 @@ named toolkit error."""
 
 import dataclasses
 import fractions
+import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
 from proxsplit import catalog as cat
 from proxsplit import core, problems, sets, solvers
-from proxsplit.cli import TRACE_HEADER, read_trace
+from proxsplit.cli import TRACE_HEADER, main, read_trace
 from proxsplit.core import (
     InvalidInputError,
     InvalidParameterError,
@@ -317,6 +319,20 @@ def test_every_kind_accepts_numbers_and_stores_floats(kind):
         k = cls(**{n: v if n == "psi" else convert(v) for n, v in params.items()})
         assert all(type(getattr(k, n)) is float for n in params if n != "psi")
         assert k == cls(**params)
+
+
+@pytest.mark.parametrize("kind", sorted(cat.SCALAR_KINDS))
+def test_prox_eval_at_large_points_warns_nowhere(kind, capsys):
+    # +inf is a right value, and a numpy warning on the way to it, or on a
+    # discarded branch, is an error under -W error; a point may end in a named error
+    params = {n: {"kind": "huber", "kappa": 1.0, "omega": 1.0} if n == "psi" else v for n, v in _valid_kind_params(cat.SCALAR_KINDS[kind]).items()}
+    argv = ["prox-eval", "--kind", kind, "--params", json.dumps(params), "--x"]
+    for x in ("1e16", "-1e16", "1e200", "-1e200", "1e300", "-1e300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, x])
+        err = capsys.readouterr().err
+        assert code == 0 or code == 1 and err.startswith("error: "), (x, code, err)
 
 
 def test_bounds_are_inclusive_only_where_the_rule_says():

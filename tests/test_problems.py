@@ -552,7 +552,7 @@ class TestFirstDifferenceMatchesDense:
         assert operator_norm(first_difference(n)) == operator_norm(matrix_map(M))
 
 
-@pytest.mark.parametrize("n", (2, 3, 32, 100, 120))
+@pytest.mark.parametrize("n", (2, 3, 32, 100, 120, 129, 200, 500))
 def test_first_difference_norm_is_exact(n):
     # D^T D is the path-graph Laplacian, whose largest eigenvalue is 2 + 2cos(pi/n)
     assert abs(operator_norm(first_difference(n)) - 2.0 * math.cos(math.pi / (2 * n))) <= 1e-14

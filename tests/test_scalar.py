@@ -30,31 +30,38 @@ def bisect_w(target_c: float) -> float:
 
 class TestSolveMonotone:
     def test_linear(self):
-        assert solve_monotone(lambda p: p - 2.0, Bracket(0.0, 10.0)) == pytest.approx(2.0, abs=1e-11)
+        assert solve_monotone(lambda p: p - 2.0, Bracket(0.0, 10.0), lambda p: np.ones_like(p)) == pytest.approx(2.0, abs=1e-11)
 
     def test_quadratic(self):
         # roots of 3p^2 + p - 4 = 0; positive root is 1
-        root = solve_monotone(lambda p: p + 3.0 * p * p - 4.0, Bracket(0.0, 10.0))
+        root = solve_monotone(lambda p: p + 3.0 * p * p - 4.0, Bracket(0.0, 10.0), lambda p: 1.0 + 6.0 * p)
         assert root == pytest.approx(1.0, abs=1e-11)
 
     def test_cubic(self):
-        assert solve_monotone(lambda p: p**3 - 8.0, Bracket(0.0, 10.0)) == pytest.approx(2.0, abs=1e-11)
+        assert solve_monotone(lambda p: p**3 - 8.0, Bracket(0.0, 10.0), lambda p: 3.0 * p * p) == pytest.approx(2.0, abs=1e-11)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketingError):
-            solve_monotone(lambda p: p * p + 1.0, Bracket(-1.0, 1.0))
+            solve_monotone(lambda p: p * p + 1.0, Bracket(-1.0, 1.0), lambda p: 2.0 * p)
 
     def test_infinite_derivative_still_converges(self):
         # every Newton step is 0, so every Newton point equals p and is probed;
         # probes of length 0 must not stand in for bisection indefinitely
         dg = lambda p: np.full_like(p, math.inf)
-        root = solve_monotone(lambda p: p - 1.0, Bracket(0.0, 5.0), tol=1e-14, dg=dg)
+        root = solve_monotone(lambda p: p - 1.0, Bracket(0.0, 5.0), dg)
         assert root == pytest.approx(1.0, abs=1e-13)
+
+    def test_a_root_not_found_in_200_steps_raises(self):
+        # a tiny derivative sends every Newton step out of the bracket, and
+        # bisecting element 1 from a width of 1e300 down to 1e-14 takes over 1,000
+        # steps: the error names its bracket after 200 halvings, 1e300 / 2^200
+        with pytest.raises(BracketingError, match=r"no root found in 200 steps on \[0\.0, 6\.223\d*e\+239\]"):
+            solve_monotone(lambda p: p - 1.0, Bracket(np.zeros(2), np.array([10.0, 1e300])), lambda p: np.full_like(p, 1e-300))
 
     def test_decreasing_orientation(self):
         # g must increase across the bracket: g(lo) <= 0 <= g(hi)
         with pytest.raises(BracketingError, match=r"\[0\.0, 10\.0\]"):
-            solve_monotone(lambda p: 3.0 - p, Bracket(0.0, 10.0))
+            solve_monotone(lambda p: 3.0 - p, Bracket(0.0, 10.0), lambda p: -np.ones_like(p))
 
     @given(
         root=st.floats(-50.0, 50.0),
@@ -63,9 +70,9 @@ class TestSolveMonotone:
     )
     @settings(max_examples=60, deadline=None)
     def test_bracket_enlargement_invariance(self, root, slope, lo):
-        g = lambda p: slope * (p - root)
-        a = solve_monotone(g, Bracket(lo, 60.0), tol=1e-12)
-        b = solve_monotone(g, Bracket(2 * lo, 120.0), tol=1e-12)
+        g, dg = lambda p: slope * (p - root), lambda p: np.full_like(p, slope)
+        a = solve_monotone(g, Bracket(lo, 60.0), dg)
+        b = solve_monotone(g, Bracket(2 * lo, 120.0), dg)
         assert abs(a - b) <= 1e-9
 
     @given(
@@ -76,7 +83,7 @@ class TestSolveMonotone:
     @settings(max_examples=60, deadline=None)
     def test_monotone_cubic_family(self, c0, c1, target):
         g = lambda p: c0 * p**3 + c1 * p - target
-        root = solve_monotone(g, Bracket(-10.0, 10.0), tol=1e-13)
+        root = solve_monotone(g, Bracket(-10.0, 10.0), lambda p: 3.0 * c0 * p * p + c1)
         assert abs(g(root)) <= 1e-9
 
 
