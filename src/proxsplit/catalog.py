@@ -29,8 +29,9 @@ r(p) = p - t + gamma*phi'(p), which is strictly increasing with slope >= 1
 wherever phi is differentiable, so a bracketed root is located to the same
 absolute accuracy as the solver's residual tolerance, 1e-14.  All
 coordinates of a group are solved in one call of the elementwise
-``scalar.solve_monotone``, with Newton steps from r'.  Closed-form roots of
-quadratics are written in forms that neither overflow nor cancel.
+``scalar.solve_monotone``, on a closed-form bracket and with Newton steps
+from r'.  Closed-form roots of quadratics, the power proxes at q = 2 and
+q = 3 among them, are written in forms that neither overflow nor cancel.
 """
 
 from __future__ import annotations
@@ -132,9 +133,16 @@ def _solve_pole(r, dr, lo, hi):
 
 def _inverse_root(A, a):
     """Positive root of p - A/p = a (A >= 0), finite for every finite a:
-    h + sqrt(h^2 + A) with h = a/2, written as A over the conjugate for a < 0."""
+    h + sqrt(h^2 + A) with h = a/2, written as A over the conjugate for a < 0.
+    The square root is taken as np.sqrt(h*h + A), and as np.hypot(h, sqrt(A))
+    only where h*h overflows (|h| above about 1.3e154), since hypot costs
+    about three times as much."""
     h = 0.5 * a
-    u = np.abs(h) + np.hypot(h, np.sqrt(A))
+    with _quiet():
+        r = np.sqrt(h * h + A)
+    if r.max(initial=0.0) == math.inf:
+        r = np.where(r < math.inf, r, np.hypot(h, np.sqrt(A)))
+    u = np.abs(h) + r
     return np.where(h >= 0.0, u, A / u)
 
 
@@ -156,27 +164,56 @@ def _pole_bracket(c, m, a):
 
 
 def _power_root(c, q, a):
-    """Root p >= 0 of p + c*p^(q-1) = a (0 where a = 0), bracketed in [0, a].
+    """Root p >= 0 of p + c*p^(q-1) = a (c > 0, a >= 0; 0 where a = 0).
 
-    For q < 2 the slope is unbounded at 0, so Newton steps from near 0 are
-    refused and the solve bisects toward 0 where a/c is small.  There the
-    bracket is tightened instead: each term alone reaches a at most at
-    min(a, (a/c)^(1/(q-1))) and a/2 at least at min(a/2, (a/2c)^(1/(q-1))), so
-    the root lies between these two points.  As in _solve_pole, both bases
-    are widened by _MARGIN against rounding, since where the power term
-    dominates r is within an ulp of 0 at these points; an upper end below the
-    normal range carries too few bits to tighten with ([0, a] stays), and a
-    lower end below it becomes 0.
+    q = 2 and q = 3 are closed forms, after Chaux, Combettes, Pesquet & Wajs
+    (2007, Ex. 4.4): p = a/(1 + c) and p = a/(1/2 + sqrt(1/4 + c*a)), the
+    latter with sqrt(c*a) taken as sqrt(c)*sqrt(a) inside ``np.hypot``, so
+    that neither overflows nor cancels.  Both give +inf at a = +inf and NaN
+    at NaN.  Every other q is root-solved by ``_solved_power_root``.  A stack
+    of kinds with mixed exponents (array q) takes the closed form on the
+    elements that allow it and makes one solve for the rest.
     """
-    e = q - 1.0
-    lo, hi = np.zeros_like(a), np.where(a == 0.0, 1.0, a)  # r(0) = 0 at a = 0: the root is the left end
-    if np.any(e < 1.0):
-        with _quiet():
-            tight_hi = np.minimum(a, ((1.0 + _MARGIN) * a / c) ** (1.0 / e))
-            tight_lo = np.minimum(0.5 * a, ((1.0 - _MARGIN) * 0.5 * a / c) ** (1.0 / e))
-        tight_lo = np.where(tight_lo < _TINY, 0.0, tight_lo)
-        tighten = (e < 1.0) & (tight_hi >= _TINY) & (tight_lo < tight_hi)
-        lo, hi = np.where(tighten, tight_lo, lo), np.where(tighten, tight_hi, hi)
+    if np.ndim(q):  # c and a are arrays of q's shape
+        p = np.empty_like(a)
+        square, cube = q == 2.0, q == 3.0
+        rest = ~(square | cube)
+        p[square] = _power_root(c[square], 2.0, a[square])
+        p[cube] = _power_root(c[cube], 3.0, a[cube])
+        if np.count_nonzero(rest):
+            p[rest] = _solved_power_root(c[rest], q[rest] - 1.0, a[rest])
+        return p
+    if q == 2.0:
+        return a / (1.0 + c)
+    if q == 3.0:
+        with _quiet():  # inf/inf at a = +inf, where fmin returns a; the quotient is at most a
+            return np.fmin(a / (0.5 + np.hypot(0.5, np.sqrt(c) * np.sqrt(a))), a)
+    return _solved_power_root(c, q - 1.0, a)
+
+
+def _solved_power_root(c, e, a):
+    """Root p >= 0 of p + c*p^e = a (e > 0) by ``solve_monotone``.
+
+    Each term alone reaches a at most at min(a, (a/c)^(1/e)) and a/2 at
+    least at min(a/2, (a/2c)^(1/e)), so the root lies between these two
+    points, a factor of at most two apart, and Newton steps are taken from
+    the first point on.  On [0, a] they are refused near 0 for e < 1, where
+    the slope is unbounded, and near a for e > 1, so that a solve from a
+    past about 1e235 bisects for 200 steps without reaching the root.  As in
+    _solve_pole, both ends are widened by _MARGIN against rounding, in the
+    base (whose rounding the 1/e power multiplies by 1/e) and in the result
+    (whose rounding the residual multiplies by e), since where the power
+    term dominates r is within an ulp of 0 at these points.  An upper end
+    below the normal range carries too few bits to tighten with ([0, a]
+    stays, or [0, 1] at a = 0, where the root is the left end), and a lower
+    end below it becomes 0.
+    """
+    with _quiet():
+        hi = np.minimum(a, ((1.0 + _MARGIN) * a / c) ** (1.0 / e) * (1.0 + _MARGIN))
+        lo = np.minimum(0.5 * a, ((1.0 - _MARGIN) * 0.5 * a / c) ** (1.0 / e) * (1.0 - _MARGIN))
+    lo = np.where(lo < _TINY, 0.0, lo)
+    tighten = (hi >= _TINY) & (lo < hi)
+    lo, hi = np.where(tighten, lo, 0.0), np.where(tighten, hi, np.where(a == 0.0, 1.0, a))
     return solve_monotone(lambda p: p + c * p**e - a, Bracket(lo, hi), dg=lambda p: 1.0 + c * e * p ** (e - 1.0))
 
 
@@ -331,7 +368,8 @@ class Deadzone(ScalarKind):
 
 @dataclass(frozen=True)
 class PowerAbs(ScalarKind):
-    """kappa*|t|^q with q > 1; prox solves p + q*gamma*kappa*p^(q-1) = |t|."""
+    """kappa*|t|^q with q > 1; prox solves p + q*gamma*kappa*p^(q-1) = |t|,
+    in closed form for q = 2 and q = 3 and by a root solve otherwise."""
 
     kappa: float
     q: float
@@ -369,7 +407,7 @@ class Huber(ScalarKind):
 @dataclass(frozen=True)
 class AbsQuadPower(ScalarKind):
     """omega*|t| + tau*t^2 + kappa*|t|^q; prox chains a soft threshold, a
-    quadratic shrink and the power prox."""
+    quadratic shrink and the power prox (closed form for q = 2 and q = 3)."""
 
     omega: float
     tau: float

@@ -68,7 +68,10 @@ def solve_monotone(g, bracket: Bracket, dg):
     on every element's bracket.
 
     ``g`` maps an array of points, one per element of the bracket, to the
-    array of values there, and ``dg`` to the derivatives of g.  Bisection is
+    array of values there, and ``dg`` to the derivatives of g.  Each element
+    starts at the false-position point lo - g(lo)*(hi - lo)/(g(hi) - g(lo)) of
+    the end values that the bracket check computes, or at the midpoint where
+    that point is not finite or not strictly inside.  From there bisection is
     the backbone.  A Newton step from the last point replaces the midpoint
     where it lands strictly inside that element's bracket and is less than
     half the step before the last, so the bracket still shrinks
@@ -93,13 +96,14 @@ def solve_monotone(g, bracket: Bracket, dg):
             k = int(np.argmax(bad))
             raise BracketingError(f"g(lo) <= 0 <= g(hi) fails on [{lo[k]}, {hi[k]}]: g = {glo[k]}, {ghi[k]}")
         active = (glo != 0.0) & (ghi != 0.0)
-        p = np.where(glo == 0.0, lo, hi)
         # p of an element stays put once the element has met its stopping test.
-        # Step lengths for the Newton test: the first point is the midpoint,
-        # and the step before it counts as the whole bracket width.
+        # Step lengths for the Newton test: the first step counts as half the
+        # bracket width, and the step before it as the whole width.
         earlier = width = hi - lo
         last = 0.5 * earlier
-        p = np.where(active, lo + last, p)
+        first = lo - width * (glo / (ghi - glo))
+        first = np.where((lo < first) & (first < hi), first, lo + last)
+        p = np.where(active, first, np.where(glo == 0.0, lo, hi))
         gp = glo
         for _ in range(_STEPS):
             gp = _flat_call(g, p, shape)

@@ -54,9 +54,24 @@ class TestSolveMonotone:
     def test_a_root_not_found_in_200_steps_raises(self):
         # a tiny derivative sends every Newton step out of the bracket, and
         # bisecting element 1 from a width of 1e300 down to 1e-14 takes over 1,000
-        # steps: the error names its bracket after 200 halvings, 1e300 / 2^200
+        # steps: the error names its bracket after 200 halvings, 1e300 / 2^200.
+        # g(hi) = inf there, so the first point is the midpoint, not the
+        # false-position point (which is the root of a linear g)
         with pytest.raises(BracketingError, match=r"no root found in 200 steps on \[0\.0, 6\.223\d*e\+239\]"):
-            solve_monotone(lambda p: p - 1.0, Bracket(np.zeros(2), np.array([10.0, 1e300])), lambda p: np.full_like(p, 1e-300))
+            solve_monotone(lambda p: p**3 - 1.0, Bracket(np.zeros(2), np.array([10.0, 1e300])), lambda p: np.full_like(p, 1e-300))
+
+    def test_the_first_point_is_the_false_position_point(self):
+        # a linear g is solved by its first point; the midpoint stands in where
+        # that point is not finite (g(lo) = -inf) or not strictly inside
+        evals = []
+
+        def g(p):
+            evals.append(p.copy())
+            return np.where(p == 0.0, -np.inf, p - 1.0)
+
+        root = solve_monotone(g, Bracket(np.array([0.0, 0.5]), np.array([4.0, 4.0])), lambda p: np.ones_like(p))
+        assert evals[2].tolist() == [2.0, 1.0]
+        assert root.tolist() == [1.0, 1.0]
 
     def test_decreasing_orientation(self):
         # g must increase across the bracket: g(lo) <= 0 <= g(hi)
