@@ -26,12 +26,16 @@ evaluation makes one call per group instead of one per coordinate.
 
 Implicit prox equations are solved on the optimality residual
 r(p) = p - t + gamma*phi'(p), which is strictly increasing with slope >= 1
-wherever phi is differentiable, so a bracketed root is located to the same
-absolute accuracy as the solver's residual tolerance, 1e-14.  All
-coordinates of a group are solved in one call of the elementwise
-``scalar.solve_monotone``, on a closed-form bracket and with Newton steps
-from r'.  Closed-form roots of quadratics, the power proxes at q = 2 and
-q = 3 among them, are written in forms that neither overflow nor cancel.
+wherever phi is differentiable.  Where r(p) = 0 is a polynomial equation of
+degree at most 3 in p, in a root of p or, for the pole and barrier kinds,
+once the poles are cleared, the prox is that polynomial's closed-form root:
+quadratics (the power proxes at q = 2 and 3 among them) in forms that
+neither overflow nor cancel, and cubics (neg_root at q = 2, log_inverse, the
+interval log-barrier and the power proxes at q = 4/3, 5/2 and 4) through
+``_cubic_root`` and one Newton step on r.  The other equations are solved by
+the elementwise ``scalar.solve_monotone``, all coordinates of a group in one
+call, on a closed-form bracket and with Newton steps from r', to the
+solver's residual tolerance, 1e-14, which bounds the error in p as well.
 """
 
 from __future__ import annotations
@@ -146,6 +150,64 @@ def _inverse_root(A, a):
     return np.where(h >= 0.0, u, A / u)
 
 
+def _cubic_root(b, c, d, middle: bool = False):
+    """The largest real root of x^3 + b*x^2 + c*x + d = 0, or with ``middle``
+    the middle one of its three real roots, elementwise, for finite
+    coefficients and d != 0.
+
+    x is scaled by s = max(|b|, sqrt|c|, cbrt|d|), which bounds every root by
+    3s, so no power overflows, and the scaled cubic is depressed to
+    y^3 + P*y + Q with x = y - b/3.  Its real root of largest magnitude, x1,
+    comes first.  Of three real roots m*cos(phi - 2k*pi/3) it is the outer
+    one of larger |y - b/3|, where y and -b/3 do not have opposite signs.  A
+    single real root is Cardano's u + v, the second term written as the
+    product v = -P/(3u), and as -Q/(u^2 + v^2 + P/3) where P > 0 (the sinh
+    case), so that neither sum cancels.  Where x1 < 0, and for the middle
+    root, x1 is divided out: the quadratic left, x^2 + e*x + f with
+    f = -d/x1, takes e from whichever of b + x1 and (f - c)/x1 rounds less,
+    and its roots are g = -(e + sign(e)*sqrt(e^2 - 4f))/2 and f/g (Blinn,
+    IEEE CG&A 2006-07; Kahan 1986).  ``middle`` takes the trigonometric form
+    for x1 even where rounding puts the discriminant at or above 0.
+    """
+    with _quiet():
+        s = np.maximum(np.maximum(np.abs(b), np.sqrt(np.abs(c))), np.cbrt(np.abs(d)))
+        b0, c0, d0 = b, c, d
+        b, c, d = b / s, c / s / s, d / s / s / s
+        h = b / 3.0
+        P, Q = c - b * h, d - h * (c - 2.0 * h * h)
+        cube = P * P * P
+        three = np.full(np.shape(P), True) if middle else 27.0 * Q * Q + 4.0 * cube < 0.0
+        count = np.count_nonzero(three)
+        if count:
+            r = np.sqrt(P / -3.0)  # m = 2r
+            phi = np.arccos(np.minimum(np.maximum(Q / (-2.0 * r * r * r), -1.0), 1.0)) / 3.0
+            x1 = 2.0 * r * np.cos(phi) - h  # the largest root, of largest magnitude where h <= 0
+            if middle or np.count_nonzero(h > 0.0):
+                bottom = -2.0 * r * np.cos(phi - math.pi / 3.0) - h
+                x1 = np.where(np.abs(x1) >= np.abs(bottom), x1, bottom)
+        if count < three.size:
+            u = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(0.25 * Q * Q + cube / 27.0), Q))
+            v = P / (-3.0 * u)  # u = 0 only for a triple root, at P = Q = 0
+            one = np.where(P > 0.0, -Q / (u * u + v * v + P / 3.0), u + v) - h
+            x1 = np.where(three, x1, one) if count else one
+        if not middle and np.count_nonzero(x1 < 0.0) == 0:
+            return s * x1
+        # the quadratic in the unscaled variable, where f = -d/x1 keeps the digits
+        # of a constant term that the scaling takes below the normal range
+        first = np.abs(d / x1) + np.abs(c) < x1 * x1
+        x1 = s * x1
+        f = -d0 / x1
+        e = np.where(first, (f - c0) / x1, b0 + x1)
+        scale = np.maximum(np.abs(e), np.sqrt(np.abs(f)))  # > 0 for d != 0
+        disc = (e / scale) ** 2 - 4.0 * (f / scale / scale)
+        g = -0.5 * (e + np.copysign(scale * np.sqrt(np.maximum(disc, 0.0)), e))
+        k = f / g
+        if middle:
+            return np.maximum(np.minimum(x1, g), np.minimum(np.maximum(x1, g), k))
+        # a root x1 < 0 of largest magnitude leaves the largest root to the quadratic
+        return np.where((x1 < 0.0) & (disc >= 0.0), np.maximum(g, k), x1)
+
+
 def _pole_bracket(c, m, a):
     """Ends of a bracket of the root p > 0 of p - c*p^(-m) = a (c, m > 0).
 
@@ -163,32 +225,95 @@ def _pole_bracket(c, m, a):
         return np.where(a >= 0.0, above, lo), np.where(a >= 0.0, a + c * above**-m, hi)
 
 
+def _require_finite(t) -> None:  # as the root-solved kinds' brackets require
+    if not np.isfinite(t).all():
+        raise InvalidParameterError("prox points must be finite")
+
+
+def _polish(p, step):
+    """p less a Newton step, where that step is finite."""
+    return np.where(np.isfinite(step), p - step, p)
+
+
+def _power_four_thirds(c, a):
+    """p + c*p^(1/3) = a: u^3 + c*u - a = 0 in u = p^(1/3)."""
+    p = _cubic_root(0.0, c, -a) ** 3
+    u = np.cbrt(p)
+    return _polish(p, ((c * u - a) + p) / (1.0 + c / 3.0 * u / p))
+
+
+def _power_five_halves(c, a):
+    """p + c*p^(3/2) = a: c*u^3 + u^2 - a = 0 in u = sqrt(p), solved as
+    w^3 - w/cbrt(a) - c = 0 in w = cbrt(a)/u, a cubic without a square term."""
+    k = np.cbrt(a)
+    p = (k / _cubic_root(0.0, -1.0 / k, -c)) ** 2
+    root = np.sqrt(p)
+    return _polish(p, ((c * p * root - a) + p) / (1.0 + 1.5 * c * root))
+
+
+def _power_four(c, a):
+    """p + c*p^3 = a: w^3 + w/cbrt(c) - a = 0 in w = cbrt(c)*p."""
+    k = np.cbrt(c)
+    p = _cubic_root(0.0, 1.0 / k, -a) / k
+    return _polish(p, ((c * p * p * p - a) + p) / (1.0 + 3.0 * c * p * p))
+
+
+def _power_cubic(form):
+    """A cubic power root that is 0 at a = 0, +inf at +inf and NaN at NaN."""
+
+    def root(c, a):
+        with _quiet():
+            return np.where((0.0 < a) & (a < math.inf), form(c, a), a)
+
+    return root
+
+
+def _power_square(c, a):
+    return a / (1.0 + c)
+
+
+def _power_cube(c, a):
+    with _quiet():  # inf/inf at a = +inf, where fmin returns a; the quotient is at most a
+        return np.fmin(a / (0.5 + np.hypot(0.5, np.sqrt(c) * np.sqrt(a))), a)
+
+
+# the exponents q whose power root is closed form, with that form (c, a) -> p
+_POWER_FORMS = {
+    2.0: _power_square,
+    3.0: _power_cube,
+    4.0 / 3.0: _power_cubic(_power_four_thirds),
+    2.5: _power_cubic(_power_five_halves),
+    4.0: _power_cubic(_power_four),
+}
+
+
 def _power_root(c, q, a):
     """Root p >= 0 of p + c*p^(q-1) = a (c > 0, a >= 0; 0 where a = 0).
 
-    q = 2 and q = 3 are closed forms, after Chaux, Combettes, Pesquet & Wajs
-    (2007, Ex. 4.4): p = a/(1 + c) and p = a/(1/2 + sqrt(1/4 + c*a)), the
-    latter with sqrt(c*a) taken as sqrt(c)*sqrt(a) inside ``np.hypot``, so
-    that neither overflows nor cancels.  Both give +inf at a = +inf and NaN
-    at NaN.  Every other q is root-solved by ``_solved_power_root``.  A stack
-    of kinds with mixed exponents (array q) takes the closed form on the
-    elements that allow it and makes one solve for the rest.
+    q = 2, 3, 4/3, 5/2 and 4 are closed forms, after Chaux, Combettes,
+    Pesquet & Wajs (2007, Ex. 4.4).  q = 2 is p = a/(1 + c) and q = 3 is
+    p = a/(1/2 + sqrt(1/4 + c*a)), with sqrt(c*a) taken as sqrt(c)*sqrt(a)
+    inside ``np.hypot``, so that neither overflows nor cancels.  The other
+    three are cubics in p^(1/3), in 1/sqrt(p) and in p, solved by
+    ``_cubic_root`` and finished by one Newton step on the residual.  Each
+    gives +inf at a = +inf and NaN at NaN.  Every other q is root-solved by
+    ``_solved_power_root``.  A stack of kinds with mixed exponents (array q)
+    takes the closed form on the elements that allow it and makes one solve
+    for the rest.
     """
     if np.ndim(q):  # c and a are arrays of q's shape
         p = np.empty_like(a)
-        square, cube = q == 2.0, q == 3.0
-        rest = ~(square | cube)
-        p[square] = _power_root(c[square], 2.0, a[square])
-        p[cube] = _power_root(c[cube], 3.0, a[cube])
+        rest = np.ones(q.shape, dtype=bool)
+        for exponent, form in _POWER_FORMS.items():
+            at = q == exponent
+            if np.count_nonzero(at):
+                p[at] = form(c[at], a[at])
+                rest &= ~at
         if np.count_nonzero(rest):
             p[rest] = _solved_power_root(c[rest], q[rest] - 1.0, a[rest])
         return p
-    if q == 2.0:
-        return a / (1.0 + c)
-    if q == 3.0:
-        with _quiet():  # inf/inf at a = +inf, where fmin returns a; the quotient is at most a
-            return np.fmin(a / (0.5 + np.hypot(0.5, np.sqrt(c) * np.sqrt(a))), a)
-    return _solved_power_root(c, q - 1.0, a)
+    form = _POWER_FORMS.get(q)
+    return _solved_power_root(c, q - 1.0, a) if form is None else form(c, a)
 
 
 def _solved_power_root(c, e, a):
@@ -460,8 +585,13 @@ class LinearNonneg(ScalarKind):
 class NegRoot(ScalarKind):
     """-omega*t^(1/q) on t >= 0, +inf otherwise (q > 1).
 
-    The prox solves p - c*p^(-m) = t with c = gamma*omega/q and m = 1 - 1/q,
-    on the bracket of ``_pole_bracket``.
+    The prox solves p - c*p^(-m) = t with c = gamma*omega/q and m = 1 - 1/q.
+    At q = 2, in a stack too where every exponent is 2, that is the cubic
+    u^3 - t*u - c = 0 in u = sqrt(p), solved by ``_cubic_root``; its one
+    Newton step is taken on the residual u^2 - t - c/u at p = u^2, whose one
+    rounded term where -t and c/sqrt(p) cancel is c/u, and p = u^2, which can
+    round to an ulp below the root, is held to at least t.  Every other q is
+    root-solved on the bracket of ``_pole_bracket``.
     """
 
     omega: float
@@ -472,6 +602,12 @@ class NegRoot(ScalarKind):
 
     def _prox(self, t, gamma):
         c = gamma * self.omega / self.q
+        if np.all(self.q == 2.0):
+            _require_finite(t)
+            u = _cubic_root(0.0, -t, -c)
+            with _quiet():  # where u is near 0 the step is not finite, and u stays
+                u = _polish(u, (u * u - t - c / u) / (2.0 * u + c / u / u))
+            return np.maximum(u * u, t)
         expo = 1.0 / self.q - 1.0
 
         def r(p):
@@ -581,12 +717,13 @@ class LogInverse(ScalarKind):
     """-kappa*ln(t) + alpha*t + omega/t on t > 0.
 
     The prox solves p - A/p - B/p^2 = a with a = t - gamma*alpha,
-    A = gamma*kappa and B = gamma*omega.  Dropping either pole term gives a
-    lower bound: lo is the larger of the root of p - A/p = a and the lower
-    end of ``_pole_bracket`` for p - B/p^2 = a, and hi = a + A/lo + B/lo^2
-    (evaluated as B/lo/lo, since lo^2 overflows for lo above 1e154).  For
-    a < 0 that sum cancels, and hi is at most the positive root of
-    -a*p^2 - A*p - B, above the root since p^3 > 0.
+    A = gamma*kappa and B = gamma*omega, that is the only positive root of
+    p^3 - a*p^2 - A*p - B = 0, which for a >= 0 is at least each of a,
+    sqrt(A) and cbrt(B).  For a < 0 it can lie far below the scale of the
+    other roots, so there it is taken as k/w with k = cbrt(B) and w the
+    positive root of w^3 + (A/k^2)*w^2 + (a/k)*w - 1 = 0, of the reversed
+    cubic.  ``_cubic_root`` gives either as the largest root, and one Newton
+    step on the residual finishes it.
     """
 
     kappa: float
@@ -598,18 +735,16 @@ class LogInverse(ScalarKind):
             return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + self.alpha * t + self.omega / t)
 
     def _prox(self, t, gamma):
-        def r(p):
-            return p - t + gamma * (self.alpha - self.kappa * p**-1.0 - self.omega * p**-2.0)
-
-        def dr(p):
-            return 1.0 + gamma * (self.kappa * p**-2.0 + 2.0 * self.omega * p**-3.0)
-
+        _require_finite(t)
         a, A, B = t - gamma * self.alpha, gamma * self.kappa, gamma * self.omega
-        lo = np.maximum(_inverse_root(A, a), _pole_bracket(B, 2.0, a)[0])
-        hi = a + A / lo + B / lo / lo
-        with _quiet():  # the quadratic's root is discarded where a >= 0
-            quadratic = 0.5 * (A + np.hypot(A, 2.0 * np.sqrt(-a) * np.sqrt(B))) / -a
-        return _solve_pole(r, dr, lo, np.where(a < 0.0, np.minimum(hi, quadratic), hi))
+        k = np.cbrt(B)
+        with _quiet():
+            reverse = a < 0.0
+            x = _cubic_root(np.where(reverse, A / k / k, -a), np.where(reverse, a / k, -A), np.where(reverse, -1.0, -B))
+            p = np.where(reverse, k / x, x)
+            # r'(p)*p, not r'(p), which overflows for a root near 1e-150
+            slope = p + (A + 2.0 * B / p) / p
+            return _polish(p, (p - a - (A + B / p) / p) / slope * p)
 
 
 @dataclass(frozen=True)
@@ -619,7 +754,12 @@ class LogPower(ScalarKind):
     The prox solves p - A/p + B*p^(q-1) = t with A = gamma*kappa and
     B = gamma*q*omega.  Without the power term the root of p - A/p = t is an
     upper end hi, and with the power term frozen at hi, the root of
-    p - A/p = t - B*hi^(q-1) is a lower end.
+    p - A/p = t - B*hi^(q-1) is a lower end lo.  Where hi^(q-1) overflows,
+    that lower end drops to 0, so two more ends bound the root as the power
+    kinds' roots are bounded: dropping -A/p lowers the root, to at least
+    min(t/2, (t/2B)^(1/(q-1))), and for t > 0 freezing it at lo raises it,
+    to at most min(a, (a/B)^(1/(q-1))) with a = t + A/lo.  The bracket is
+    the tighter of each pair of ends.
     """
 
     kappa: float
@@ -637,10 +777,13 @@ class LogPower(ScalarKind):
         def dr(p):
             return 1.0 + gamma * (self.q * (self.q - 1.0) * self.omega * p ** (self.q - 2.0) + self.kappa * p**-2.0)
 
-        A = gamma * self.kappa
+        A, B, e = gamma * self.kappa, gamma * self.q * self.omega, self.q - 1.0
         hi = _inverse_root(A, t)
-        with _quiet():  # hi^(q-1) may overflow, and the lower end is then 0
-            lo = _inverse_root(A, t - gamma * self.q * self.omega * hi ** (self.q - 1.0))
+        with _quiet():  # hi^e may overflow, and that end is then 0; a power end is NaN at a base < 0
+            lo = _inverse_root(A, t - B * hi**e)
+            lo = np.fmax(lo, np.minimum(0.5 * t, ((1.0 - _MARGIN) * 0.5 * t / B) ** (1.0 / e)))
+            a = np.where(t > 0.0, t + A / lo, math.inf)  # for t <= 0 the sum may cancel
+            hi = np.fmin(hi, np.minimum(a, ((1.0 + _MARGIN) * a / B) ** (1.0 / e)))
         return _solve_pole(r, dr, lo, hi)
 
 
@@ -664,22 +807,31 @@ class IntervalLogBarrier(ScalarKind):
             )
 
     def _prox(self, t, gamma):
-        """On (lo, lo + h] the B term of r is at most B/h, so the root is at least
-        lo + min(s, h) with s - A/s = t - lo - B/h; likewise at most hi - min(s', h).
-        Each distance is shrunk by _MARGIN and its end rounded one float toward
-        its pole, since lo + s rounds on the scale of |lo|."""
+        """The prox lies at a distance w = h*x from the pole on its side of the
+        midpoint m = (lo + hi)/2, h = (hi - lo)/2: from hi where r(m) <= 0,
+        that is t >= m + (B - A)/h, and from lo otherwise.  With D = (hi - t)/h
+        and K = B/h^2 on the upper side (D = (t - lo)/h and K = A/h^2 on the
+        lower), the residual times w*(2h - w)/h^3 is the cubic
+        x^3 - (D + 2)*x^2 + (2D - (A + B)/h^2)*x + 2K, positive at x = 0 and
+        negative at x = 2, so x is its middle root.  ``_cubic_root`` finds it,
+        to its own digits however near the pole, and one Newton step on the
+        residual finishes it, with the pole terms taken at their distances w
+        and 2h - w.  D is held to +-1e300, past which the root is within
+        rounding of the pole unless the pole is 0, and a root that rounds to
+        an end of the domain is the next float inside."""
+        _require_finite(t)
         lo, hi, A, B = self.lo, self.hi, gamma * self.k_lo, gamma * self.k_hi
-
-        def r(p):
-            return p - t - A / (p - lo) + B / (hi - p)
-
-        def dr(p):
-            return 1.0 + A / (p - lo) ** 2 + B / (hi - p) ** 2
-
-        h = 0.5 * (hi - lo)
-        near_lo = np.minimum(_inverse_root(A, t - lo - B / h), h) * (1.0 - _MARGIN)
-        near_hi = np.minimum(_inverse_root(B, hi - t - A / h), h) * (1.0 - _MARGIN)
-        return solve_monotone(r, Bracket(np.nextafter(lo + near_lo, lo), np.nextafter(hi - near_hi, hi)), dg=dr)
+        m, h = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+        with _quiet():
+            upper = t >= m + (B - A) / h
+            D = np.minimum(np.maximum(np.where(upper, hi - t, t - lo) / h, -1e300), 1e300)
+            K = np.where(upper, B, A) / h / h
+            w = h * _cubic_root(-(D + 2.0), 2.0 * D - (A + B) / h / h, 2.0 * K, middle=True)
+            far = 2.0 * h - w
+            near_lo, near_hi = np.where(upper, far, w), np.where(upper, w, far)
+            p = np.where(upper, hi - w, lo + w)
+            p = _polish(p, (p - t - A / near_lo + B / near_hi) / (1.0 + A / near_lo / near_lo + B / near_hi / near_hi))
+        return np.minimum(np.maximum(p, np.nextafter(lo, hi)), np.nextafter(hi, lo))
 
 
 SCALAR_KINDS = {

@@ -1,15 +1,16 @@
 """One-dimensional numerical kernels, applied elementwise.
 
 Safeguarded root finding, at one fixed tolerance and step cap, for the
-implicit scalar prox equations and a log-domain Lambert-W evaluation for the
-entropy prox.  Both take either a scalar or an array: an array is a batch of
-independent one-dimensional problems solved together, each with its own
-bracket and its own stopping test.  A scalar in gives a float out.  All
-functions are pure.
+implicit scalar prox equations that have no closed form, and a fixed-step
+Lambert-W evaluation for the entropy prox.  Both take either a scalar or an
+array: an array is a batch of independent one-dimensional problems solved
+together, each root solve with its own bracket and its own stopping test.  A
+scalar in gives a float out.  All functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,36 +136,40 @@ def solve_monotone(g, bracket: Bracket, dg):
     return float(p[0]) if shape == () else p.reshape(shape)
 
 
-def lambert_w_exp(x):
-    """W(exp(x - 1)) for the principal Lambert-W branch, computed in log
-    domain, elementwise.
+_W_STEPS = 2  # Fritsch-Shafer-Crowley steps of lambert_w_exp
+_W_LOG_FROM = 700.0  # x above which lambert_w_exp works in the log domain
+_E_INV = math.exp(-1.0)
 
-    Solves w + ln w = x - 1 for w > 0 (equivalently v + e^v = c with w = e^v),
-    which avoids forming exp(x - 1) and therefore stays finite for large x.
-    Newton on the strictly convex increasing v |-> e^v + v - c converges
-    monotonically from a point left of the root; each element stops when its
-    step falls to 1e-16 relative or stops shrinking.  A scalar in gives a
-    float out.
+
+def lambert_w_exp(x):
+    """W(exp(x - 1)) for the principal Lambert-W branch, elementwise: the
+    root w > 0 of w + ln w = x - 1.
+
+    For x <= 700 the equation is w*e^w = y with y = e^x/e, whose rounding
+    (about an ulp) is the only error carried into w; forming x - 1 first
+    would cost up to 250 ulp near x = -512.  Above 700, where e^x
+    overflows, it is taken in the log domain, with x - 1 exact.  The start is
+    Winitzki's L*(1 - ln(1 + L)/(2 + L)) with L = ln(1 + y), or L = x - 1 in
+    the log domain, within 2% of w everywhere.  Two steps of the
+    quartically convergent iteration of Fritsch, Shafer & Crowley
+    (CACM 16, 1973) follow, written so that no product overflows; measured
+    against 150-bit references from x = -700 to 1e300, the result is within
+    2 ulp, where a third step changes nothing.  A scalar in gives a float
+    out.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError(f"lambert_w_exp needs finite input, got {x}")
-    c = x - 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # k(v) <= 0 at both starts: left of the root
-        v = np.where(c > 1.0, np.log(c - np.log(c)), c - 1.0)
-    done = np.zeros(c.shape, dtype=bool)
-    last = np.full(c.shape, np.inf)
-    for _ in range(80):
-        ev = np.exp(v)
-        step = (ev + v - c) / (ev + 1.0)
-        size = np.abs(step)
-        v = np.where(done, v, v - step)
-        # in exact arithmetic the steps shrink monotonically; a step that does
-        # not is rounding noise, so the element has converged
-        done = done | (size <= 1e-16 * np.maximum(1.0, np.abs(v))) | (size >= last)
-        last = size
-        if done.all():
-            break
-    w = np.exp(v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_domain = x > _W_LOG_FROM
+        y = np.exp(np.minimum(x, _W_LOG_FROM)) * _E_INV
+        c = np.where(log_domain, x - 1.0, 0.0)
+        L = np.where(log_domain, c, np.log1p(y))
+        w = L * (1.0 - np.log1p(L) / (2.0 + L))
+        y = np.where(log_domain, 1.0, y)
+        for _ in range(_W_STEPS):
+            z = (c - w) + np.log(y / w)  # ln(x/w) - w for FSC's x = y*e^c
+            u = z / (1.0 + w)
+            w = w + w * (u * (1.0 + u / (2.0 * (1.0 + w + 2.0 * z / 3.0) - 2.0 * u)))
+        w = np.fmax(w, 0.0)  # where e^x underflows to 0, w is 0/0 and the root rounds to 0
     return float(w) if w.ndim == 0 else w

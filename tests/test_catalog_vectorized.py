@@ -1,13 +1,15 @@
 """The array-native catalog: grouped separable sums, elementwise root
 solving to the residual tolerance, elementwise errors, and the CLI table."""
 
+import decimal
+import fractions
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import KIND_NAMES, draw_case
@@ -76,6 +78,7 @@ ROOT_CASES = {
     "power_abs": (cat.PowerAbs(0.8, 1.7), lambda p, t, g: _power(p, np.abs(t), 1.7 * g * 0.8, 1.7)),
     "abs_quad_power": (cat.AbsQuadPower(0.4, 0.6, 1.2, 2.6), _aqp_residual),
     "neg_root": (cat.NegRoot(1.3, 2.5), lambda p, t, g: p - t - (g * 1.3 / 2.5) * p ** (1.0 / 2.5 - 1.0)),
+    "neg_root_square": (cat.NegRoot(1.3, 2.0), lambda p, t, g: p - t - (g * 1.3 / 2.0) * p**-0.5),
     "inverse_power": (cat.InversePower(0.7, 1.8), lambda p, t, g: p - t - g * 1.8 * 0.7 * p ** (-2.8)),
     "log_inverse": (cat.LogInverse(1.1, -0.6, 0.9), lambda p, t, g: p - t + g * (-0.6 - 1.1 / p - 0.9 / p**2)),
     "log_power": (cat.LogPower(0.9, 1.4, 2.2), lambda p, t, g: p - t + g * (2.2 * 1.4 * p ** (2.2 - 1.0) - 0.9 / p)),
@@ -93,6 +96,7 @@ ROOT_CASES = {
 # open or closed domain of each root-solved kind in ROOT_CASES; the others take every real
 DOMAINS = {
     "neg_root": lambda p: p >= 0.0,
+    "neg_root_square": lambda p: p >= 0.0,
     "inverse_power": lambda p: p > 0.0,
     "log_inverse": lambda p: p > 0.0,
     "log_power": lambda p: p > 0.0,
@@ -137,6 +141,8 @@ def test_root_solved_outputs_meet_the_residual_tolerance(name, gamma):
 
 
 EXTREME_T = (1e300, -1e300, 1e16, -1e16, 6.0, -6.0, 1e-300, -1e-300, 0.0)
+# the kinds of ROOT_CASES whose prox is a cubic's closed form
+CLOSED_FORMS = ("neg_root_square", "log_inverse", "interval_log_barrier")
 
 
 @pytest.mark.parametrize("name", sorted(ROOT_CASES))
@@ -146,10 +152,10 @@ def test_root_solved_kinds_on_extreme_inputs(name, gamma):
     in_domain = DOMAINS.get(name, lambda p: True)
     for t in EXTREME_T:
         # neg_root's prox (of a decreasing function) lies right of t, and so
-        # inside its domain; the brackets of log_inverse and of the power kinds
-        # hold their roots for every t
+        # inside its domain; the brackets of the power kinds hold their roots
+        # for every t, and the closed forms need none
         power = name in ("power_abs", "abs_quad_power", "smooth_plus_support")
-        must_solve = name == "neg_root" and t >= 1e16 or name == "log_inverse" and abs(t) == 1e300 or power
+        must_solve = name == "neg_root" and t >= 1e16 or name in CLOSED_FORMS or power
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -158,8 +164,24 @@ def test_root_solved_kinds_on_extreme_inputs(name, gamma):
                 assert not must_solve, t
                 continue
         assert math.isfinite(p) and in_domain(p), (t, p)
-        assert p >= t or name != "neg_root" or t < 1e16, (t, p)
+        assert p >= t or not name.startswith("neg_root") or t < 1e16, (t, p)
         assert _solved(name, np.array([p]), np.array([t]), gamma).all(), (t, p)
+
+
+@pytest.mark.parametrize("q", (2.5, 3.0, 5.0))
+@pytest.mark.parametrize("t", (1e200, 1e300))
+@pytest.mark.parametrize("gamma", (1e-3, 1.0, 1e3))
+def test_log_power_solves_past_1e200(q, t, gamma):
+    # hi^(q-1) overflowed there, the bracket's lower end fell to 0 and 200
+    # bisections from 1e300 ran out of steps; the relative residual, in
+    # 60-digit decimal arithmetic on the floats, is that of p within an ulp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = cat.LogPower(0.8, 0.5, q).prox(t, gamma)
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=60)):
+        r = D(p) - D(gamma * 0.8) / D(p) + D(gamma * q * 0.5) * D(p) ** D(q - 1.0) - D(t)
+        assert abs(r) / D(t) <= D(4.0 * q * np.finfo(float).eps), (p, r)
 
 
 def test_neg_root_prox_eval_at_a_large_input(capsys):
@@ -212,8 +234,10 @@ def test_smooth_plus_support_power_just_past_the_support():
     assert 0.0 < p < 1e-30
 
 
-# the four kinds with a pole at 0 and their residuals, written independently
-# of the catalog, as functions of (p, t, gamma, q, omega, kappa, alpha)
+# the three kinds with a pole at 0 that keep a bracket, and their residuals,
+# written independently of the catalog, as functions of
+# (p, t, gamma, q, omega, kappa, alpha); neg_root at q = 2 and log_inverse are
+# closed forms (tests/test_cubic_roots.py)
 POLE_KINDS = {
     "neg_root": (
         lambda q, omega, kappa, alpha: cat.NegRoot(omega, q),
@@ -222,10 +246,6 @@ POLE_KINDS = {
     "inverse_power": (
         lambda q, omega, kappa, alpha: cat.InversePower(omega, q),
         lambda p, t, g, q, omega, kappa, alpha: p - t - g * q * omega * p ** (-q - 1.0),
-    ),
-    "log_inverse": (
-        lambda q, omega, kappa, alpha: cat.LogInverse(kappa, alpha, omega),
-        lambda p, t, g, q, omega, kappa, alpha: p - t + g * (alpha - kappa / p - omega / p**2),
     ),
     "log_power": (
         lambda q, omega, kappa, alpha: cat.LogPower(kappa, omega, q),
@@ -248,6 +268,7 @@ _MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
 @example(name="neg_root", q=1.0358, omega=4.4e-2 * 1.0358, kappa=1.0, alpha=0.0, gamma=1.0, t=-3.7e9)
 @settings(max_examples=400, deadline=None)
 def test_pole_kind_brackets_hold_the_root(name, q, omega, kappa, alpha, gamma, t):
+    assume(name != "neg_root" or q != 2.0)
     make, residual = POLE_KINDS[name]
     brackets = []
 
@@ -280,43 +301,50 @@ _ANY_SCALE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
     t=st.one_of(_ANY_SCALE, _ANY_SCALE.map(lambda m: -m)),
     offset=st.one_of(st.none(), st.floats(-3.0, 4.0)),
 )
-# ends that break the bracket unless rounded toward their pole: the lower, then the upper
+# the draws that once broke the barrier's bracket unless its ends were rounded
+# toward their pole: the lower, then the upper
 @example(lo=-100.0, width=1000.0, k_lo=1e-3, k_hi=1e-3, gamma=1e-3, t=0.0, offset=-2.6)
 @example(lo=1000.0, width=100.0, k_lo=1e-2, k_hi=1e-3, gamma=0.1, t=0.0, offset=3.2)
 @settings(max_examples=400, deadline=None)
-def test_barrier_brackets_hold_the_root(lo, width, k_lo, k_hi, gamma, t, offset):
+def test_barrier_prox_holds_the_root(lo, width, k_lo, k_hi, gamma, t, offset):
+    # the residual, in exact arithmetic on floats, changes sign within four
+    # rounding units of the output: ulps of the larger of |p| and the scale
+    # (|p| + |t| + A/(p - lo) + B/(hi - p))/r'(p) at which the residual's
+    # terms, each rounded, place the root
     hi = lo + width
     if offset is not None:  # t inside (lo - 3w, hi + 3w)
         t = lo + offset * width
-    brackets = []
-
-    def recording(g, bracket, **kwargs):
-        brackets.append(bracket)
-        return solve_monotone(g, bracket, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    kind = cat.IntervalLogBarrier(lo, hi, k_lo, k_hi)
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(cat, "solve_monotone", recording)
-        kind = cat.IntervalLogBarrier(lo, hi, k_lo, k_hi)
-        kind.prox(t, gamma)
-    (bracket,) = brackets
-    a, b = float(bracket.lo), float(bracket.hi)
-    assert math.isfinite(a) and math.isfinite(b) and kind.lo <= a < b <= kind.hi, (a, b)
-    with np.errstate(divide="ignore"):
-        r_a, r_b = (p - t - gamma * k_lo / (p - kind.lo) + gamma * k_hi / (kind.hi - p) for p in map(np.float64, (a, b)))
-    assert r_a <= 0.0 <= r_b, (a, b, r_a, r_b)
+        p = kind.prox(t, gamma)
+    assert kind.lo < p < kind.hi, p
+    A, B = gamma * k_lo, gamma * k_hi
+    near_lo, near_hi = p - kind.lo, kind.hi - p
+    scale = (abs(p) + abs(t) + A / near_lo + B / near_hi) / (1.0 + A / near_lo / near_lo + B / near_hi / near_hi)
+    tol = 4.0 * math.ulp(max(abs(p), scale))
+    F = fractions.Fraction
+
+    def sign(x):  # past an end the residual counts as the sign of its pole
+        if x <= kind.lo or x >= kind.hi:
+            return -1 if x <= kind.lo else 1
+        r = F(x) - F(t) - F(A) / (F(x) - F(kind.lo)) + F(B) / (F(kind.hi) - F(x))
+        return (r > 0) - (r < 0)
+
+    assert sign(p - tol) <= 0 <= sign(p + tol), (p, tol)
 
 
 # the prox_catalog benchmark's kind parameters, with the most residual
 # evaluations any one solve may take on 1,000 points uniform on [-6, 6];
-# abs_quad_power's q = 3 is a closed form and makes no solve at all
+# the closed forms (neg_root at q = 2, log_inverse, the barrier, and the power
+# kinds at q = 5/2 and 3) make no solve at all
 EVALUATION_BUDGETS = {
-    "neg_root": (cat.NegRoot(1.1, 2.0), (10, 10, 10)),
+    "neg_root": (cat.NegRoot(1.1, 2.0), ()),
     "inverse_power": (cat.InversePower(0.8, 2.0), (10, 10, 10)),
     "log_power": (cat.LogPower(0.8, 0.5, 2.5), (10, 10, 10)),
-    "log_inverse": (cat.LogInverse(0.7, 0.3, 0.5), (14, 14, 14)),
-    "interval_log_barrier": (cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9), (18, 18, 18)),
-    "power_abs": (cat.PowerAbs(1.2, 2.5), (7, 8, 9)),
+    "log_inverse": (cat.LogInverse(0.7, 0.3, 0.5), ()),
+    "interval_log_barrier": (cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9), ()),
+    "power_abs": (cat.PowerAbs(1.2, 2.5), ()),
     "abs_quad_power": (cat.AbsQuadPower(0.3, 0.5, 0.7, 3.0), ()),
 }
 
@@ -347,11 +375,20 @@ def test_root_solves_stay_within_their_evaluation_budget(monkeypatch, name):
     assert all(n <= budget for n, budget in zip(counts, budgets)), counts
 
 
-def test_a_newton_step_that_cannot_move_p_probes_the_next_float(monkeypatch):
-    # Newton ends at |r| just above the tolerance, and its next point rounds to p
-    kind = cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9)
-    counts = _evaluation_counts(monkeypatch, lambda: kind.prox(-5.9418419056725575, 0.25))
-    assert counts[0] <= 18, counts
+def test_a_newton_step_that_cannot_move_p_probes_the_next_float():
+    # Newton ends at |r| just above the tolerance, and its next point rounds to
+    # p: the barrier's residual (-2, 3, 0.6, 0.9) at t = -5.9418419056725575 and
+    # gamma = 0.25, on the bracket its root once had
+    t, A, B = -5.9418419056725575, 0.25 * 0.6, 0.25 * 0.9
+    calls = []
+
+    def r(p):
+        calls.append(p)
+        return p - t - A / (p + 2.0) + B / (3.0 - p)
+
+    p = solve_monotone(r, Bracket(-1.9631332657911285, 0.5000000000024999), lambda p: 1.0 + A / (p + 2.0) ** 2 + B / (3.0 - p) ** 2)
+    assert len(calls) <= 18, len(calls)
+    assert p == pytest.approx(cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9).prox(t, 0.25), rel=0.0, abs=1e-14)
 
 
 def test_entropy_matches_lambert_identity_elementwise():

@@ -1,6 +1,6 @@
-"""The power proxes' root p >= 0 of p + c*p^(q-1) = a: closed forms for q = 2
-and q = 3, factor-two brackets for every other q, and stacks of kinds with
-mixed exponents."""
+"""The power proxes' root p >= 0 of p + c*p^(q-1) = a: closed forms for q = 2,
+3, 4/3, 5/2 and 4, factor-two brackets for every other q, and stacks of kinds
+with mixed exponents."""
 
 import decimal
 import math
@@ -66,11 +66,15 @@ POWER_KINDS = {
 }
 
 
+CLOSED_EXPONENTS = (2.0, 3.0, 4.0 / 3.0, 2.5, 4.0)
+
+
 @pytest.mark.parametrize("name", sorted(POWER_KINDS))
-@pytest.mark.parametrize("q", (2.0, 2.5, 3.0))
+@pytest.mark.parametrize("q", (2.0, 2.5, 2.6, 3.0, 4.0))
 @pytest.mark.parametrize("t", (1e235, -1e235, 1e300, -1e300))
 def test_power_proxes_solve_at_large_points(name, q, t):
-    # past |t| of about 1e235, 200 halvings of [0, a] do not reach a q >= 2 root
+    # past |t| of about 1e235, 200 halvings of [0, a] do not reach a solved
+    # q >= 2 root (2.6 here); the closed forms hold there too
     make, equation = POWER_KINDS[name]
     p = _warning_free(make(q).prox, t)
     c, a = equation(q, t)
@@ -79,7 +83,7 @@ def test_power_proxes_solve_at_large_points(name, q, t):
 
 
 @pytest.mark.parametrize("name", sorted(POWER_KINDS))
-@pytest.mark.parametrize("q", (2.0, 3.0))
+@pytest.mark.parametrize("q", CLOSED_EXPONENTS)
 def test_closed_form_power_proxes_keep_non_finite_points(name, q):
     # the limit at +-inf, and NaN at NaN, as the other closed-form kinds give
     p = _warning_free(POWER_KINDS[name][0](q).prox, np.array([math.inf, -math.inf, math.nan]))
@@ -90,7 +94,7 @@ def test_closed_form_power_proxes_keep_non_finite_points(name, q):
 @pytest.mark.parametrize("t", (math.inf, math.nan))
 def test_root_solved_power_proxes_reject_non_finite_points(t):
     with pytest.raises(InvalidParameterError, match="finite"):
-        cat.PowerAbs(1.0, 2.5).prox(t)
+        cat.PowerAbs(1.0, 2.6).prox(t)
 
 
 @given(
@@ -109,21 +113,27 @@ def test_closed_form_power_roots_match_a_decimal_bisection(q, t, negative, c):
     assert math.copysign(1.0, p) == math.copysign(1.0, t)
 
 
-MIXED = [(1.2, 2.0), (0.7, 2.5), (1.1, 3.0), (0.5, 2.5), (0.9, 2.0), (0.3, 3.0), (2.0, 1.5)]
+MIXED = [(1.2, 2.0), (0.7, 2.5), (1.1, 3.0), (0.5, 2.6), (0.9, 2.0), (0.3, 3.0), (2.0, 1.5)]
+MIXED += [(0.8, 4.0 / 3.0), (1.3, 4.0)]
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_a_stack_of_mixed_exponents_gives_each_coordinate_its_own_prox(gamma):
-    # closed forms to the bit; a solved coordinate to the solver's tolerance,
-    # since numpy may take p**e by another path for a scalar e than for an array
-    t = np.array([1.5, -2.0, 3.0, -4.0, 0.0, 5.5, -0.7])
+    # q = 2 and 3 to the bit, the cubic forms to 2 ulp and a solved coordinate
+    # to the solver's tolerance, since numpy may take a power, a root or a
+    # cosine by another path for a scalar than for an array
+    t = np.array([1.5, -2.0, 3.0, -4.0, 0.0, 5.5, -0.7, 2.5, -3.5])
     powers = [cat.PowerAbs(kappa, q) for kappa, q in MIXED]
     quads = [cat.AbsQuadPower(0.3, 0.5, kappa, q) for kappa, q in MIXED]
     for kinds in (powers, quads):
         p = cat.separable(kinds).prox(gamma, t)
         for k, x, pk in zip(kinds, t, p):
             alone = k.prox(float(x), gamma)
-            assert pk == alone if k.q in (2.0, 3.0) else pk == pytest.approx(alone, rel=0.0, abs=2e-14), (k, x)
+            if k.q in (2.0, 3.0):
+                assert pk == alone, (k, x)
+            else:
+                tol = 2.0 * np.spacing(abs(alone)) if k.q in CLOSED_EXPONENTS else 2e-14
+                assert pk == pytest.approx(alone, rel=0.0, abs=tol), (k, x)
 
 
 def test_closed_form_exponents_make_no_root_solve(monkeypatch):
@@ -132,12 +142,14 @@ def test_closed_form_exponents_make_no_root_solve(monkeypatch):
 
     monkeypatch.setattr(cat, "solve_monotone", refuse)
     t = np.linspace(-6.0, 6.0, 13)
-    cat.separable([cat.PowerAbs(1.0, 2.0), cat.PowerAbs(0.5, 3.0)] * 6 + [cat.PowerAbs(2.0, 3.0)]).prox(1.0, t)
-    cat.separable(cat.AbsQuadPower(0.3, 0.5, 0.7, 3.0), dim=13).prox(1.0, t)
-    cat.SmoothPlusSupport(cat.PowerAbs(1.0, 2.0), -1.0, 1.0).prox(t)
+    closed = [cat.PowerAbs(1.0, q) for q in CLOSED_EXPONENTS] + [cat.PowerAbs(0.5, q) for q in CLOSED_EXPONENTS]
+    cat.separable(closed + [cat.PowerAbs(2.0, 3.0)] * 3).prox(1.0, t)
+    for q in CLOSED_EXPONENTS:
+        cat.separable(cat.AbsQuadPower(0.3, 0.5, 0.7, q), dim=13).prox(1.0, t)
+        cat.SmoothPlusSupport(cat.PowerAbs(1.0, q), -1.0, 1.0).prox(t)
 
 
-@pytest.mark.parametrize("q", (1.01, 1.5, 2.5, 4.0, 50.0, 1e4, 1e6))
+@pytest.mark.parametrize("q", (1.01, 1.5, 2.6, 4.5, 50.0, 1e4, 1e6))
 @pytest.mark.parametrize("gamma", (1e-3, 1.0, 1e3))
 def test_factor_two_brackets_hold_the_root_for_every_exponent(q, gamma):
     # the bracket of every solved q holds the root, so the solve succeeds.  The
