@@ -31,7 +31,7 @@ degree at most 3 in p, in a root of p or, for the pole and barrier kinds,
 once the poles are cleared, the prox is that polynomial's closed-form root:
 quadratics (the power proxes at q = 2 and 3 among them) in forms that
 neither overflow nor cancel, and cubics (neg_root at q = 2, log_inverse, the
-interval log-barrier and the power proxes at q = 4/3, 5/2 and 4) through
+interval log-barrier and the power proxes at q = 5/2) through
 ``_cubic_root`` and one Newton step on r.  The other equations are solved by
 the elementwise ``scalar.solve_monotone``, all coordinates of a group in one
 call, on a closed-form bracket and with Newton steps from r', to the
@@ -235,37 +235,16 @@ def _polish(p, step):
     return np.where(np.isfinite(step), p - step, p)
 
 
-def _power_four_thirds(c, a):
-    """p + c*p^(1/3) = a: u^3 + c*u - a = 0 in u = p^(1/3)."""
-    p = _cubic_root(0.0, c, -a) ** 3
-    u = np.cbrt(p)
-    return _polish(p, ((c * u - a) + p) / (1.0 + c / 3.0 * u / p))
-
-
 def _power_five_halves(c, a):
     """p + c*p^(3/2) = a: c*u^3 + u^2 - a = 0 in u = sqrt(p), solved as
-    w^3 - w/cbrt(a) - c = 0 in w = cbrt(a)/u, a cubic without a square term."""
-    k = np.cbrt(a)
-    p = (k / _cubic_root(0.0, -1.0 / k, -c)) ** 2
-    root = np.sqrt(p)
-    return _polish(p, ((c * p * root - a) + p) / (1.0 + 1.5 * c * root))
-
-
-def _power_four(c, a):
-    """p + c*p^3 = a: w^3 + w/cbrt(c) - a = 0 in w = cbrt(c)*p."""
-    k = np.cbrt(c)
-    p = _cubic_root(0.0, 1.0 / k, -a) / k
-    return _polish(p, ((c * p * p * p - a) + p) / (1.0 + 3.0 * c * p * p))
-
-
-def _power_cubic(form):
-    """A cubic power root that is 0 at a = 0, +inf at +inf and NaN at NaN."""
-
-    def root(c, a):
-        with _quiet():
-            return np.where((0.0 < a) & (a < math.inf), form(c, a), a)
-
-    return root
+    w^3 - w/cbrt(a) - c = 0 in w = cbrt(a)/u, a cubic without a square term.
+    0 at a = 0, +inf at +inf and NaN at NaN."""
+    with _quiet():
+        k = np.cbrt(a)
+        p = (k / _cubic_root(0.0, -1.0 / k, -c)) ** 2
+        root = np.sqrt(p)
+        p = _polish(p, ((c * p * root - a) + p) / (1.0 + 1.5 * c * root))
+        return np.where((0.0 < a) & (a < math.inf), p, a)
 
 
 def _power_square(c, a):
@@ -281,25 +260,22 @@ def _power_cube(c, a):
 _POWER_FORMS = {
     2.0: _power_square,
     3.0: _power_cube,
-    4.0 / 3.0: _power_cubic(_power_four_thirds),
-    2.5: _power_cubic(_power_five_halves),
-    4.0: _power_cubic(_power_four),
+    2.5: _power_five_halves,
 }
 
 
 def _power_root(c, q, a):
     """Root p >= 0 of p + c*p^(q-1) = a (c > 0, a >= 0; 0 where a = 0).
 
-    q = 2, 3, 4/3, 5/2 and 4 are closed forms, after Chaux, Combettes,
-    Pesquet & Wajs (2007, Ex. 4.4).  q = 2 is p = a/(1 + c) and q = 3 is
+    q = 2, 3 and 5/2 are closed forms, after Chaux, Combettes, Pesquet &
+    Wajs (2007, Ex. 4.4).  q = 2 is p = a/(1 + c) and q = 3 is
     p = a/(1/2 + sqrt(1/4 + c*a)), with sqrt(c*a) taken as sqrt(c)*sqrt(a)
-    inside ``np.hypot``, so that neither overflows nor cancels.  The other
-    three are cubics in p^(1/3), in 1/sqrt(p) and in p, solved by
-    ``_cubic_root`` and finished by one Newton step on the residual.  Each
-    gives +inf at a = +inf and NaN at NaN.  Every other q is root-solved by
-    ``_solved_power_root``.  A stack of kinds with mixed exponents (array q)
-    takes the closed form on the elements that allow it and makes one solve
-    for the rest.
+    inside ``np.hypot``, so that neither overflows nor cancels.  q = 5/2 is
+    a cubic in 1/sqrt(p), solved by ``_cubic_root`` and finished by one
+    Newton step on the residual.  Each gives +inf at a = +inf and NaN at
+    NaN.  Every other q is root-solved by ``_solved_power_root``.  A stack
+    of kinds with mixed exponents (array q) takes the closed form on the
+    elements that allow it and makes one solve for the rest.
     """
     if np.ndim(q):  # c and a are arrays of q's shape
         p = np.empty_like(a)
@@ -816,17 +792,20 @@ class IntervalLogBarrier(ScalarKind):
         negative at x = 2, so x is its middle root.  ``_cubic_root`` finds it,
         to its own digits however near the pole, and one Newton step on the
         residual finishes it, with the pole terms taken at their distances w
-        and 2h - w.  D is held to +-1e300, past which the root is within
-        rounding of the pole unless the pole is 0, and a root that rounds to
-        an end of the domain is the next float inside."""
+        and 2h - w.  Below D = -1e300, where t lies that far beyond the pole,
+        the pole term alone balances the distance to t wherever (A + B)/h^2 is
+        below 1e284, and w is A/(lo - t) (B/(t - hi) on the upper side) to
+        rounding.  D is held to +-1e300 in the cubic, and a root that rounds
+        to an end of the domain is the next float inside."""
         _require_finite(t)
         lo, hi, A, B = self.lo, self.hi, gamma * self.k_lo, gamma * self.k_hi
         m, h = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
         with _quiet():
             upper = t >= m + (B - A) / h
-            D = np.minimum(np.maximum(np.where(upper, hi - t, t - lo) / h, -1e300), 1e300)
-            K = np.where(upper, B, A) / h / h
-            w = h * _cubic_root(-(D + 2.0), 2.0 * D - (A + B) / h / h, 2.0 * K, middle=True)
+            dist, k = np.where(upper, hi - t, t - lo), np.where(upper, B, A)
+            D = np.minimum(np.maximum(dist / h, -1e300), 1e300)
+            w = h * _cubic_root(-(D + 2.0), 2.0 * D - (A + B) / h / h, 2.0 * k / h / h, middle=True)
+            w = np.where((dist / h < -1e300) & ((A + B) / h / h < 1e284), k / -dist, w)
             far = 2.0 * h - w
             near_lo, near_hi = np.where(upper, far, w), np.where(upper, w, far)
             p = np.where(upper, hi - w, lo + w)

@@ -337,7 +337,8 @@ def test_barrier_prox_holds_the_root(lo, width, k_lo, k_hi, gamma, t, offset):
 # the prox_catalog benchmark's kind parameters, with the most residual
 # evaluations any one solve may take on 1,000 points uniform on [-6, 6];
 # the closed forms (neg_root at q = 2, log_inverse, the barrier, and the power
-# kinds at q = 5/2 and 3) make no solve at all
+# kinds at q = 5/2 and 3) make no solve at all.  The power kinds at q = 3/2
+# (smooth_plus_support's psi) and neg_root at q = 3 keep theirs
 EVALUATION_BUDGETS = {
     "neg_root": (cat.NegRoot(1.1, 2.0), ()),
     "inverse_power": (cat.InversePower(0.8, 2.0), (10, 10, 10)),
@@ -345,6 +346,8 @@ EVALUATION_BUDGETS = {
     "log_inverse": (cat.LogInverse(0.7, 0.3, 0.5), ()),
     "interval_log_barrier": (cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9), ()),
     "power_abs": (cat.PowerAbs(1.2, 2.5), ()),
+    "power_abs_solved": (cat.PowerAbs(0.7, 1.5), (8, 8, 8)),
+    "neg_root_solved": (cat.NegRoot(1.1, 3.0), (9, 9, 9)),
     "abs_quad_power": (cat.AbsQuadPower(0.3, 0.5, 0.7, 3.0), ()),
 }
 
@@ -427,11 +430,13 @@ class TestOneBadElement:
             lambert_w_exp(np.array([0.0, math.inf, 1.0]))
 
     def test_separable_barrier_coordinate_next_to_its_pole(self):
-        # the root of coordinate 1 is about 1e-300; it is found to the solver's
-        # absolute tolerance, and the other coordinates get their own bytes
+        # the root of coordinate 1 is 1/(1e300 + p + 1/(1 - p)), 1e-300 to
+        # within an ulp, and the other coordinates get their own bytes
         kind = cat.IntervalLogBarrier(0.0, 1.0, 1.0, 1.0)
         p = cat.separable(kind, dim=3).prox(1.0, [0.5, -1e300, 0.2])
-        assert 0.0 < p[1] <= ROOT_TOL
+        assert abs(p[1] - 1e-300) <= 2.0 * math.ulp(1e-300), p[1]
+        # and likewise on the upper side of a pole at 0
+        assert abs(cat.IntervalLogBarrier(-1.0, 0.0, 1.0, 1.0).prox(1e300) + 1e-300) <= 2.0 * math.ulp(1e-300)
         assert [p[0], p[2]] == [kind.prox(0.5), kind.prox(0.2)]
 
     def test_separable_entropy_overflowing_coordinate(self):

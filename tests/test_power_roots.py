@@ -1,6 +1,6 @@
 """The power proxes' root p >= 0 of p + c*p^(q-1) = a: closed forms for q = 2,
-3, 4/3, 5/2 and 4, factor-two brackets for every other q, and stacks of kinds
-with mixed exponents."""
+3 and 5/2, factor-two brackets for every other q, and stacks of kinds with
+mixed exponents."""
 
 import decimal
 import math
@@ -66,7 +66,7 @@ POWER_KINDS = {
 }
 
 
-CLOSED_EXPONENTS = (2.0, 3.0, 4.0 / 3.0, 2.5, 4.0)
+CLOSED_EXPONENTS = (2.0, 3.0, 2.5)
 
 
 @pytest.mark.parametrize("name", sorted(POWER_KINDS))
@@ -74,7 +74,7 @@ CLOSED_EXPONENTS = (2.0, 3.0, 4.0 / 3.0, 2.5, 4.0)
 @pytest.mark.parametrize("t", (1e235, -1e235, 1e300, -1e300))
 def test_power_proxes_solve_at_large_points(name, q, t):
     # past |t| of about 1e235, 200 halvings of [0, a] do not reach a solved
-    # q >= 2 root (2.6 here); the closed forms hold there too
+    # q >= 2 root (2.6 and 4 here); the closed forms hold there too
     make, equation = POWER_KINDS[name]
     p = _warning_free(make(q).prox, t)
     c, a = equation(q, t)
@@ -114,15 +114,14 @@ def test_closed_form_power_roots_match_a_decimal_bisection(q, t, negative, c):
 
 
 MIXED = [(1.2, 2.0), (0.7, 2.5), (1.1, 3.0), (0.5, 2.6), (0.9, 2.0), (0.3, 3.0), (2.0, 1.5)]
-MIXED += [(0.8, 4.0 / 3.0), (1.3, 4.0)]
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_a_stack_of_mixed_exponents_gives_each_coordinate_its_own_prox(gamma):
-    # q = 2 and 3 to the bit, the cubic forms to 2 ulp and a solved coordinate
+    # q = 2 and 3 to the bit, the cubic form to 2 ulp and a solved coordinate
     # to the solver's tolerance, since numpy may take a power, a root or a
     # cosine by another path for a scalar than for an array
-    t = np.array([1.5, -2.0, 3.0, -4.0, 0.0, 5.5, -0.7, 2.5, -3.5])
+    t = np.array([1.5, -2.0, 3.0, -4.0, 0.0, 5.5, -0.7])
     powers = [cat.PowerAbs(kappa, q) for kappa, q in MIXED]
     quads = [cat.AbsQuadPower(0.3, 0.5, kappa, q) for kappa, q in MIXED]
     for kinds in (powers, quads):
@@ -142,14 +141,14 @@ def test_closed_form_exponents_make_no_root_solve(monkeypatch):
 
     monkeypatch.setattr(cat, "solve_monotone", refuse)
     t = np.linspace(-6.0, 6.0, 13)
-    closed = [cat.PowerAbs(1.0, q) for q in CLOSED_EXPONENTS] + [cat.PowerAbs(0.5, q) for q in CLOSED_EXPONENTS]
-    cat.separable(closed + [cat.PowerAbs(2.0, 3.0)] * 3).prox(1.0, t)
+    closed = [cat.PowerAbs(kappa, q) for kappa in (1.0, 0.5, 2.0, 0.3) for q in CLOSED_EXPONENTS]
+    cat.separable(closed + [cat.PowerAbs(2.0, 3.0)]).prox(1.0, t)
     for q in CLOSED_EXPONENTS:
         cat.separable(cat.AbsQuadPower(0.3, 0.5, 0.7, q), dim=13).prox(1.0, t)
         cat.SmoothPlusSupport(cat.PowerAbs(1.0, q), -1.0, 1.0).prox(t)
 
 
-@pytest.mark.parametrize("q", (1.01, 1.5, 2.6, 4.5, 50.0, 1e4, 1e6))
+@pytest.mark.parametrize("q", (1.01, 1.5, 2.6, 4.0, 50.0, 1e4, 1e6))
 @pytest.mark.parametrize("gamma", (1e-3, 1.0, 1e3))
 def test_factor_two_brackets_hold_the_root_for_every_exponent(q, gamma):
     # the bracket of every solved q holds the root, so the solve succeeds.  The
