@@ -36,13 +36,18 @@ interval log-barrier and the power proxes at q = 5/2) through
 the elementwise ``scalar.solve_monotone``, all coordinates of a group in one
 call, on a closed-form bracket and with Newton steps from r', to the
 solver's residual tolerance, 1e-14, which bounds the error in p as well.
+``_power_root`` solves p + c*p^(q-1) = a for the power kinds, and
+``_pole_root`` p - c*p^(-m) = t for neg_root and inverse_power.
+``ScalarKind.prox`` is the one boundary, as ``ProxFn.prox`` is: a point that
+is not finite raises ``InvalidParameterError`` and a result that is not
+finite ``InvalidInputError``, so no kind handles non-finite values itself.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -186,7 +191,8 @@ def _cubic_root(b, c, d, middle: bool = False):
                 bottom = -2.0 * r * np.cos(phi - math.pi / 3.0) - h
                 x1 = np.where(np.abs(x1) >= np.abs(bottom), x1, bottom)
         if count < three.size:
-            u = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(0.25 * Q * Q + cube / 27.0), Q))
+            # the discriminant rounds to either sign next to a double root
+            u = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(np.maximum(0.25 * Q * Q + cube / 27.0, 0.0)), Q))
             v = P / (-3.0 * u)  # u = 0 only for a triple root, at P = Q = 0
             one = np.where(P > 0.0, -Q / (u * u + v * v + P / 3.0), u + v) - h
             x1 = np.where(three, x1, one) if count else one
@@ -208,26 +214,33 @@ def _cubic_root(b, c, d, middle: bool = False):
         return np.where((x1 < 0.0) & (disc >= 0.0), np.maximum(g, k), x1)
 
 
-def _pole_bracket(c, m, a):
-    """Ends of a bracket of the root p > 0 of p - c*p^(-m) = a (c, m > 0).
+def _pole_root(c, m, t):
+    """Root p > 0 of p - c*p^(-m) = t (c, m > 0), the prox equation of
+    neg_root and inverse_power, by ``_solve_pole`` with Newton steps from
+    the residual's derivative 1 + c*m*p^(-m-1).
 
-    With s = c^(1/(1+m)), where p = c*p^(-m): for a >= 0 the root lies in
-    [max(s, a), a + c*max(s, a)^(-m)]; for a < 0 it is at most
-    hi = min(s, (c/-a)^(1/m)) and at least (c/(hi - a))^(1/m).  The 1/m powers
+    With s = c^(1/(1+m)), where p = c*p^(-m): for t >= 0 the root lies in
+    [max(s, t), t + c*max(s, t)^(-m)]; for t < 0 it is at most
+    hi = min(s, (c/-t)^(1/m)) and at least (c/(hi - t))^(1/m).  The 1/m powers
     multiply the rounding of their base by 1/m, so the base is widened
     instead of the result.
     """
     with _quiet():  # each branch is computed for every element and one is discarded
         s = c ** (1.0 / (1.0 + m))
-        above = np.maximum(s, a)
-        hi = np.minimum(s, ((1.0 + _MARGIN) * c / -a) ** (1.0 / m)) * (1.0 + _MARGIN)
-        lo = ((1.0 - _MARGIN) * c / (hi - a)) ** (1.0 / m)
-        return np.where(a >= 0.0, above, lo), np.where(a >= 0.0, a + c * above**-m, hi)
+        above = np.maximum(s, t)
+        hi = np.minimum(s, ((1.0 + _MARGIN) * c / -t) ** (1.0 / m)) * (1.0 + _MARGIN)
+        lo = ((1.0 - _MARGIN) * c / (hi - t)) ** (1.0 / m)
+        lo, hi = np.where(t >= 0.0, above, lo), np.where(t >= 0.0, t + c * above**-m, hi)
+    return _solve_pole(lambda p: p - t - c * p**-m, lambda p: 1.0 + c * m * p ** (-m - 1.0), lo, hi)
 
 
-def _require_finite(t) -> None:  # as the root-solved kinds' brackets require
-    if not np.isfinite(t).all():
-        raise InvalidParameterError("prox points must be finite")
+def _square(v):
+    """v**2 as ``**`` rounds it (C's pow for a float, v*v for an array), but
+    +inf past the float range, where a float's ``**`` raises."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
 
 
 def _polish(p, step):
@@ -237,14 +250,14 @@ def _polish(p, step):
 
 def _power_five_halves(c, a):
     """p + c*p^(3/2) = a: c*u^3 + u^2 - a = 0 in u = sqrt(p), solved as
-    w^3 - w/cbrt(a) - c = 0 in w = cbrt(a)/u, a cubic without a square term.
-    0 at a = 0, +inf at +inf and NaN at NaN."""
+    w^3 - w/cbrt(a) - c = 0 in w = cbrt(a)/u, a cubic without a square term,
+    and 0 at a = 0."""
     with _quiet():
         k = np.cbrt(a)
         p = (k / _cubic_root(0.0, -1.0 / k, -c)) ** 2
         root = np.sqrt(p)
         p = _polish(p, ((c * p * root - a) + p) / (1.0 + 1.5 * c * root))
-        return np.where((0.0 < a) & (a < math.inf), p, a)
+        return np.where(0.0 < a, p, a)
 
 
 def _power_square(c, a):
@@ -252,8 +265,7 @@ def _power_square(c, a):
 
 
 def _power_cube(c, a):
-    with _quiet():  # inf/inf at a = +inf, where fmin returns a; the quotient is at most a
-        return np.fmin(a / (0.5 + np.hypot(0.5, np.sqrt(c) * np.sqrt(a))), a)
+    return a / (0.5 + np.hypot(0.5, np.sqrt(c) * np.sqrt(a)))
 
 
 # the exponents q whose power root is closed form, with that form (c, a) -> p
@@ -272,10 +284,10 @@ def _power_root(c, q, a):
     p = a/(1/2 + sqrt(1/4 + c*a)), with sqrt(c*a) taken as sqrt(c)*sqrt(a)
     inside ``np.hypot``, so that neither overflows nor cancels.  q = 5/2 is
     a cubic in 1/sqrt(p), solved by ``_cubic_root`` and finished by one
-    Newton step on the residual.  Each gives +inf at a = +inf and NaN at
-    NaN.  Every other q is root-solved by ``_solved_power_root``.  A stack
-    of kinds with mixed exponents (array q) takes the closed form on the
-    elements that allow it and makes one solve for the rest.
+    Newton step on the residual.  Every other q is root-solved by
+    ``_solved_power_root``.  A stack of kinds with mixed exponents (array q)
+    takes the closed form on the elements that allow it and makes one solve
+    for the rest.
     """
     if np.ndim(q):  # c and a are arrays of q's shape
         p = np.empty_like(a)
@@ -351,7 +363,8 @@ class ScalarKind:
     ``_prox`` on arrays, in expressions that also broadcast over the
     parameters, since ``separable`` calls them on kinds whose parameters are
     stacked into arrays.  Construction checks each numeric parameter against
-    ``_PARAM_RULES`` and stores it as a float.
+    ``_PARAM_RULES`` and stores it as a float.  ``prox`` takes finite points
+    only, and a result that is not finite raises ``InvalidInputError``.
     """
 
     def __post_init__(self):
@@ -362,7 +375,13 @@ class ScalarKind:
         return _like(t, self._value(_points(t)))
 
     def prox(self, t, gamma: float = 1.0):
-        return _like(t, self._prox(_points(t), as_real(gamma, "gamma", above=0.0)))
+        points = _points(t)
+        if not np.isfinite(points).all():
+            raise InvalidParameterError("prox points must be finite")
+        p = self._prox(points, as_real(gamma, "gamma", above=0.0))
+        if not np.isfinite(p).all():
+            raise InvalidInputError(f"{type(self).__name__} prox is not finite")
+        return _like(t, p)
 
     def _value(self, t: Array) -> Array:
         raise NotImplementedError
@@ -495,7 +514,9 @@ class Huber(ScalarKind):
     def _value(self, t):
         a, root = np.abs(t), np.sqrt(2.0 * self.kappa)
         near = np.minimum(a, self.omega / root)  # a discarded square may overflow
-        return np.where(a <= self.omega / root, self.kappa * near * near, self.omega * root * a - 0.5 * self.omega**2)
+        with _quiet():  # as may omega^2
+            far = self.omega * root * a - 0.5 * _square(self.omega)
+        return np.where(a <= self.omega / root, self.kappa * near * near, far)
 
     def _prox(self, t, gamma):
         root = np.sqrt(2.0 * self.kappa)
@@ -539,8 +560,9 @@ class AbsMinusLog(ScalarKind):
         return a - np.log1p(a)
 
     def _prox(self, t, gamma):
-        a = self.omega * np.abs(t)
-        p = _inverse_root(a, a - gamma * self.omega**2 - 1.0) / self.omega
+        with _quiet():  # a or omega^2 may overflow: p is then not finite, or 0 where only omega^2 does
+            a = self.omega * np.abs(t)
+            p = _inverse_root(a, a - gamma * _square(self.omega) - 1.0) / self.omega
         return np.where(t == 0.0, 0.0, np.copysign(p, t))
 
 
@@ -567,7 +589,7 @@ class NegRoot(ScalarKind):
     Newton step is taken on the residual u^2 - t - c/u at p = u^2, whose one
     rounded term where -t and c/sqrt(p) cancel is c/u, and p = u^2, which can
     round to an ulp below the root, is held to at least t.  Every other q is
-    root-solved on the bracket of ``_pole_bracket``.
+    root-solved by ``_pole_root``.
     """
 
     omega: float
@@ -579,20 +601,11 @@ class NegRoot(ScalarKind):
     def _prox(self, t, gamma):
         c = gamma * self.omega / self.q
         if np.all(self.q == 2.0):
-            _require_finite(t)
             u = _cubic_root(0.0, -t, -c)
             with _quiet():  # where u is near 0 the step is not finite, and u stays
                 u = _polish(u, (u * u - t - c / u) / (2.0 * u + c / u / u))
             return np.maximum(u * u, t)
-        expo = 1.0 / self.q - 1.0
-
-        def r(p):
-            return p - t - c * p**expo
-
-        def dr(p):
-            return 1.0 - c * expo * p ** (expo - 1.0)
-
-        return _solve_pole(r, dr, *_pole_bracket(c, -expo, t))
+        return _pole_root(c, 1.0 - 1.0 / self.q, t)
 
 
 @dataclass(frozen=True)
@@ -600,7 +613,7 @@ class InversePower(ScalarKind):
     """omega*t^(-q) on t > 0, +inf otherwise (q > 1).
 
     The prox solves p - c*p^(-m) = t with c = gamma*q*omega and m = q + 1,
-    on the bracket of ``_pole_bracket``.
+    by ``_pole_root``.
     """
 
     omega: float
@@ -611,15 +624,7 @@ class InversePower(ScalarKind):
             return np.where(t <= 0.0, math.inf, self.omega * t ** (-self.q))
 
     def _prox(self, t, gamma):
-        c = gamma * self.q * self.omega
-
-        def r(p):
-            return p - t - c * p ** (-self.q - 1.0)
-
-        def dr(p):
-            return 1.0 + c * (self.q + 1.0) * p ** (-self.q - 2.0)
-
-        return _solve_pole(r, dr, *_pole_bracket(c, self.q + 1.0, t))
+        return _pole_root(gamma * self.q * self.omega, self.q + 1.0, t)
 
 
 @dataclass(frozen=True)
@@ -699,7 +704,11 @@ class LogInverse(ScalarKind):
     other roots, so there it is taken as k/w with k = cbrt(B) and w the
     positive root of w^3 + (A/k^2)*w^2 + (a/k)*w - 1 = 0, of the reversed
     cubic.  ``_cubic_root`` gives either as the largest root, and one Newton
-    step on the residual finishes it.
+    step on the residual finishes it.  Where a coefficient of the reversed
+    cubic overflows, its term dominates: where A/k^2 does, A/p^2 outweighs
+    B/p^3 and p solves p - A/p = a; where only a/k does, -a/p outweighs 1
+    and p is the positive root of -a*p^2 - A*p - B = 0,
+    h + hypot(h, sqrt(B/-a)) with h = A/(-2a).
     """
 
     kappa: float
@@ -711,13 +720,18 @@ class LogInverse(ScalarKind):
             return np.where(t <= 0.0, math.inf, -self.kappa * np.log(t) + self.alpha * t + self.omega / t)
 
     def _prox(self, t, gamma):
-        _require_finite(t)
         a, A, B = t - gamma * self.alpha, gamma * self.kappa, gamma * self.omega
         k = np.cbrt(B)
         with _quiet():
             reverse = a < 0.0
-            x = _cubic_root(np.where(reverse, A / k / k, -a), np.where(reverse, a / k, -A), np.where(reverse, -1.0, -B))
+            b, c = A / k / k, a / k
+            x = _cubic_root(np.where(reverse, b, -a), np.where(reverse, c, -A), np.where(reverse, -1.0, -B))
             p = np.where(reverse, k / x, x)
+            far = np.isnan(p)  # where a coefficient overflows
+            if np.count_nonzero(far):
+                h = 0.5 * A / -a
+                quadratic = np.where(b == math.inf, _inverse_root(A, a), h + np.hypot(h, np.sqrt(B) / np.sqrt(-a)))
+                p = np.where(far & reverse, quadratic, p)
             # r'(p)*p, not r'(p), which overflows for a root near 1e-150
             slope = p + (A + 2.0 * B / p) / p
             return _polish(p, (p - a - (A + B / p) / p) / slope * p)
@@ -796,8 +810,9 @@ class IntervalLogBarrier(ScalarKind):
         the pole term alone balances the distance to t wherever (A + B)/h^2 is
         below 1e284, and w is A/(lo - t) (B/(t - hi) on the upper side) to
         rounding.  D is held to +-1e300 in the cubic, and a root that rounds
-        to an end of the domain is the next float inside."""
-        _require_finite(t)
+        to an end of the domain is the next float inside.  Where a coefficient
+        overflows (h below about 1e-154), the same cubic is solved in w:
+        w^3 - h*(D + 2)*w^2 + (2*D*h^2 - A - B)*w + 2*K*h^3."""
         lo, hi, A, B = self.lo, self.hi, gamma * self.k_lo, gamma * self.k_hi
         m, h = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
         with _quiet():
@@ -805,6 +820,10 @@ class IntervalLogBarrier(ScalarKind):
             dist, k = np.where(upper, hi - t, t - lo), np.where(upper, B, A)
             D = np.minimum(np.maximum(dist / h, -1e300), 1e300)
             w = h * _cubic_root(-(D + 2.0), 2.0 * D - (A + B) / h / h, 2.0 * k / h / h, middle=True)
+            narrow = np.isnan(w)  # where a coefficient overflows
+            if np.count_nonzero(narrow):
+                in_w = _cubic_root(-(dist + 2.0 * h), 2.0 * dist * h - (A + B), 2.0 * k * h, middle=True)
+                w = np.where(narrow, in_w, w)
             w = np.where((dist / h < -1e300) & ((A + B) / h / h < 1e284), k / -dist, w)
             far = 2.0 * h - w
             near_lo, near_hi = np.where(upper, far, w), np.where(upper, w, far)
@@ -1001,25 +1020,23 @@ def translated(base: ProxFn, z) -> ProxFn:
 
 
 def arg_scaled(base: ProxFn, rho: float) -> ProxFn:
-    """x |-> f(x / rho) for rho != 0 (negative rho allowed)."""
+    """x |-> f(x / rho) for rho != 0 (negative rho allowed) whose square is a
+    nonzero float."""
     rho = as_real(rho, "rho")
-    _require(rho != 0.0, "rho must be != 0")
+    square = _square(rho)
+    _require(0.0 < square < math.inf, "rho must be != 0 with a finite square, got {0!r}", rho)
     return ProxFn(
         dim=base.dim,
         value=lambda x: base.value(x / rho),
-        prox_impl=lambda gamma, x: rho * base.prox(gamma / rho**2, x / rho),
+        prox_impl=lambda gamma, x: rho * base.prox(gamma / square, x / rho),
         name=f"arg_scaled({base.name})",
     )
 
 
 def reflected(base: ProxFn) -> ProxFn:
-    """x |-> f(-x); the prox is the point reflection of the base prox."""
-    return ProxFn(
-        dim=base.dim,
-        value=lambda x: base.value(-x),
-        prox_impl=lambda gamma, x: -base.prox(gamma, -x),
-        name=f"reflected({base.name})",
-    )
+    """x |-> f(-x): argument scaling by -1, whose divisions by -1 and (-1)^2
+    are exact."""
+    return replace(arg_scaled(base, -1.0), name=f"reflected({base.name})")
 
 
 def quad_perturbed(base: ProxFn, alpha: float = 0.0, u=None, offset: float = 0.0) -> ProxFn:

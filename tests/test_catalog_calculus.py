@@ -46,6 +46,12 @@ class TestAffineCalculus:
             cat.reflected(base).prox(1.3, [2.0])[0]
         )
 
+    @pytest.mark.parametrize("rho", (1e200, -1e200, 1e-200))
+    def test_a_scale_whose_square_leaves_the_float_range_is_named(self, rho):
+        # rho**2 of a float raises OverflowError past about 1.3e154
+        with pytest.raises(InvalidParameterError, match="rho must be != 0 with a finite square"):
+            cat.arg_scaled(cat.separable(cat.LinearNonneg(0.7), dim=1), rho)
+
     def test_quadratic_perturbation_example(self):
         # alpha=1, u=0, offset=0 on |.|: prox at 4 equals prox_{|.|/2}(2) = 1.5
         base = cat.separable(cat.IntervalSupport(-1.0, 1.0), dim=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import KIND_NAMES, closed_form_prox_decimal, draw_case, oracle_prox, scalar_kind_max_error
 from proxsplit import catalog as cat
-from proxsplit.core import InvalidParameterError
+from proxsplit.core import InvalidInputError, InvalidParameterError
 from proxsplit.scalar import Bracket
 
 
@@ -175,6 +176,43 @@ class TestParameterValidation:
             cat.scalar_prox(cat.Entropy(), 1.0, gamma=0.0)
         with pytest.raises(InvalidParameterError):
             cat.scalar_prox(cat.Entropy(), math.inf)
+
+
+# each kind at the parameters of the CLI's large-point check, with its value at
+# +inf and -inf: the expression's own result, which is NaN where two infinite
+# terms meet
+BOUNDARY_PARAMS = {
+    "omega": 1.0, "kappa": 1.0, "k_lo": 1.0, "k_hi": 1.0, "q": 2.0, "tau": 0.5, "alpha": 0.5, "lo": -1.0, "hi": 1.0,
+}
+VALUES_AT_INF = {
+    "neg_root": (-math.inf, math.inf),
+    "inverse_power": (0.0, math.inf),
+    "abs_minus_log": (math.nan, math.nan),
+    **dict.fromkeys(("log_quadratic", "log_inverse", "log_power"), (math.nan, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cat.SCALAR_KINDS))
+def test_prox_points_and_results_must_be_finite(name):
+    cls = cat.SCALAR_KINDS[name]
+    kind = cls(**{f.name: cat.Huber(1.0, 1.0) if f.name == "psi" else BOUNDARY_PARAMS[f.name] for f in dataclasses.fields(cls)})
+    for t in (math.inf, -math.inf, math.nan, np.array([0.5, -math.inf])):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            kind.prox(t)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        values = kind.value(np.array([math.inf, -math.inf]))
+    np.testing.assert_array_equal(values, VALUES_AT_INF.get(name, (math.inf, math.inf)))
+
+
+class _NaNKind(cat.ScalarKind):
+    def _prox(self, t, gamma):
+        return np.where(t > 0.0, math.nan, t)
+
+
+def test_a_non_finite_prox_result_is_named():
+    assert _NaNKind().prox(-2.0) == -2.0
+    with pytest.raises(InvalidInputError, match="_NaNKind prox is not finite"):
+        _NaNKind().prox(np.array([-2.0, 3.0]))
 
 
 @pytest.mark.parametrize("name", KIND_NAMES)

@@ -573,6 +573,23 @@ def test_module_entry_points_run_without_runtime_warning(module):
     assert proc.stdout.splitlines() == ["x prox objective", "-2.0 -1.0 1.5", "3.0 2.0 2.5"]
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("abs_minus_log", {"omega": 1e200}), ("huber", {"kappa": 1.0, "omega": 1e200})],
+    ids=["abs_minus_log", "huber"],
+)
+def test_prox_eval_at_an_omega_whose_square_overflows(kind, params):
+    # omega**2 of a float raises OverflowError past about 1.3e154
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxsplit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["prox-eval", "--kind", kind, "--params", json.dumps(params), "--x", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "proxsplit", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0 or (proc.returncode == 1 and proc.stderr.startswith("error: ")), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 
 # each case exits 1 with an error naming the field
 _DENOISE = {"tag": "denoise", "f": {"kind": "l1"}, "g": {"kind": "zero"}, "r": [3.0, -0.5, 1.2]}

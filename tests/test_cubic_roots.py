@@ -50,7 +50,7 @@ def _quiet_prox(kind, t, gamma):
 def _assert_close(p, ref, scale=0.0):
     """p within ULPS ulp of the float nearest ref, or of the larger scale."""
     r = float(ref)
-    if r < TINY:
+    if abs(r) < TINY:
         return
     assert math.isfinite(p)
     assert abs(p - r) <= ULPS * math.ulp(max(abs(r), scale)), (p, r, abs(p - r) / math.ulp(abs(r)))
@@ -94,34 +94,41 @@ def test_neg_root_square_matches_a_decimal_bisection(t, gamma):
     _assert_close(p, ref)
 
 
-@given(t=POINTS, gamma=GAMMAS)
-@settings(max_examples=300, deadline=None)
-def test_log_inverse_matches_a_decimal_bisection(t, gamma):
-    # p - a - A/p - B/p^2 = 0 is below 0 at min(1, sqrt(B/(1 + |a|)))/2 and
-    # above 0 at 1 + |a| + A + B
-    kind = cat.LogInverse(0.7, 0.3, 0.5)
-    p = _quiet_prox(kind, t, gamma)
-    assert p > 0.0
+def _log_inverse_reference(kind, t, gamma):
+    """The root of p - a - A/p - B/p^2 = 0, which is below 0 at
+    min(1, sqrt(B/(1 + |a|)))/2 and above 0 at 1 + |a| + A + B."""
     with decimal.localcontext(CONTEXT):
         a, A, B = D(t - gamma * kind.alpha), D(gamma * kind.kappa), D(gamma * kind.omega)
         lo, hi = min(D(1), (B / (1 + abs(a))).sqrt()) / 2, 1 + abs(a) + A + B
-        ref = _bisect(lambda x: x - a - A / x - B / x / x, lo, hi)
-    _assert_close(p, ref)
+        return _bisect(lambda x: x - a - A / x - B / x / x, lo, hi)
 
 
 @given(t=POINTS, gamma=GAMMAS)
 @settings(max_examples=300, deadline=None)
-def test_interval_log_barrier_matches_a_decimal_bisection(t, gamma):
-    # the root's distance w to the pole on its side of the midpoint m is
-    # bisected: on the upper side r(hi - w) > 0 for w <= B/(|t - m| + A/h + 1),
-    # and likewise on the lower side.  Where the two pole terms cancel, their
-    # rounding alone moves the root by more than an ulp of a root near 0, so
-    # the ulps are those of the larger of |p| and the scale
-    # (|p| + |t| + A/(p - lo) + B/(hi - p))/r'(p) at which the residual's
-    # terms, each rounded once, place the root
-    kind = cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9)
+def test_log_inverse_matches_a_decimal_bisection(t, gamma):
+    kind = cat.LogInverse(0.7, 0.3, 0.5)
     p = _quiet_prox(kind, t, gamma)
-    assert kind.lo < p < kind.hi
+    assert p > 0.0
+    _assert_close(p, _log_inverse_reference(kind, t, gamma))
+
+
+def test_log_inverse_where_a_reversed_coefficient_overflows():
+    # for t - gamma*alpha < 0 the cubic is solved in cbrt(B)/p, whose
+    # coefficient a/cbrt(B) is -1e350 here
+    kind = cat.LogInverse(1.0, 0.0, 1e-300)
+    p = _quiet_prox(kind, -1e250, 1.0)
+    _assert_close(p, _log_inverse_reference(kind, -1e250, 1.0))
+
+
+def _barrier_reference(kind, t, gamma):
+    """The root and the scale at which the residual's terms, each rounded
+    once, place it.
+
+    The root's distance w to the pole on its side of the midpoint m is
+    bisected: on the upper side r(hi - w) > 0 for w <= B/(|t - m| + A/h + 1),
+    and likewise on the lower side.  Where the two pole terms cancel, their
+    rounding alone moves the root by more than an ulp of a root near 0, so
+    the scale is (|p| + |t| + A/(p - lo) + B/(hi - p))/r'(p)."""
     with decimal.localcontext(CONTEXT):
         lo, hi, T = D(kind.lo), D(kind.hi), D(t)
         A, B = D(gamma * kind.k_lo), D(gamma * kind.k_hi)
@@ -137,7 +144,25 @@ def test_interval_log_barrier_matches_a_decimal_bisection(t, gamma):
             near_lo = _bisect(lambda w: r(w, 2 * h - w), min(h, A / (abs(T - m) + B / h + 1)) / 2, h)
             ref, near_hi = lo + near_lo, 2 * h - near_lo
         scale = (abs(ref) + abs(T) + A / near_lo + B / near_hi) / (1 + A / near_lo**2 + B / near_hi**2)
-    _assert_close(p, ref, float(scale))
+        return ref, float(scale)
+
+
+@given(t=POINTS, gamma=GAMMAS)
+@settings(max_examples=300, deadline=None)
+def test_interval_log_barrier_matches_a_decimal_bisection(t, gamma):
+    kind = cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9)
+    p = _quiet_prox(kind, t, gamma)
+    assert kind.lo < p < kind.hi
+    _assert_close(p, *_barrier_reference(kind, t, gamma))
+
+
+def test_interval_log_barrier_on_an_interval_below_1e_154():
+    # (A + B)/h^2 overflows, and the cubic in w = h*x is solved instead
+    h = 9.402429468043572e-184
+    kind = cat.IntervalLogBarrier(-h, h, 0.8455512563079767, 229.03521157775364)
+    p = _quiet_prox(kind, 0.0, 0.4702438932156436)
+    assert kind.lo < p < kind.hi
+    _assert_close(p, *_barrier_reference(kind, 0.0, 0.4702438932156436))
 
 
 @given(x=st.one_of(st.floats(-700.0, 700.0), st.floats(0.0, 300.0).map(lambda e: 10.0**e)))

@@ -82,15 +82,6 @@ def test_power_proxes_solve_at_large_points(name, q, t):
     assert _relative_residual(p, c, q, a) <= 4.0 * EPS, p
 
 
-@pytest.mark.parametrize("name", sorted(POWER_KINDS))
-@pytest.mark.parametrize("q", CLOSED_EXPONENTS)
-def test_closed_form_power_proxes_keep_non_finite_points(name, q):
-    # the limit at +-inf, and NaN at NaN, as the other closed-form kinds give
-    p = _warning_free(POWER_KINDS[name][0](q).prox, np.array([math.inf, -math.inf, math.nan]))
-    assert p[:2].tolist() == [math.inf, -math.inf]
-    assert math.isnan(p[2])
-
-
 @pytest.mark.parametrize("t", (math.inf, math.nan))
 def test_root_solved_power_proxes_reject_non_finite_points(t):
     with pytest.raises(InvalidParameterError, match="finite"):
