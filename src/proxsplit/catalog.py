@@ -33,9 +33,11 @@ quadratics (the power proxes at q = 2 and 3 among them) in forms that
 neither overflow nor cancel, and cubics (neg_root at q = 2, log_inverse, the
 interval log-barrier and the power proxes at q = 5/2) through
 ``_cubic_root`` and one Newton step on r.  The other equations are solved by
-the elementwise ``scalar.solve_monotone``, all coordinates of a group in one
-call, on a closed-form bracket and with Newton steps from r', to the
-solver's residual tolerance, 1e-14, which bounds the error in p as well.
+``_solve_bracket``, the one call of the elementwise ``scalar.solve_monotone``,
+all coordinates of a group in one call, on a closed-form bracket and with
+Newton steps from r', to the solver's residual tolerance, 1e-14, which
+bounds the error in p as well.  A bracket's powers have their base widened
+against rounding, and ``_solve_bracket`` widens the ends themselves.
 ``_power_root`` solves p + c*p^(q-1) = a for the power kinds, and
 ``_pole_root`` p - c*p^(-m) = t for neg_root and inverse_power.
 ``ScalarKind.prox`` is the one boundary, as ``ProxFn.prox`` is: a point that
@@ -130,11 +132,14 @@ def _quiet():
     return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _solve_pole(r, dr, lo, hi):
-    """Solve on a closed-form bracket of a root in (0, inf), widened against
-    rounding by _MARGIN; a lower end below the normal range becomes 0, where
-    these residuals are -inf, and the upper end is at least twice the
-    smallest normal float."""
+def _solve_bracket(r, dr, lo, hi):
+    """Solve r(p) = 0 by ``solve_monotone``, with Newton steps from dr, on a
+    closed-form bracket [lo, hi] of a root in [0, inf), widened by _MARGIN
+    against the rounding of its ends, which r multiplies where one term
+    dominates.  A lower end below the normal range becomes 0, where the pole
+    residuals are -inf and the power residual is -a, and the upper end is at
+    least twice the smallest normal float, so a root below the normal range
+    comes back at most that large."""
     lo = lo * (1.0 - _MARGIN)
     hi = np.maximum(hi * (1.0 + _MARGIN), 2.0 * _TINY)
     return solve_monotone(r, Bracket(np.where(lo < _TINY, 0.0, lo), hi), dg=dr)
@@ -216,22 +221,22 @@ def _cubic_root(b, c, d, middle: bool = False):
 
 def _pole_root(c, m, t):
     """Root p > 0 of p - c*p^(-m) = t (c, m > 0), the prox equation of
-    neg_root and inverse_power, by ``_solve_pole`` with Newton steps from
+    neg_root and inverse_power, by ``_solve_bracket`` with Newton steps from
     the residual's derivative 1 + c*m*p^(-m-1).
 
     With s = c^(1/(1+m)), where p = c*p^(-m): for t >= 0 the root lies in
     [max(s, t), t + c*max(s, t)^(-m)]; for t < 0 it is at most
     hi = min(s, (c/-t)^(1/m)) and at least (c/(hi - t))^(1/m).  The 1/m powers
-    multiply the rounding of their base by 1/m, so the base is widened
-    instead of the result.
+    multiply the rounding of their base by 1/m, so their base is widened
+    here, and ``_solve_bracket`` widens the ends themselves.
     """
     with _quiet():  # each branch is computed for every element and one is discarded
         s = c ** (1.0 / (1.0 + m))
         above = np.maximum(s, t)
-        hi = np.minimum(s, ((1.0 + _MARGIN) * c / -t) ** (1.0 / m)) * (1.0 + _MARGIN)
+        hi = np.minimum(s, ((1.0 + _MARGIN) * c / -t) ** (1.0 / m))
         lo = ((1.0 - _MARGIN) * c / (hi - t)) ** (1.0 / m)
         lo, hi = np.where(t >= 0.0, above, lo), np.where(t >= 0.0, t + c * above**-m, hi)
-    return _solve_pole(lambda p: p - t - c * p**-m, lambda p: 1.0 + c * m * p ** (-m - 1.0), lo, hi)
+    return _solve_bracket(lambda p: p - t - c * p**-m, lambda p: 1.0 + c * m * p ** (-m - 1.0), lo, hi)
 
 
 def _square(v):
@@ -304,30 +309,26 @@ def _power_root(c, q, a):
     return _solved_power_root(c, q - 1.0, a) if form is None else form(c, a)
 
 
-def _solved_power_root(c, e, a):
-    """Root p >= 0 of p + c*p^e = a (e > 0) by ``solve_monotone``.
+def _power_ends(c, e, a):
+    """Ends (lo, hi) of a bracket of the root p >= 0 of p + c*p^e = a (e > 0).
 
     Each term alone reaches a at most at min(a, (a/c)^(1/e)) and a/2 at
     least at min(a/2, (a/2c)^(1/e)), so the root lies between these two
-    points, a factor of at most two apart, and Newton steps are taken from
-    the first point on.  On [0, a] they are refused near 0 for e < 1, where
-    the slope is unbounded, and near a for e > 1, so that a solve from a
-    past about 1e235 bisects for 200 steps without reaching the root.  As in
-    _solve_pole, both ends are widened by _MARGIN against rounding, in the
-    base (whose rounding the 1/e power multiplies by 1/e) and in the result
-    (whose rounding the residual multiplies by e), since where the power
-    term dominates r is within an ulp of 0 at these points.  An upper end
-    below the normal range carries too few bits to tighten with ([0, a]
-    stays, or [0, 1] at a = 0, where the root is the left end), and a lower
-    end below it becomes 0.
+    points, a factor of at most two apart.  The 1/e power multiplies the
+    rounding of its base by 1/e, so the base is widened by _MARGIN.  On
+    [0, a] Newton steps are refused near 0 for e < 1, where the slope is
+    unbounded, and near a for e > 1, so that a solve from a past about 1e235
+    bisects for 200 steps without reaching the root.
     """
-    with _quiet():
-        hi = np.minimum(a, ((1.0 + _MARGIN) * a / c) ** (1.0 / e) * (1.0 + _MARGIN))
-        lo = np.minimum(0.5 * a, ((1.0 - _MARGIN) * 0.5 * a / c) ** (1.0 / e) * (1.0 - _MARGIN))
-    lo = np.where(lo < _TINY, 0.0, lo)
-    tighten = (hi >= _TINY) & (lo < hi)
-    lo, hi = np.where(tighten, lo, 0.0), np.where(tighten, hi, np.where(a == 0.0, 1.0, a))
-    return solve_monotone(lambda p: p + c * p**e - a, Bracket(lo, hi), dg=lambda p: 1.0 + c * e * p ** (e - 1.0))
+    with _quiet():  # a/c may overflow, and the power end is then a
+        lo = np.minimum(0.5 * a, ((1.0 - _MARGIN) * 0.5 * a / c) ** (1.0 / e))
+        hi = np.minimum(a, ((1.0 + _MARGIN) * a / c) ** (1.0 / e))
+    return lo, hi
+
+
+def _solved_power_root(c, e, a):
+    """Root p >= 0 of p + c*p^e = a (e > 0) on the ends of ``_power_ends``."""
+    return _solve_bracket(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), *_power_ends(c, e, a))
 
 
 def _soft(t, a, b):
@@ -770,11 +771,10 @@ class LogPower(ScalarKind):
         A, B, e = gamma * self.kappa, gamma * self.q * self.omega, self.q - 1.0
         hi = _inverse_root(A, t)
         with _quiet():  # hi^e may overflow, and that end is then 0; a power end is NaN at a base < 0
-            lo = _inverse_root(A, t - B * hi**e)
-            lo = np.fmax(lo, np.minimum(0.5 * t, ((1.0 - _MARGIN) * 0.5 * t / B) ** (1.0 / e)))
+            lo = np.fmax(_inverse_root(A, t - B * hi**e), _power_ends(B, e, t)[0])
             a = np.where(t > 0.0, t + A / lo, math.inf)  # for t <= 0 the sum may cancel
-            hi = np.fmin(hi, np.minimum(a, ((1.0 + _MARGIN) * a / B) ** (1.0 / e)))
-        return _solve_pole(r, dr, lo, hi)
+            hi = np.fmin(hi, _power_ends(B, e, a)[1])
+        return _solve_bracket(r, dr, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -1057,22 +1057,14 @@ def quad_perturbed(base: ProxFn, alpha: float = 0.0, u=None, offset: float = 0.0
 
 def _conjugate_value(base: ProxFn, u: Array) -> float:
     """f*(u) through the fixed point w = prox_f(w) + u; exact by Fenchel-Young
-    once converged.  Divergence or non-convergence of the (firmly
-    nonexpansive) iteration signals u outside dom f*, reported as +inf."""
+    once converged.  An iteration that has not converged after 5000 steps
+    signals u outside dom f*, reported as +inf."""
     w = u.copy()
-    blowup = 1e9 * (1.0 + float(np.linalg.norm(u)))
-    converged = False
     for _ in range(5000):
-        p = base.prox(1.0, w)
-        w_new = p + u
-        if np.linalg.norm(w_new) > blowup:
-            return math.inf
-        if np.linalg.norm(w_new - w) <= 1e-14 * max(1.0, float(np.linalg.norm(w))):
-            w = w_new
-            converged = True
+        w, previous = base.prox(1.0, w) + u, w
+        if norm(w - previous) <= 1e-14 * max(1.0, norm(previous)):
             break
-        w = w_new
-    if not converged:
+    else:
         return math.inf
     p = base.prox(1.0, w)
     return float(u @ p) - base.eval(p)

@@ -91,6 +91,16 @@ class TestConjugation:
         assert conj.eval([0.5]) == np.inf
         assert conj.eval([0.0]) == pytest.approx(0.0, abs=1e-10)
 
+    def test_numeric_conjugate_with_a_prox_far_from_0(self):
+        # f(x) = (x - 1e12)^2/2 has f*(u) = 1e12*u + u^2/2, and the fixed
+        # point w = 1e12 + 2u lies far from 0
+        conj = cat.conjugate(cat.quadratic_deviation([1e12]))
+        assert conj.eval([1.0]) == 1e12 + 0.5
+        value = conj.eval([0.0])
+        assert math.isfinite(value) and abs(value) <= 1e-5
+        # a point outside dom f* (the box [-1, 1]^2) still reads +inf
+        assert cat.conjugate(cat.weighted_l1([1.0, 1.0])).eval([2.0, 0.0]) == math.inf
+
 
 class TestMoreau:
     def test_squared_distance_example(self):

@@ -216,6 +216,15 @@ def test_power_kinds_below_q2_near_zero(name, make, arg, t, q):
         assert math.isfinite(p) and abs(p) <= a and p * x >= 0.0, (x, p)
 
 
+# power roots below the normal range: the bracket is [0, 2*tiny], so the
+# result is at most 2*tiny rather than a point of a wider bracket
+@pytest.mark.parametrize("q,t", ((1.1, 1e-40), (1.5, 1e-300)))  # exact roots near 3.9e-401 and 4.4e-601
+def test_power_roots_that_underflow(q, t):
+    for x in (t, -t):
+        p = cat.PowerAbs(1.0, q).prox(x)
+        assert abs(p) <= 2.0 * np.finfo(float).tiny and p * x >= 0.0, (x, p)
+
+
 @pytest.mark.parametrize(
     "kind,params,x",
     (

@@ -24,7 +24,7 @@ from proxsplit.cli import (
     write_trace,
 )
 from proxsplit import problems
-from proxsplit.core import IterationRecord, SolveResult
+from proxsplit.core import IterationRecord, ProxFn, SolveResult
 
 from helpers import read_trace_per_line, write_trace_per_record
 
@@ -545,6 +545,21 @@ class TestCheck:
             "lasso.sdmm_g_list[0]", "lasso.sdmm_L_list[1]",
         ]
         assert lines[-1] == "all component checks passed"
+
+    def test_a_failing_component_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        build_lasso = problems.build_lasso
+
+        def with_an_expansive_f1(*args):
+            inst = build_lasso(*args)
+            f1 = inst.components["f1"]
+            inst.components["f1"] = ProxFn(dim=f1.dim, value=f1.value, prox_impl=lambda gamma, x: 2.0 * x)
+            return inst
+
+        monkeypatch.setattr(problems, "build_lasso", with_an_expansive_f1)
+        assert main(["check", "--config", str(lasso_config(tmp_path))]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.endswith("FAIL")] == ["lasso.f1"]
+        assert lines[-1] == "1 component(s) failed"
 
     def test_tv_components_pass(self, tmp_path):
         doc = {

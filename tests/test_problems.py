@@ -169,6 +169,10 @@ class TestAlternatingProjections:
         res = run_instance(inst, "douglas_rachford", stop=TIGHT)
         assert res.final_x[0] == pytest.approx(1.0, abs=1e-8)
 
+    def test_sets_of_different_dimensions_rejected(self):
+        with pytest.raises(InvalidInputError, match="^both sets must share one dimension$"):
+            build_alternating_projections(sets.Box([0.0], [1.0]), sets.Ball(np.zeros(2), 1.0))
+
 
 BEST_APPROXIMATION_CASES = {  # name: (C, D, r)
     "disk-halfplane": (sets.Ball(np.zeros(2), 1.0), sets.Halfspace(np.array([-1.0, 0.0]), 0.0), np.array([-2.0, 2.0])),
