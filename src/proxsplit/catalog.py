@@ -27,19 +27,22 @@ evaluation makes one call per group instead of one per coordinate.
 Implicit prox equations are solved on the optimality residual
 r(p) = p - t + gamma*phi'(p), which is strictly increasing with slope >= 1
 wherever phi is differentiable.  Where r(p) = 0 is a polynomial equation of
-degree at most 3 in p, in a root of p or, for the pole and barrier kinds,
+degree at most 4 in p, in a root of p or, for the pole and barrier kinds,
 once the poles are cleared, the prox is that polynomial's closed-form root:
 quadratics (the power proxes at q = 2 and 3 among them) in forms that
-neither overflow nor cancel, and cubics (neg_root at q = 2, log_inverse, the
+neither overflow nor cancel, cubics (neg_root at q = 2, log_inverse, the
 interval log-barrier and the power proxes at q = 5/2) through
-``_cubic_root`` and one Newton step on r.  The other equations are solved by
+``_cubic_root``, and the quartic of inverse_power at q = 2 through one
+``_cubic_root`` call on its resolvent in ``_quartic_root``, each finished by
+one Newton step on r.  The other equations are solved by
 ``_solve_bracket``, the one call of the elementwise ``scalar.solve_monotone``,
 all coordinates of a group in one call, on a closed-form bracket and with
 Newton steps from r', to the solver's residual tolerance, 1e-14, which
 bounds the error in p as well.  A bracket's powers have their base widened
 against rounding, and ``_solve_bracket`` widens the ends themselves.
 ``_power_root`` solves p + c*p^(q-1) = a for the power kinds, and
-``_pole_root`` p - c*p^(-m) = t for neg_root and inverse_power.
+``_pole_root`` p - c*p^(-m) = t for neg_root and inverse_power at the
+exponents without a closed form.
 ``ScalarKind.prox`` is the one boundary, as ``ProxFn.prox`` is: a point that
 is not finite raises ``InvalidParameterError`` and a result that is not
 finite ``InvalidInputError``, so no kind handles non-finite values itself.
@@ -239,6 +242,40 @@ def _pole_root(c, m, t):
     return _solve_bracket(lambda p: p - t - c * p**-m, lambda p: 1.0 + c * m * p ** (-m - 1.0), lo, hi)
 
 
+def _quartic_root(c, t):
+    """Root p > 0 of p - c*p^(-3) = t (c > 0), that is of p^4 - t*p^3 - c = 0,
+    in closed form (Ferrari), and c^(1/4) at t = 0.
+
+    With k = c^(1/4) and E = t/k, p = k/u where u > 0 solves the depressed
+    quartic u^4 + E*u - 1 = 0.  Its resolvent cubic y^3 + y - E^2/8 = 0
+    increases strictly, so it has one real root y >= 0, and with s = sqrt(2y)
+    the quartic is (u^2 + y)^2 - (s*u - E/(2s))^2, the product of
+    u^2 - s*u + y + E/(2s) and u^2 + s*u + y - E/(2s).  Their constant terms
+    multiply to -1, so the factor whose constant is -1/K, with
+    K = y + |E|/(2s), holds the positive root, u = (r -+ s)/2 with
+    r = sqrt(s^2 + 4/K) and the sign of E: p = k*K*(r + s)/2 for t >= 0 (its
+    2k/(r - s) written over the conjugate) and p = 2k/(r + s) for t < 0, sums
+    of positive terms that do not cancel.  The resolvent is solved in
+    z = y/tau^2 with tau = |E|^(1/3) = cbrt|t|/cbrt(k), as
+    z^3 + z/tau^4 - 1/8 = 0, so that s = tau*sqrt(2z) and
+    K = tau^2*(z + 1/(2*sqrt(2z))) overflow nowhere; tau is held to at least
+    1e-10, so that 1/tau^4 is finite, which moves p by less than 1e-30 of
+    itself.  One Newton step on the residual finishes the root.
+    """
+    with _quiet():
+        k = np.sqrt(np.sqrt(c))
+        tau = np.maximum(np.cbrt(np.abs(t)) / np.cbrt(k), 1e-10)
+        tau2 = tau * tau
+        z = _cubic_root(0.0, 1.0 / (tau2 * tau2), -0.125)
+        root = np.sqrt(2.0 * z)
+        s, K = tau * root, tau2 * (z + 0.5 / root)
+        r = np.sqrt(s * s + 4.0 / K)
+        p = np.where(t >= 0.0, k * K * (0.5 * (r + s)), k * (2.0 / (r + s)))
+        w = c / p / p / p
+        # r'(p)*p, not r'(p), which overflows for a root near 1e-100
+        return _polish(p, (p - t - w) / (p + 3.0 * w) * p)
+
+
 def _square(v):
     """v**2 as ``**`` rounds it (C's pow for a float, v*v for an array), but
     +inf past the float range, where a float's ``**`` raises."""
@@ -327,8 +364,11 @@ def _power_ends(c, e, a):
 
 
 def _solved_power_root(c, e, a):
-    """Root p >= 0 of p + c*p^e = a (e > 0) on the ends of ``_power_ends``."""
-    return _solve_bracket(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), *_power_ends(c, e, a))
+    """Root p >= 0 of p + c*p^e = a (e > 0) on the ends of ``_power_ends``,
+    capped at a, above which it cannot lie: below the normal range the
+    solver's bracket reaches 2*tiny, and its first point can exceed a."""
+    p = _solve_bracket(lambda p: p + c * p**e - a, lambda p: 1.0 + c * e * p ** (e - 1.0), *_power_ends(c, e, a))
+    return np.minimum(p, a)
 
 
 def _soft(t, a, b):
@@ -557,13 +597,18 @@ class AbsMinusLog(ScalarKind):
     omega: float
 
     def _value(self, t):
-        a = self.omega * np.abs(t)
-        return a - np.log1p(a)
+        with _quiet():  # +inf past the float range, where a - log1p(a) is inf - inf
+            a = self.omega * np.abs(t)
+            return np.where(a == math.inf, math.inf, a - np.log1p(a))
 
     def _prox(self, t, gamma):
-        with _quiet():  # a or omega^2 may overflow: p is then not finite, or 0 where only omega^2 does
-            a = self.omega * np.abs(t)
+        with _quiet():  # omega^2 may overflow, and p is then 0
+            b = np.abs(t)
+            a = self.omega * b
             p = _inverse_root(a, a - gamma * _square(self.omega) - 1.0) / self.omega
+            if a.max(initial=0.0) == math.inf:
+                # the equation divided through by omega: p - (|t|/omega)/p = |t| - gamma*omega - 1/omega
+                p = np.where(a < math.inf, p, _inverse_root(b / self.omega, b - gamma * self.omega - 1.0 / self.omega))
         return np.where(t == 0.0, 0.0, np.copysign(p, t))
 
 
@@ -613,8 +658,10 @@ class NegRoot(ScalarKind):
 class InversePower(ScalarKind):
     """omega*t^(-q) on t > 0, +inf otherwise (q > 1).
 
-    The prox solves p - c*p^(-m) = t with c = gamma*q*omega and m = q + 1,
-    by ``_pole_root``.
+    The prox solves p - c*p^(-m) = t with c = gamma*q*omega and m = q + 1.
+    At q = 2, in a stack too where every exponent is 2, that is the quartic
+    p^4 - t*p^3 - c = 0, solved in closed form by ``_quartic_root``; every
+    other q is root-solved by ``_pole_root``.
     """
 
     omega: float
@@ -625,7 +672,10 @@ class InversePower(ScalarKind):
             return np.where(t <= 0.0, math.inf, self.omega * t ** (-self.q))
 
     def _prox(self, t, gamma):
-        return _pole_root(gamma * self.q * self.omega, self.q + 1.0, t)
+        c = gamma * self.q * self.omega
+        if np.all(self.q == 2.0):
+            return _quartic_root(c, t)
+        return _pole_root(c, self.q + 1.0, t)
 
 
 @dataclass(frozen=True)

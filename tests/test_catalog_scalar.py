@@ -187,7 +187,6 @@ BOUNDARY_PARAMS = {
 VALUES_AT_INF = {
     "neg_root": (-math.inf, math.inf),
     "inverse_power": (0.0, math.inf),
-    "abs_minus_log": (math.nan, math.nan),
     **dict.fromkeys(("log_quadratic", "log_inverse", "log_power"), (math.nan, math.inf)),
 }
 

@@ -80,6 +80,7 @@ ROOT_CASES = {
     "neg_root": (cat.NegRoot(1.3, 2.5), lambda p, t, g: p - t - (g * 1.3 / 2.5) * p ** (1.0 / 2.5 - 1.0)),
     "neg_root_square": (cat.NegRoot(1.3, 2.0), lambda p, t, g: p - t - (g * 1.3 / 2.0) * p**-0.5),
     "inverse_power": (cat.InversePower(0.7, 1.8), lambda p, t, g: p - t - g * 1.8 * 0.7 * p ** (-2.8)),
+    "inverse_power_quartic": (cat.InversePower(0.7, 2.0), lambda p, t, g: p - t - g * 2.0 * 0.7 * p**-3.0),
     "log_inverse": (cat.LogInverse(1.1, -0.6, 0.9), lambda p, t, g: p - t + g * (-0.6 - 1.1 / p - 0.9 / p**2)),
     "log_power": (cat.LogPower(0.9, 1.4, 2.2), lambda p, t, g: p - t + g * (2.2 * 1.4 * p ** (2.2 - 1.0) - 0.9 / p)),
     "interval_log_barrier": (
@@ -98,6 +99,7 @@ DOMAINS = {
     "neg_root": lambda p: p >= 0.0,
     "neg_root_square": lambda p: p >= 0.0,
     "inverse_power": lambda p: p > 0.0,
+    "inverse_power_quartic": lambda p: p > 0.0,
     "log_inverse": lambda p: p > 0.0,
     "log_power": lambda p: p > 0.0,
     "interval_log_barrier": lambda p: (-1.5 < p) & (p < 2.0),
@@ -141,8 +143,8 @@ def test_root_solved_outputs_meet_the_residual_tolerance(name, gamma):
 
 
 EXTREME_T = (1e300, -1e300, 1e16, -1e16, 6.0, -6.0, 1e-300, -1e-300, 0.0)
-# the kinds of ROOT_CASES whose prox is a cubic's closed form
-CLOSED_FORMS = ("neg_root_square", "log_inverse", "interval_log_barrier")
+# the kinds of ROOT_CASES whose prox is a cubic's or a quartic's closed form
+CLOSED_FORMS = ("neg_root_square", "inverse_power_quartic", "log_inverse", "interval_log_barrier")
 
 
 @pytest.mark.parametrize("name", sorted(ROOT_CASES))
@@ -225,6 +227,22 @@ def test_power_roots_that_underflow(q, t):
         assert abs(p) <= 2.0 * np.finfo(float).tiny and p * x >= 0.0, (x, p)
 
 
+# the root of p + c*p^(q-1) = a lies in [0, a], also where the solver's
+# bracket reaches past a subnormal a to 2*tiny; the supports and omega are
+# narrow enough that the power root is taken at every point but +-5e-324
+SUBNORMAL_POWER_KINDS = [(f"power_abs-{q}", cat.PowerAbs(1.0, q)) for q in (1.1, 1.5, 2.6)] + [
+    ("abs_quad_power", cat.AbsQuadPower(1e-320, 0.5, 0.7, 1.5)),
+    ("smooth_plus_support", cat.SmoothPlusSupport(cat.PowerAbs(1.0, 1.5), -1e-320, 1e-320)),
+]
+
+
+@pytest.mark.parametrize("kind", [k for _, k in SUBNORMAL_POWER_KINDS], ids=[n for n, _ in SUBNORMAL_POWER_KINDS])
+def test_power_proxes_at_subnormal_points_stay_within_the_point(kind):
+    for x in (5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300):
+        p = kind.prox(x)
+        assert abs(p) <= abs(x) and (p == 0.0 or math.copysign(1.0, p) == math.copysign(1.0, x)), (x, p)
+
+
 @pytest.mark.parametrize(
     "kind,params,x",
     (
@@ -245,8 +263,8 @@ def test_smooth_plus_support_power_just_past_the_support():
 
 # the three kinds with a pole at 0 that keep a bracket, and their residuals,
 # written independently of the catalog, as functions of
-# (p, t, gamma, q, omega, kappa, alpha); neg_root at q = 2 and log_inverse are
-# closed forms (tests/test_cubic_roots.py)
+# (p, t, gamma, q, omega, kappa, alpha); neg_root and inverse_power at q = 2
+# and log_inverse are closed forms (tests/test_cubic_roots.py)
 POLE_KINDS = {
     "neg_root": (
         lambda q, omega, kappa, alpha: cat.NegRoot(omega, q),
@@ -277,7 +295,7 @@ _MAGNITUDE = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
 @example(name="neg_root", q=1.0358, omega=4.4e-2 * 1.0358, kappa=1.0, alpha=0.0, gamma=1.0, t=-3.7e9)
 @settings(max_examples=400, deadline=None)
 def test_pole_kind_brackets_hold_the_root(name, q, omega, kappa, alpha, gamma, t):
-    assume(name != "neg_root" or q != 2.0)
+    assume(name not in ("neg_root", "inverse_power") or q != 2.0)
     make, residual = POLE_KINDS[name]
     brackets = []
 
@@ -345,12 +363,14 @@ def test_barrier_prox_holds_the_root(lo, width, k_lo, k_hi, gamma, t, offset):
 
 # the prox_catalog benchmark's kind parameters, with the most residual
 # evaluations any one solve may take on 1,000 points uniform on [-6, 6];
-# the closed forms (neg_root at q = 2, log_inverse, the barrier, and the power
-# kinds at q = 5/2 and 3) make no solve at all.  The power kinds at q = 3/2
-# (smooth_plus_support's psi) and neg_root at q = 3 keep theirs
+# the closed forms (neg_root and inverse_power at q = 2, log_inverse, the
+# barrier, and the power kinds at q = 5/2 and 3) make no solve at all.  The
+# power kinds at q = 3/2 (smooth_plus_support's psi), neg_root at q = 3 and
+# inverse_power at q = 1.8 keep theirs
 EVALUATION_BUDGETS = {
     "neg_root": (cat.NegRoot(1.1, 2.0), ()),
-    "inverse_power": (cat.InversePower(0.8, 2.0), (10, 10, 10)),
+    "inverse_power": (cat.InversePower(0.8, 2.0), ()),
+    "inverse_power_solved": (cat.InversePower(0.8, 1.8), (7, 7, 7)),
     "log_power": (cat.LogPower(0.8, 0.5, 2.5), (10, 10, 10)),
     "log_inverse": (cat.LogInverse(0.7, 0.3, 0.5), ()),
     "interval_log_barrier": (cat.IntervalLogBarrier(-2.0, 3.0, 0.6, 0.9), ()),

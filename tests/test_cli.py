@@ -605,6 +605,19 @@ def test_prox_eval_at_an_omega_whose_square_overflows(kind, params):
     assert "Traceback" not in proc.stderr
 
 
+def test_prox_eval_where_omega_times_the_point_overflows():
+    # omega*|x| = 1e310, while the prox is about x - 1e150
+    src = os.path.dirname(os.path.dirname(os.path.abspath(proxsplit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["prox-eval", "--kind", "abs_minus_log", "--params", '{"omega": 1e150}', "--x", "1e160", "-1e160"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "proxsplit", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert [line.split()[1] for line in proc.stdout.splitlines()[1:]] == ["9.999999999e+159", "-9.999999999e+159"]
+
+
 
 # each case exits 1 with an error naming the field
 _DENOISE = {"tag": "denoise", "f": {"kind": "l1"}, "g": {"kind": "zero"}, "r": [3.0, -0.5, 1.2]}

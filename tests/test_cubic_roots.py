@@ -1,5 +1,6 @@
-"""The closed-form cubic proxes and the fixed-step Lambert W against roots
-found apart from the catalog, by bisection in 80-digit decimal arithmetic.
+"""The closed-form cubic and quartic proxes, abs_minus_log where omega*|t|
+overflows, and the fixed-step Lambert W against roots found apart from the
+catalog, by bisection in 80-digit decimal arithmetic.
 
 Each reference solves the kind's prox equation with the coefficients that the
 kind forms from its float parameters (for instance c = q*gamma*kappa of the
@@ -94,6 +95,27 @@ def test_neg_root_square_matches_a_decimal_bisection(t, gamma):
     _assert_close(p, ref)
 
 
+@given(t=POINTS, gamma=GAMMAS)
+@settings(max_examples=300, deadline=None)
+def test_inverse_power_quartic_matches_a_decimal_bisection(t, gamma):
+    # p - c/p^3 = t; with k = c^(1/4) its root lies in [max(t, k), 2*max(t, k)]
+    # for t >= 0, and for t < 0 below hi = min(k, (c/-t)^(1/3)), where
+    # c/p^3 = p + |t| is at most hi + |t|
+    kind = cat.InversePower(0.8, 2.0)
+    p = _quiet_prox(kind, t, gamma)
+    assert p > 0.0 and p >= t
+    with decimal.localcontext(CONTEXT):
+        c, T = D(gamma * kind.q * kind.omega), D(t)
+        k = c ** (D(1) / 4)
+        if T >= 0:
+            lo, hi = max(T, k), 2 * max(T, k)
+        else:
+            hi = min(k, (c / -T) ** (D(1) / 3))
+            lo = (c / (hi - T)) ** (D(1) / 3)
+        ref = _bisect(lambda x: x - T - c / x**3, lo, hi)
+    _assert_close(p, ref)
+
+
 def _log_inverse_reference(kind, t, gamma):
     """The root of p - a - A/p - B/p^2 = 0, which is below 0 at
     min(1, sqrt(B/(1 + |a|)))/2 and above 0 at 1 + |a| + A + B."""
@@ -118,6 +140,20 @@ def test_log_inverse_where_a_reversed_coefficient_overflows():
     kind = cat.LogInverse(1.0, 0.0, 1e-300)
     p = _quiet_prox(kind, -1e250, 1.0)
     _assert_close(p, _log_inverse_reference(kind, -1e250, 1.0))
+
+
+def test_abs_minus_log_where_omega_times_the_point_overflows():
+    # omega*|t| = 1e310 overflows, and the kind solves its equation divided
+    # through by omega; the reference bisects p - |t| + omega^2*p/(1 + omega*p)
+    # (gamma = 1), which is below 0 at |t|/2 and above 0 at |t|
+    kind = cat.AbsMinusLog(1e150)
+    for t in (1e160, -1e160):
+        p = _quiet_prox(kind, t, 1.0)
+        assert math.copysign(1.0, p) == math.copysign(1.0, t)
+        with decimal.localcontext(CONTEXT):
+            w, T = D(kind.omega), D(abs(t))
+            ref = _bisect(lambda x: x - T + w * w * x / (1 + w * x), T / 2, T)
+        _assert_close(abs(p), ref)
 
 
 def _barrier_reference(kind, t, gamma):
